@@ -5,18 +5,20 @@ group cut out by them, the everywhere-local norm group obtained by
 intersecting with the twisted Selmer group, Kramer's local norm indices
 i_l, and the resulting lower bound for dim Sha(E/K)[2].
 
-The local image at a finite place is decided by an exact p-adic scan of
-X-coordinate candidates with valuation-controlled refinement: a residue
-either determines the square class of X^3 + A'X^2 + B'X outright, or it
-Hensel-converges to a root (which itself witnesses a class), or it is
-split one digit deeper.  An independent brute-force torsor enumeration
-is provided as an oracle.
+At odd l the local image has 2 c_l(E')/c_l(E) classes (Cassels' local
+Selmer ratio, Tamagawa numbers from Tate's algorithm).  Its members come
+from an exact p-adic scan of X with valuation-controlled refinement: a
+residue determines the square class of X^3 + A'X^2 + B'X, Hensel-converges
+to a root, or is split one digit deeper; at odd l the scan stops at the
+predicted size, and a mismatch raises ArithmeticError.  A brute-force
+torsor enumeration is provided as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .arith import (
     OO,
@@ -32,7 +34,7 @@ from .arith import (
     square_class,
     squarefree_part,
 )
-from .tate import GlobalData, global_data
+from .tate import GlobalData, global_data, local_reduction
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
@@ -68,16 +70,6 @@ def _int_pair(A, B) -> tuple[int, int]:
     return int(A), int(B)
 
 
-def _vp(n: int, p: int) -> int:
-    return padic_valuation(n, p) if n else _BIG
-
-
-def is_local_square_exact(q: Fraction, place) -> bool:
-    if q == 0:
-        raise ValueError("zero has no square class")
-    return is_local_square(q, place)
-
-
 def local_image(w: WeierstrassModel, place) -> LocalImage:
     """Image of delta: E'(Q_l)/phi(E(Q_l)) -> Q_l*/Q_l*^2 for the descent
     through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx."""
@@ -89,9 +81,21 @@ def local_image(w: WeierstrassModel, place) -> LocalImage:
         return LocalImage(OO, LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B))))
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)
-    reps = _image_scan(Ai, Bi, ell)
+    if ell == 2:
+        reps = _image_scan(Ai, Bi, 2, len(LocalSquareClassGroup.full(2)))
+    else:
+        # #im = #E[phi](Q_l) c_l(E') / c_l(E) = 2 c_l(E') / c_l(E) at odd l
+        c = local_reduction(w, ell).tamagawa
+        cp = local_reduction(WeierstrassModel.from_ainvs([0, Ai, 0, Bi, 0]), ell).tamagawa
+        size, rem = divmod(2 * cp, c)
+        if rem or size not in (1, 2, 4):
+            raise ArithmeticError(f"{w} at {ell}: Tamagawa ratio 2*{cp}/{c} is not an image size")
+        reps = LocalSquareClassGroup.full(ell).elements if size == 4 else _image_scan(Ai, Bi, ell, size)
+        if len(reps) != size:
+            raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tamagawa ratio predicts {size}")
     grp = LocalSquareClassGroup(ell, frozenset(reps))
-    assert grp.is_subgroup(), (w, place, reps)
+    if not grp.is_subgroup():
+        raise ArithmeticError(f"{w} at {ell}: local image {sorted(reps)} is not a subgroup")
     return LocalImage(ell, grp)
 
 
@@ -104,13 +108,12 @@ def _image_at_infinity(Ap, Bp, B) -> set:
     return members
 
 
-def _image_scan(Ap: int, Bi: int, ell: int) -> set:
-    """All local classes b with a point of E' over Q_ell of class b."""
+def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
+    """Classes b of points of E' over Q_ell: all of them, or the first `size` found."""
     members = {1, local_square_rep(Bi, ell)}
     slack = 3 if ell == 2 else 1
-    c = _vp(Bi, ell)
-    vAp = _vp(Ap, ell)
-    guard = 2 * (_vp(Ap * Ap - 4 * Bi, ell) if Ap * Ap != 4 * Bi else 0) + 2 * c + 24
+    c = padic_valuation(Bi, ell)  # B' != 0 on a nonsingular curve
+    guard = 2 * (padic_valuation(Ap * Ap - 4 * Bi, ell) if Ap * Ap != 4 * Bi else 0) + 2 * c + 24
 
     if ell == 2:
         m_range = range(-2, c + 4)
@@ -119,12 +122,11 @@ def _image_scan(Ap: int, Bi: int, ell: int) -> set:
         m_range = range(0, c + 2)
         unit_mod, k0 = ell, 1
 
-    full = LocalSquareClassGroup.full(ell).elements
     for m in m_range:
         # X = w * ell^m with w a unit known modulo ell^k
         stack = [(w0, k0) for w0 in range(1, unit_mod) if w0 % ell]
         while stack:
-            if members == full:
+            if len(members) >= size:
                 return members
             w0, k = stack.pop()
             if m >= 0:
@@ -147,7 +149,7 @@ def _image_scan(Ap: int, Bi: int, ell: int) -> set:
             second = 2 * (m + k) + min(m, 0)
             determined = vF + slack <= min(vdF + m + k, second)
             if determined:
-                if is_local_square_exact(val, ell):
+                if is_local_square(val, ell):
                     members.add(local_square_rep(X, ell))
                 continue
             if k > guard:  # pragma: no cover - safety net
@@ -180,7 +182,8 @@ def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int 
         if _torsor_solvable(b, Ai, Bi, ell, k):
             members.add(b)
     grp = LocalSquareClassGroup(ell, frozenset(members))
-    assert grp.is_subgroup()
+    if not grp.is_subgroup():
+        raise ArithmeticError(f"{w} at {ell}: torsor classes {sorted(members)} are not a subgroup")
     return LocalImage(ell, grp)
 
 
@@ -204,12 +207,12 @@ def _torsor_solvable(b: int, Ap: int, Bi: int, ell: int, k: int) -> bool:
     for t in range(mod):
         # chart z = 1: b w^2 = b^2 t^4 + A'b t^2 + B'
         val = b * b * t**4 + Ap * b * t * t + Bi
-        if val == 0 or is_local_square_exact(Fraction(val, b), ell):
+        if val == 0 or is_local_square(Fraction(val, b), ell):
             return True
     for z in range(0, mod, ell):
         # chart t = 1: b w^2 = b^2 + A'b z^2 + B' z^4 with z = 0 mod ell
         val = b * b + Ap * b * z * z + Bi * z**4
-        if val == 0 or is_local_square_exact(Fraction(val, b), ell):
+        if val == 0 or is_local_square(Fraction(val, b), ell):
             return True
     return False
 
@@ -271,7 +274,8 @@ def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
             sel.append(SquareClass(b))
     elements = frozenset(sel)
     basis = _f2_basis(elements)
-    assert len(elements) == 2 ** len(basis)
+    if len(elements) != 2 ** len(basis):
+        raise ArithmeticError(f"{w}: the {len(elements)} Selmer classes are not a group")
     return SelmerGroup2(elements, basis)
 
 
@@ -284,9 +288,7 @@ def selmer_kernel_class(w: WeierstrassModel) -> SquareClass:
 def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
     """Lower bound for dim_F2 of the everywhere-local norm group:
     dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>."""
-    s1 = phi_selmer(w)
-    s2 = phi_selmer(quadratic_twist(w, d))
-    inter = s1.elements & s2.elements
+    inter = phi_intersection(w, d)
     dim_inter = len(_f2_basis(inter))
     g = selmer_kernel_class(w)
     drop = 1 if (not g.is_trivial and g in inter) else 0
@@ -295,15 +297,6 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
 
 def phi_intersection(w: WeierstrassModel, d: int) -> frozenset:
     return phi_selmer(w).elements & phi_selmer(quadratic_twist(w, d)).elements
-
-
-def rank_upper_bound_via_isogeny(w: WeierstrassModel) -> int:
-    """rank E(Q) <= dim Sel(E) + dim Sel'(E') - 2 for the 2-isogeny pair."""
-    A, B = two_torsion_form(w)
-    Ap, Bp = dual_params(A, B)
-    s = phi_selmer(w)
-    sp = phi_selmer(WeierstrassModel.from_ainvs([0, Ap, 0, Bp, 0]))
-    return s.dim + sp.dim - 2
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +321,11 @@ def field_discriminant(d: int) -> int:
 
 def splits_in(d: int, p: int) -> bool:
     """Does the prime p split in Q(sqrt(d))?"""
-    disc = field_discriminant(d)
+    return _splits(field_discriminant(d), p)
+
+
+def _splits(disc: int, p: int) -> bool:
+    """Does p split in the quadratic field of discriminant disc?"""
     if p == 2:
         return disc % 8 == 1
     return kronecker_symbol(disc % p, p) == 1
@@ -350,13 +347,13 @@ def is_heegner_field(N: int, d: int) -> bool:
 
 def heegner_field_scan(w: WeierstrassModel, bound: int) -> list[int]:
     """Negative squarefree d with |d| <= bound, all p | N split in Q(sqrt d)."""
-    gd = global_data(w)
+    ps = prime_divisors(global_data(w).conductor)
+    square_multiples = {m for q in range(2, isqrt(max(bound, 0)) + 1) for m in range(q * q, bound + 1, q * q)}
     out = []
-    for dd in range(-1, -bound - 1, -1):
-        if squarefree_part(dd) != dd:
-            continue
-        if is_heegner_field(gd.conductor, dd):
-            out.append(dd)
+    for d in range(-1, -bound - 1, -1):
+        disc = d if d % 4 == 1 else 4 * d  # field_discriminant(d), squarefreeness sieved
+        if -d not in square_multiples and all(_splits(disc, p) for p in ps):
+            out.append(d)
     return out
 
 

@@ -682,7 +682,9 @@ def _verify_9(a_abs: int = 10_000, sha_samples: int = 12, seed: int = 0) -> Repo
         E = build_curve(z3_point(a, 1))
         try:
             ds = heegner_field_scan(E, 120)
-        except Exception:
+        except Exception as exc:
+            err = {"raised": type(exc).__name__, "message": str(exc)}
+            rep.add(f"s9-sha-{a}", {"a": a}, err, "Heegner fields up to 120", "heegner_field_scan", False)
             continue
         ds = [d for d in ds if d != -3]
         if not ds:

@@ -1,8 +1,15 @@
+import dataclasses
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ecdescent.arith import OO, SquareClass, smallest_nonresidue, square_class
+import ecdescent
+from ecdescent import descent2
+from ecdescent.arith import OO, SquareClass, prime_divisors, smallest_nonresidue, square_class, squarefree_part
 from ecdescent.descent2 import (
     DescentCertificate,
     FullTwoTorsionError,
@@ -100,6 +107,77 @@ def test_local_image_oracle_equivalence_small():
             assert a == b, (w, place, a, b)
 
 
+def test_local_image_ratio_path_matches_oracle():
+    # odd places, sized by the Tamagawa ratio, against the torsor enumeration
+    rng = random.Random(2015)
+    box = [(A, B) for A in range(-12, 13) for B in range(-12, 13) if B and A * A != 4 * B]
+    # models non-minimal at l (l^2 | A, l^4 | B): (1,-1) and (1,3) scaled by 3,
+    # good and bad at 3 once minimal, and (1,-1) scaled by 5
+    nonminimal = [(9, -81, 3), (9, 243, 3), (25, -625, 5)]
+    seen = {"l=3": 0, "good": 0, "nonminimal": 0}
+    sizes = set()
+    for A, B in rng.sample(box, 60) + [(A, B) for A, B, _ in nonminimal]:
+        w = W(0, A, 0, B, 0)
+        disc = int(w.discriminant)
+        good = next(p for p in (3, 5, 7, 11, 13) if disc % p)
+        for ell in [p for p in prime_divisors(disc) if p != 2] + [good]:
+            a = local_image(w, ell).subgroup.elements
+            b = local_image_bruteforce(w, ell, cap=8192).subgroup.elements
+            assert a == b, (w, ell, sorted(a), sorted(b))
+            sizes.add(len(a))
+            seen["l=3"] += ell == 3
+            seen["good"] += ell == good
+            seen["nonminimal"] += (A, B, ell) in nonminimal
+    assert sizes == {1, 2, 4}
+    assert seen["l=3"] and seen["good"] and seen["nonminimal"] == 3, seen
+
+
+def _miscount(real, curve, ell, tamagawa):
+    # Tate's algorithm with one wrong Tamagawa number
+    def local_reduction(w, p):
+        lr = real(w, p)
+        return dataclasses.replace(lr, tamagawa=tamagawa) if (w, p) == (curve, ell) else lr
+
+    return local_reduction
+
+
+def test_wrong_tamagawa_number_raises(monkeypatch):
+    real = descent2.local_reduction
+    w = W(0, 1, 0, 3, 0)  # image {1} at 3: c_3(E) = 2, c_3(E') = 1
+    assert local_image(w, 3).subgroup.elements == {1}
+    # ratio 2 * 1 / 3 is no image size
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 3, 3))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 3)
+    # ratio 2 * 1 / 1 = 2, but the scan finds a single class
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 3, 1))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 3)
+    # ratio 2 * 2 / 4 = 1 at 11, but the class of B' = -11 is nontrivial there
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 11, 4))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 11)
+
+
+def test_tamagawa_mismatch_raises_under_optimize():
+    script = (
+        "import dataclasses\n"
+        "from ecdescent import descent2\n"
+        "from ecdescent.weierstrass import WeierstrassModel\n"
+        "real = descent2.local_reduction\n"
+        "descent2.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
+        "try:\n"
+        "    descent2.local_image(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), 3)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(ecdescent.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
 def test_phi_selmer_contains_kernel_class():
     for ainvs in [(0, 5, 0, -1, 0), (0, 17, 0, 16, 0), (0, 3, 0, -1, 0)]:
         w = W(*ainvs)
@@ -147,6 +225,17 @@ def test_heegner_scan():
     w2 = W(0, 5, 0, -1, 0)  # conductor 4p
     for d in heegner_field_scan(w2, 80):
         assert d % 8 == 1
+
+
+def test_heegner_scan_matches_splits_in_oracle():
+    for w in [W(-1, 1, -1, 0, 0), W(0, 5, 0, -1, 0), W(0, 3, 0, -1, 0), beta_even_curve(17, 1)]:
+        ps = prime_divisors(global_data(w).conductor)
+        expect = [
+            d
+            for d in range(-1, -151, -1)
+            if squarefree_part(d) == d and all(splits_in_oracle(d, p) for p in ps)
+        ]
+        assert heegner_field_scan(w, 150) == expect, w
 
 
 def test_local_norm_index_infinity():

@@ -94,6 +94,25 @@ def test_verify_section_reports_have_consistent_counts():
         assert set(rec) == {"case_id", "inputs", "computed", "expected", "citation", "status"}
 
 
+def test_verify_section_9_records_a_failed_heegner_scan(monkeypatch):
+    import ecdescent.verify as verify
+
+    real, calls = verify.heegner_field_scan, []
+
+    def fail_once(w, bound):
+        calls.append(bound)
+        if len(calls) == 1:
+            raise ZeroDivisionError("scan failed")
+        return real(w, bound)
+
+    monkeypatch.setattr(verify, "heegner_field_scan", fail_once)
+    rep = verify_section(9, a_abs=10, sha_samples=1)
+    failed = [c for c in rep.cases if c["status"] == "fail"]
+    assert len(failed) == 1 and failed[0]["case_id"].startswith("s9-sha-")
+    assert failed[0]["computed"]["raised"] == "ZeroDivisionError"
+    assert any(c["case_id"].startswith("s9-sha-") and c["status"] == "pass" for c in rep.cases)
+
+
 def test_audit_z2z6_has_witnesses():
     cert = main_theorem_audit(build_curve(z2z6_point(2, 1)))
     assert cert.holds and cert.route == "tamagawa"
