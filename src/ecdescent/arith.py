@@ -1,9 +1,10 @@
 """Exact integer/rational kernel.
 
-Factorization, p-adic valuations, Kronecker and Hilbert symbols, and
-square classes of Q*/Q*^2 together with their local analogues at a
-prime or at the real place.  Everything here is a pure function of its
-arguments and works on plain ints and fractions.Fraction.
+Factorization, primality, p-adic valuations, exact integer roots,
+Kronecker and Hilbert symbols, and square classes of Q*/Q*^2 together
+with their local analogues at a prime or at the real place.  Everything
+here is a pure function of its arguments and works on plain ints and
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ def padic_valuation(q: Rational, p: int) -> int:
     return v
 
 
-def padic_unit(q: Rational, p: int) -> Rational:
-    """The unit part q / p**v(q)."""
-    v = padic_valuation(q, p)
-    if isinstance(q, int) and v >= 0:
-        return q // p**v
-    return Fraction(q) / Fraction(p) ** v
-
-
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n), the full extension of Jacobi/Legendre."""
     if n == 0:
@@ -210,6 +203,20 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             s *= p
     return s
+
+
+def integer_root(n: int, k: int) -> int | None:
+    """The positive integer r with r**k == n, or None if there is none."""
+    if n < 1:
+        return None
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**k == n else None
 
 
 def is_square(q: Rational) -> bool:

@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import prime_divisors
+from .arith import padic_valuation, prime_divisors
 from .descent2 import (
     FullTwoTorsionError,
+    heegner_field_scan,
     is_heegner_field,
     kramer_sha2_bound,
 )
 from .descent3 import HypothesisFailure, ThreeDividesTamagawa, sha3_criterion
-from .families import torsion_subgroup, torsion_growth, two_torsion_points
-from .fixtures import fixture_for_model
+from .families import TorsionGroup, torsion_subgroup, torsion_growth, two_torsion_points
+from .fixtures import fixture_for_minimal_model
 from .isogeny import DivisibilityClaim, TransferRefused, transfer_certificate, velu_2_isogeny
-from .tate import global_data
+from .tate import GlobalData, global_data
 from .weierstrass import (
     CoordinateChange,
     WeierstrassModel,
@@ -92,27 +93,20 @@ def main_theorem_audit(
     """
     gd = global_data(w)
     tg = torsion_subgroup(gd.minimal_model)
-    n1, n2 = tg.structure
-    order = tg.order
-    if d is None:
-        # d-independent routes first, then scan admissible fields
-        first = _audit_with_d(w, None, rank_hypothesis)
-        if first.holds:
-            return first
-        from .descent2 import heegner_field_scan
-
-        last = first
-        for cand in [x for x in heegner_field_scan(gd.minimal_model, heegner_bound) if x != -3][:8]:
-            last = _audit_with_d(w, cand, rank_hypothesis)
-            if last.holds:
-                return last
+    if d is not None:
+        return _audit_with_d(gd, tg, d, rank_hypothesis)
+    # d-independent routes first, then scan admissible fields
+    last = _audit_with_d(gd, tg, None, rank_hypothesis)
+    if last.holds:
         return last
-    return _audit_with_d(w, d, rank_hypothesis)
+    for cand in [x for x in heegner_field_scan(gd.minimal_model, heegner_bound) if x != -3][:8]:
+        last = _audit_with_d(gd, tg, cand, rank_hypothesis)
+        if last.holds:
+            return last
+    return last
 
 
-def _audit_with_d(w: WeierstrassModel, d: int | None, rank_hypothesis: int) -> AuditCertificate:
-    gd = global_data(w)
-    tg = torsion_subgroup(gd.minimal_model)
+def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothesis: int) -> AuditCertificate:
     n1, n2 = tg.structure
     order = tg.order
     hyp = [f"rank E(K) = {rank_hypothesis} over K = Q(sqrt({d}))"] if d is not None else []
@@ -144,7 +138,7 @@ def _audit_with_d(w: WeierstrassModel, d: int | None, rank_hypothesis: int) -> A
         cert.evidence.append({"step": "conclusion", "why": f"{order} | C = {C}"})
         return cert
 
-    fixture = fixture_for_model(gd.minimal_model)
+    fixture = fixture_for_minimal_model(gd.minimal_model)
     if fixture is not None and fixture.manin is not None and (C * fixture.manin) % order == 0:
         cert.route, cert.holds = "fixture-manin", True
         cert.assumptions.append(f"M = {fixture.manin} for {fixture.label} (modular tables)")
@@ -165,8 +159,8 @@ def _audit_with_d(w: WeierstrassModel, d: int | None, rank_hypothesis: int) -> A
     # how much of the divisor is still missing after C (and u_K for d = -1)
     have = 1
     for p in prime_divisors(order):
-        v_need = _ord(order, p)
-        v_have = _ord(C, p) + (_ord(_u_k(d), p))
+        v_need = padic_valuation(order, p)
+        v_have = padic_valuation(C, p) + padic_valuation(_u_k(d), p)
         have *= p ** min(v_need, v_have)
     missing = order // have
 
@@ -233,14 +227,6 @@ def _audit_with_d(w: WeierstrassModel, d: int | None, rank_hypothesis: int) -> A
     return cert
 
 
-def _ord(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _transfer_route(cert: AuditCertificate, gd, d: int, rank_hypothesis: int) -> AuditCertificate:
     """Carry the claim across the quotient by the rational 2-torsion point."""
     shape = shape_with_two_torsion(gd.minimal_model)
@@ -252,7 +238,7 @@ def _transfer_route(cert: AuditCertificate, gd, d: int, rank_hypothesis: int) ->
     ok = tC % ttors.order == 0
     assumption = None
     if not ok:
-        fx = fixture_for_model(target_gd.minimal_model)
+        fx = fixture_for_minimal_model(target_gd.minimal_model)
         if fx is not None and fx.manin is not None and (tC * fx.manin) % ttors.order == 0:
             ok = True
             assumption = f"M = {fx.manin} for {fx.label} (modular tables)"

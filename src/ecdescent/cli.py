@@ -70,17 +70,14 @@ def _load_config(path: str | None) -> dict:
     return conf
 
 
-def _emit(obj, args):
-    if getattr(args, "json", True):
-        print(json.dumps(obj, default=str))
-    else:
-        print(obj)
+def _emit(obj):
+    print(json.dumps(obj, default=str))
 
 
 def cmd_tate(args):
     w = _parse_curve(args.curve)
     if args.prime:
-        _emit(local_reduction(w, args.prime).as_dict(), args)
+        _emit(local_reduction(w, args.prime).as_dict())
         return 0
     gd = global_data(w)
     _emit(
@@ -90,8 +87,7 @@ def cmd_tate(args):
             "conductor": gd.conductor,
             "tamagawa_product": gd.tamagawa_product,
             "local": {str(p): lr.as_dict() for p, lr in sorted(gd.local_data.items())},
-        },
-        args,
+        }
     )
     return 0
 
@@ -104,8 +100,7 @@ def cmd_torsion(args):
             "structure": list(tg.structure),
             "order": tg.order,
             "generators": [{"x": str(P[0]), "y": str(P[1]), "order": k} for P, k in tg.generators],
-        },
-        args,
+        }
     )
     return 0
 
@@ -125,8 +120,7 @@ def cmd_isogeny(args):
             "kernel": [[str(p[0]), str(p[1])] for p in rec.kernel],
             "pullback_scale": pullback_scale(rec),
             "etale_side": etale_side(rec),
-        },
-        args,
+        }
     )
     return 0
 
@@ -139,8 +133,7 @@ def cmd_chain(args):
             "length": chain.length,
             "curves": [str(chain.records[0].source)] + [str(r.target) for r in chain.records],
             "steps": [{"via": r.via, "target": str(r.target)} for r in chain.records],
-        },
-        args,
+        }
     )
     return 0
 
@@ -150,9 +143,9 @@ def cmd_descent(args):
     try:
         cert = kramer_sha2_bound(w, args.disc, args.rank)
     except ValueError as exc:
-        _emit({"curve": args.curve, "d": args.disc, "refused": str(exc)}, args)
+        _emit({"curve": args.curve, "d": args.disc, "refused": str(exc)})
         return 1
-    _emit(cert.as_dict(), args)
+    _emit(cert.as_dict())
     return 0
 
 
@@ -160,9 +153,9 @@ def cmd_descent3(args):
     try:
         cert = sha3_criterion(args.a, args.disc)
     except (HypothesisFailure, ThreeDividesTamagawa) as exc:
-        _emit({"a": args.a, "d": args.disc, "refused": str(exc)}, args)
+        _emit({"a": args.a, "d": args.disc, "refused": str(exc)})
         return 1
-    _emit(cert.as_dict(), args)
+    _emit(cert.as_dict())
     return 0
 
 
@@ -230,9 +223,9 @@ def cmd_audit(args):
     try:
         cert = main_theorem_audit(w, args.disc, args.rank)
     except OutOfScopeTorsion as exc:
-        _emit({"curve": args.curve, "out_of_scope": str(exc)}, args)
+        _emit({"curve": args.curve, "out_of_scope": str(exc)})
         return 1
-    _emit(cert.as_dict(), args)
+    _emit(cert.as_dict())
     return 0 if cert.holds else 1
 
 
@@ -251,7 +244,6 @@ def cmd_ingest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ecdescent", description=__doc__)
-    ap.add_argument("--json", action="store_true", default=True, help="machine-readable output (default)")
     ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     ap.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     ap.add_argument("--config", default=None, help="optional key=value config file")

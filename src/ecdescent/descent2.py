@@ -261,7 +261,8 @@ def candidate_classes(w: WeierstrassModel) -> list:
         raise ArithmeticError("too many bad primes for a desk-scale descent")
     classes = [1]
     for g in gens:
-        classes += [squarefree_part(c * g) for c in classes]
+        # distinct primes and -1, so every product is already squarefree
+        classes += [c * g for c in classes]
     return sorted(set(classes), key=abs)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import is_prime, prime_divisors, squarefree_part
+from .arith import is_prime, padic_valuation, prime_divisors, squarefree_part
 from .descent2 import is_heegner_field, splits_in
 from .families import build_curve, z3_point
 from .isogeny import IsogenyRecord, hadano_quotient, pullback_scale
@@ -60,14 +60,6 @@ class CasselsLedger:
         }
 
 
-def _ord3(n: int) -> int:
-    v = 0
-    while n % 3 == 0:
-        n //= 3
-        v += 1
-    return v
-
-
 def cassels_ledger(a: int, d: int) -> CasselsLedger:
     """Selmer-size ledger for E: y^2 + axy + y = x^3 over K = Q(sqrt(d)).
 
@@ -94,9 +86,9 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     # excluded by the scan above
     for p in gdp.bad_primes:
         assert splits_in(d, p)
-    witnesses = {p: _ord3(gdp.local_data[p].tamagawa) for p in gdp.bad_primes}
+    witnesses = {p: padic_valuation(gdp.local_data[p].tamagawa, 3) for p in gdp.bad_primes}
     ord3_target = 2 * sum(witnesses.values())
-    ord3_source = 2 * sum(_ord3(lr.tamagawa) for p, lr in gd.local_data.items() if lr.conductor_exponent)
+    ord3_source = 2 * sum(padic_valuation(lr.tamagawa, 3) for p, lr in gd.local_data.items() if lr.conductor_exponent)
     assert ord3_source == 0
     # kernel of phi is rational, kernel of the dual has irrational points
     # (their rationality over K would force the cube roots of unity into K)
@@ -105,7 +97,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     scale = pullback_scale(rec)
     arch = Fraction(scale, 3)
     assert arch in (Fraction(1), Fraction(1, 3))
-    sel_lower = _ord3(torsion_ratio) + (ord3_target - ord3_source)
+    sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):
         sel_lower -= 1
     return CasselsLedger(

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .arith import (
     factorize,
+    is_prime,
     is_square,
     kronecker_symbol,
     padic_valuation,
@@ -307,23 +308,9 @@ def torsion_order_bound(w: WeierstrassModel, samples: int = 8) -> int:
             if bound in (1, 2):
                 break
         p += 2
-        while not _is_small_prime(p):
+        while not is_prime(p):
             p += 2
     return bound
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
-        if n % q == 0:
-            return n == q
-    i = 59
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 def _y_on_curve(w: WeierstrassModel, x: Fraction) -> list[Fraction]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .weierstrass import WeierstrassModel
+from .weierstrass import WeierstrassModel, find_isomorphism
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,12 @@ NEUMANN_SETZER_MANIN = 2
 def fixture_for_model(w: WeierstrassModel):
     """The fixture entry whose curve is isomorphic to w, if any."""
     from .tate import global_data
-    from .weierstrass import find_isomorphism
 
-    m = global_data(w).minimal_model
+    return fixture_for_minimal_model(global_data(w).minimal_model)
+
+
+def fixture_for_minimal_model(m: WeierstrassModel):
+    """`fixture_for_model` for a reduced minimal model, which it skips recomputing."""
     for entry in FIXTURES.values():
         if entry.model == m or find_isomorphism(entry.model, m) is not None:
             return entry

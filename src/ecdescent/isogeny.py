@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
+from .arith import integer_root
 from .families import FamilyPoint, GrowthReport, build_curve, z3_normalize, z3_point
 from .tate import minimal_model
 from .weierstrass import (
@@ -88,19 +89,6 @@ class CubeFailure:
         return f"b = {self.b} is not a positive cube; the quotient of {z3_point(self.a, self.b)} has no rational 3-torsion"
 
 
-def icbrt(n: int) -> Optional[int]:
-    if n <= 0:
-        return None
-    lo, hi = 1, 1 << (n.bit_length() // 3 + 2)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**3 <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo**3 == n else None
-
-
 def hadano_quotient(a: int, b: int) -> Union[IsogenyRecord, CubeFailure]:
     """Quotient of y^2 + axy + by = x^3 by its (0,0)-subgroup, when b = t^3.
 
@@ -110,7 +98,7 @@ def hadano_quotient(a: int, b: int) -> Union[IsogenyRecord, CubeFailure]:
     3-torsion point and a CubeFailure is returned instead of a model.
     """
     fp = z3_point(a, b)  # validates parameters, raises on singular input
-    t = icbrt(b)
+    t = integer_root(b, 3)
     if t is None:
         return CubeFailure(a, b)
     src = build_curve(fp)
@@ -160,7 +148,7 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
             records.append(velu_3_isogeny(w, (Fraction(0), Fraction(0))))
             break
         records.append(res)
-        t = icbrt(b_)
+        t = integer_root(b_, 3)
         cur = z3_normalize(a_ + 6 * t, (a_ * a_ + 3 * a_ * t + 9 * t * t) * t)
         fps.append(cur)
         if len(records) > 6:  # pragma: no cover

@@ -1,10 +1,12 @@
 """Local reduction data at every prime via Tate's algorithm.
 
 The full step 1-11 loop is implemented, including the I_n* sub-loop and
-the non-minimal restart, over exact integers.  Split vs nonsplit
-multiplicative reduction is decided from the tangent quadratic
-T^2 + a1*T - a2 after the singular point has been moved to the origin,
-which handles p = 2 and p = 3 without completing the square.
+the non-minimal restart, over exact integer 5-tuples; each step's
+valuation condition is a divisibility test on the coefficients, as in
+Cremona, Algorithms for Modular Elliptic Curves (1997), section 3.2.
+Split vs nonsplit multiplicative reduction is decided from the tangent
+quadratic T^2 + a1*T - a2 after the singular point has been moved to
+the origin, which handles p = 2 and p = 3 without completing the square.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
 from .polyutil import fp_root_multiplicities
-from .weierstrass import SingularModelError, WeierstrassModel, integral_model
+from .weierstrass import SingularModelError, WeierstrassModel, curve_invariants, integral_model
 
 GOOD = "good"
 SPLIT = "split-multiplicative"
@@ -88,22 +90,6 @@ class LocalReduction:
 # -- integer 5-tuple helpers -------------------------------------------------
 
 
-def _binvs(a):
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, b8
-
-
-def _disc_c4(a):
-    b2, b4, b6, b8 = _binvs(a)
-    c4 = b2 * b2 - 24 * b4
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return disc, c4
-
-
 def _translate(a, r, t):
     """[1, r, 0, t] on an integer coefficient tuple."""
     a1, a2, a3, a4, a6 = a
@@ -122,12 +108,6 @@ def _shift_s(a, s):
     return (a1 + 2 * s, a2 - s * a1 - s * s, a3, a4 - s * a3, a6)
 
 
-def _vp(n, p):
-    if n == 0:
-        return 10**9  # effectively infinite for the comparisons below
-    return padic_valuation(n, p)
-
-
 def _singular_point(a, p):
     """The unique singular point of the reduction mod p, as residues."""
     a1, a2, a3, a4, a6 = a
@@ -140,7 +120,7 @@ def _singular_point(a, p):
                 if f % p == 0 and fx % p == 0 and fy % p == 0:
                     return x, y
         raise ArithmeticError("no singular point found")
-    b2, b4, b6, _ = _binvs(a)
+    b2, b4, b6 = curve_invariants(a)[:3]
     from .polyutil import fp_gcd, poly_deriv
 
     G = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
@@ -180,17 +160,15 @@ def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, conductor exponent and v(disc_min) at p."""
     if w.is_singular:
         raise SingularModelError("Tate's algorithm needs a nonsingular curve")
-    if not w.is_integral:
-        w, _ = integral_model(w)
-    a = tuple(int(x) for x in w.ainvs)
-    return _tate(a, p)
+    wi, _ = integral_model(w)
+    return _tate(tuple(int(x) for x in wi.ainvs), p)
 
 
 def _tate(a, p) -> LocalReduction:
     u_exp = 0
     while True:
-        disc, c4 = _disc_c4(a)
-        n = _vp(disc, p)
+        _, _, _, _, c4, _, disc = curve_invariants(a)
+        n = padic_valuation(disc, p)
         if n == 0:
             return LocalReduction(p, I0, 1, 0, 0, GOOD, u_exp)
 
@@ -199,7 +177,7 @@ def _tate(a, p) -> LocalReduction:
         a = _translate(a, x0, y0)
         a1, a2, a3, a4, a6 = a
 
-        if _vp(c4, p) == 0:
+        if c4 % p:
             # multiplicative: tangent slopes T^2 + a1 T - a2 at the node;
             # at p = 2 the node forces a1 odd and both roots lie in F_2
             # exactly when a2 is even
@@ -212,19 +190,19 @@ def _tate(a, p) -> LocalReduction:
             return LocalReduction(p, KodairaType("I", n), c, 1, n, kind, u_exp)
 
         # additive from here on
-        if _vp(a6, p) < 2:
+        if a6 % p**2:
             return LocalReduction(p, KodairaType("II"), 1, n, n, ADDITIVE, u_exp)
-        b2, b4, b6, b8 = _binvs(a)
-        if _vp(b8, p) < 3:
+        _, _, b6, b8, _, _, _ = curve_invariants(a)
+        if b8 % p**3:
             return LocalReduction(p, KodairaType("III"), 2, n - 1, n, ADDITIVE, u_exp)
-        if _vp(b6, p) < 3:
+        if b6 % p**3:
             c = 3 if _quad_rational_mod_p(1, a3 // p, -(a6 // p**2), p) else 1
             return LocalReduction(p, KodairaType("IV"), c, n - 2, n, ADDITIVE, u_exp)
 
         # Step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6.
         if p == 2:
             a = _shift_s(a, a[1] % 2)
-            assert _vp(a[2], p) >= 2
+            assert a[2] % p**2 == 0
             tau = 1 if (a[4] % 8) == 4 else 0
             a = _translate(a, 0, 2 * tau)
         else:
@@ -233,8 +211,8 @@ def _tate(a, p) -> LocalReduction:
             t = (-a[2] * pow(2, -1, p * p)) % (p * p)
             a = _translate(a, 0, t)
         a1, a2, a3, a4, a6 = a
-        assert _vp(a1, p) >= 1 and _vp(a2, p) >= 1
-        assert _vp(a3, p) >= 2 and _vp(a4, p) >= 2 and _vp(a6, p) >= 3
+        assert a1 % p == 0 and a2 % p == 0
+        assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0
 
         P = [(a6 // p**3) % p, (a4 // p**2) % p, (a2 // p) % p, 1]
         mults = fp_root_multiplicities(P, p)
@@ -250,7 +228,7 @@ def _tate(a, p) -> LocalReduction:
             r1 = next(r for r, m in mults.items() if m == 2)
             a = _translate(a, p * r1, 0)
             a1, a2, a3, a4, a6 = a
-            assert _vp(a2, p) == 1 and _vp(a3, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+            assert a2 % p == 0 and a2 % p**2 != 0 and a3 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
             j = 1
             while True:
                 # odd sub-step m = 2j-1: Y^2 + (a3/p^{j+1}) Y - a6/p^{2j+2}
@@ -282,7 +260,7 @@ def _tate(a, p) -> LocalReduction:
         r1 = next(r for r, m in mults.items() if m == 3)
         a = _translate(a, p * r1, 0)
         a1, a2, a3, a4, a6 = a
-        assert _vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+        assert a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
         c3 = a3 // p**2
         c6_ = a6 // p**4
         if _quad_distinct_mod_p(1, c3, -c6_, p):
@@ -291,13 +269,13 @@ def _tate(a, p) -> LocalReduction:
         y1 = _quad_double_root(1, c3, -c6_, p)
         a = _translate(a, 0, p**2 * y1)
         a1, a2, a3, a4, a6 = a
-        if _vp(a4, p) < 4:
+        if a4 % p**4:
             return LocalReduction(p, KodairaType("III*"), 2, n - 7, n, ADDITIVE, u_exp)
-        if _vp(a6, p) < 6:
+        if a6 % p**6:
             return LocalReduction(p, KodairaType("II*"), 1, n - 8, n, ADDITIVE, u_exp)
 
         # Step 11: not minimal; scale down and restart.
-        assert _vp(a1, p) >= 1 and _vp(a2, p) >= 2 and _vp(a3, p) >= 3
+        assert a1 % p == 0 and a2 % p**2 == 0 and a3 % p**3 == 0
         a = (a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
         u_exp += 1
 
@@ -336,7 +314,8 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
             raise ValueError("bad_prime_hint does not cover the discriminant")
     else:
         primes = prime_divisors(disc)
-    local = {p: _tate(tuple(int(x) for x in wi.ainvs), p) for p in primes}
+    a = tuple(int(x) for x in wi.ainvs)
+    local = {p: _tate(a, p) for p in primes}
     u = 1
     for p, lr in local.items():
         u *= p**lr.minimal_scale_exp

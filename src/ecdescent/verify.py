@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import OO, padic_valuation, prime_divisors, smallest_nonresidue
+from .arith import OO, integer_root, padic_valuation, prime_divisors, smallest_nonresidue, square_class
 from .descent2 import (
     heegner_field_scan,
     is_heegner_field,
@@ -39,7 +39,6 @@ from .fixtures import FIXTURES
 from .isogeny import three_isogeny_chain, velu_2_isogeny
 from .tate import GOOD, SPLIT, global_data, local_reduction
 from .weierstrass import WeierstrassModel, find_isomorphism
-from .arith import square_class
 
 
 @dataclass
@@ -624,9 +623,7 @@ def _verify_9(a_abs: int = 10_000, sha_samples: int = 12, seed: int = 0) -> Repo
             continue
         divs = a * a + 3 * a + 9
         # the chain has 4 curves iff a^2+3a+9 is a cube (only a = -6)
-        cube = round(divs ** (1 / 3))
-        is_cube = any((cube + e) ** 3 == divs for e in (-1, 0, 1))
-        length = 4 if is_cube else 3
+        length = 4 if integer_root(divs, 3) is not None else 3
         if length > max_len:
             max_len = length
         if length == 4:

@@ -1,6 +1,7 @@
 """Weierstrass models over Q.
 
-Exact rational coefficients, the standard b/c invariants, [u,r,s,t]
+Exact rational coefficients, the one set of b/c invariant formulas
+(shared with Tate's algorithm on integer tuples), [u,r,s,t]
 coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, and
 point arithmetic used by the torsion and isogeny machinery.
 """
@@ -9,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .arith import Rational, factorize, squarefree_part
+from .arith import Rational, factorize, integer_root, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -33,40 +35,37 @@ class WeierstrassModel:
 
     # -- invariants ---------------------------------------------------------
 
+    @cached_property
+    def _invariants(self) -> tuple[Fraction, ...]:
+        return curve_invariants(self.ainvs)
+
     @property
     def b2(self) -> Fraction:
-        return self.a1**2 + 4 * self.a2
+        return self._invariants[0]
 
     @property
     def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
+        return self._invariants[1]
 
     @property
     def b6(self) -> Fraction:
-        return self.a3**2 + 4 * self.a6
+        return self._invariants[2]
 
     @property
     def b8(self) -> Fraction:
-        return (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
+        return self._invariants[3]
 
     @property
     def c4(self) -> Fraction:
-        return self.b2**2 - 24 * self.b4
+        return self._invariants[4]
 
     @property
     def c6(self) -> Fraction:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        return self._invariants[5]
 
     @property
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        return self._invariants[6]
 
     @property
     def is_singular(self) -> bool:
@@ -78,10 +77,6 @@ class WeierstrassModel:
         if d == 0:
             raise SingularModelError("j undefined: discriminant is zero")
         return self.c4**3 / d
-
-    def invariants(self) -> tuple[Fraction, ...]:
-        """(b2, b4, b6, b8, c4, c6, disc, j)."""
-        return (self.b2, self.b4, self.b6, self.b8, self.c4, self.c6, self.discriminant, self.j_invariant)
 
     @property
     def is_integral(self) -> bool:
@@ -108,6 +103,23 @@ class WeierstrassModel:
             return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
         return "[" + ",".join(fmt(a) for a in self.ainvs) + "]"
+
+
+def curve_invariants(a: tuple) -> tuple:
+    """(b2, b4, b6, b8, c4, c6, disc) of a coefficient 5-tuple.
+
+    The formulas are polynomials in the coefficients, so integer tuples
+    give integers and Fraction tuples give Fractions.
+    """
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
 
 
 class SingularModelError(ValueError):
@@ -184,7 +196,12 @@ def change_variables(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassMod
 
 
 def integral_model(w: WeierstrassModel) -> tuple[WeierstrassModel, CoordinateChange]:
-    """Clear denominators by a [1/m,0,0,0] change; returns (model, change)."""
+    """Clear denominators by a [1/m,0,0,0] change; returns (model, change).
+
+    An integral model comes back unchanged, with the identity change.
+    """
+    if w.is_integral:
+        return w, CoordinateChange.identity()
     need: dict[int, int] = {}
     for i, a in zip((1, 2, 3, 4, 6), w.ainvs):
         if a.denominator > 1:
@@ -292,29 +309,13 @@ def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[Coo
     return None
 
 
-def is_isomorphic(w1: WeierstrassModel, w2: WeierstrassModel) -> bool:
-    return find_isomorphism(w1, w2) is not None
-
-
 def _rational_twelfth_roots(q: Fraction) -> list[Fraction]:
     if q <= 0:
         return []
-    num = _int_nth_root(q.numerator, 12)
-    den = _int_nth_root(q.denominator, 12)
+    num = integer_root(q.numerator, 12)
+    den = integer_root(q.denominator, 12)
     if num is None or den is None:
         return []
     u = Fraction(num, den)
     return [u, -u]
 
-
-def _int_nth_root(n: int, k: int) -> Optional[int]:
-    if n < 1:
-        return None
-    lo, hi = 1, 1 << (n.bit_length() // k + 2)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo**k == n else None

@@ -11,6 +11,7 @@ from ecdescent.arith import (
     factorize,
     hilbert_places,
     hilbert_symbol,
+    integer_root,
     is_local_square,
     is_prime,
     kronecker_symbol,
@@ -21,6 +22,35 @@ from ecdescent.arith import (
 )
 
 nonzero_ints = st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0)
+
+
+def test_integer_root():
+    assert integer_root(49, 2) == 7
+    assert integer_root(48, 2) is None
+    assert integer_root(1, 2) == 1
+    assert integer_root(2**12, 12) == 2
+    assert integer_root(15**12, 12) == 15
+    assert integer_root(2**12 + 1, 12) is None
+    assert integer_root(2**12 - 1, 12) is None
+    for n in (0, -1, -8, -27):
+        assert integer_root(n, 3) is None
+        assert integer_root(n, 2) is None
+    assert integer_root(10**36, 3) == 10**12
+    assert integer_root(10**36, 2) == 10**18
+    assert integer_root(10**36, 12) == 1000
+    for n in (10**36 - 1, 10**36 + 1):
+        for k in (2, 3, 12):
+            assert integer_root(n, k) is None
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=10**20), st.integers(min_value=2, max_value=13))
+def test_integer_root_of_powers(r, k):
+    n = r**k
+    assert integer_root(n, k) == r
+    # consecutive k-th powers of positive integers are at least 3 apart
+    assert integer_root(n + 1, k) is None
+    assert r == 1 or integer_root(n - 1, k) is None
 
 
 def test_factorize_small():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ecdescent.arith import integer_root
 from ecdescent.families import torsion_growth, z3_point
 from ecdescent.isogeny import (
     CubeFailure,
@@ -11,7 +12,6 @@ from ecdescent.isogeny import (
     TransferRefused,
     etale_side,
     hadano_quotient,
-    icbrt,
     pullback_scale,
     three_isogeny_chain,
     transfer_certificate,
@@ -120,9 +120,9 @@ def test_hadano_target_has_three_torsion():
 
 
 def test_icbrt():
-    assert icbrt(27) == 3
-    assert icbrt(26) is None
-    assert icbrt(10**18) == 10**6
+    assert integer_root(27, 3) == 3
+    assert integer_root(26, 3) is None
+    assert integer_root(10**18, 3) == 10**6
 
 
 def test_conductor_27_chain():

@@ -10,6 +10,7 @@ from ecdescent.weierstrass import (
     SingularModelError,
     WeierstrassModel,
     change_variables,
+    curve_invariants,
     find_isomorphism,
     integral_model,
     parse_model,
@@ -138,6 +139,31 @@ def test_integral_model():
     assert wi.is_integral
     assert change_variables(w, c) == wi
     assert wi.j_invariant == w.j_invariant
+
+
+def test_integral_model_of_integral_model_is_identity():
+    w = WeierstrassModel.from_ainvs([1, -1, 1, -10, -20])
+    wi, c = integral_model(w)
+    assert wi is w
+    assert c == CoordinateChange.identity()
+
+
+small_ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@settings(max_examples=60)
+@given(st.lists(small_ints, min_size=5, max_size=5), st.lists(small_fracs, min_size=5, max_size=5))
+def test_curve_invariants_match_model(ints, fracs):
+    for ainvs in (ints, fracs):
+        w = WeierstrassModel.from_ainvs(ainvs)
+        inv = curve_invariants(tuple(ainvs))
+        assert inv == (w.b2, w.b4, w.b6, w.b8, w.c4, w.c6, w.discriminant)
+        b2, b4, b6, b8, c4, c6, disc = inv
+        # the classical identities, independent of how the formulas are written
+        assert 4 * b8 == b2 * b6 - b4 * b4
+        assert 1728 * disc == c4**3 - c6**2
+    # integer tuples stay integers, as Tate's algorithm needs
+    assert all(type(x) is int for x in curve_invariants(tuple(ints)))
 
 
 def test_render_and_parse():
