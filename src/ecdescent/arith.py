@@ -33,17 +33,22 @@ def _sieve(limit: int) -> list[int]:
 SMALL_PRIMES = _sieve(10_000)
 _SMALL_PRIME_SET = set(SMALL_PRIMES)
 
-# Deterministic Miller-Rabin bases: sufficient for all n < 3.3 * 10^24.
+# Miller-Rabin to the first 12 prime bases is proven deterministic only below
+# psi_12 = 318665857834031151167461 (Sorenson-Webster 2015); psi_12 itself is a
+# strong pseudoprime to all of them.  From psi_12 on a strong Lucas test is
+# added, which makes the check BPSW (Baillie-Wagstaff 1980): no composite is
+# known to pass it, but it is not proven.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for the 64-bit-scale range this package uses."""
+    """Primality: proven below psi_12 (about 3.2e23), BPSW from there on."""
     if n < 2:
         return False
     if n < 10_000:
         return n in _SMALL_PRIME_SET
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -61,7 +66,41 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters (n odd, > 1)."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := kronecker_symbol(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k from k = 1, reading the bits of d after the leading one
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
@@ -285,7 +324,9 @@ class SquareClass:
             raise ValueError(f"{self.rep} is not squarefree")
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(squarefree_part(self.rep * other.rep))
+        # both reps are squarefree, so the square part of the product is g^2
+        g = math.gcd(self.rep, other.rep)
+        return SquareClass((self.rep // g) * (other.rep // g))
 
     def __pow__(self, k: int) -> "SquareClass":
         return self if k % 2 else SquareClass(1)

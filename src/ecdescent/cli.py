@@ -4,7 +4,8 @@ Subcommands mirror the library: local reduction data, torsion, isogeny
 quotients and chains, the two descent certificates, family sweeps,
 table-verification runs, the end-to-end audit, and curve-table ingestion.
 Output is JSON (one object, or one object per line for sweeps/reports);
-the process exits 0 only if every requested verification passed.
+the process exits 0 only if every requested verification passed, and 2
+with a {"command", "refused"} object on malformed or out-of-range input.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
+from .arith import is_prime
 from .audit import OutOfScopeTorsion, main_theorem_audit
 from .cremona import ingest_cremona, render_allcurves_line
 from .descent2 import kramer_sha2_bound
@@ -46,14 +48,25 @@ _POINT_MAKERS = {
 }
 
 
+class Refusal(Exception):
+    """Malformed or out-of-range command-line input."""
+
+
 def _parse_curve(text: str) -> WeierstrassModel:
-    parts = [Fraction(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
+    try:
+        parts = [Fraction(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
+    except ValueError:
+        raise Refusal(f"curve {text!r} has a coefficient that is not a rational number") from None
     if len(parts) == 5:
-        return WeierstrassModel.from_ainvs(parts)
-    if len(parts) == 2:  # (A, B) shorthand for y^2 = x^3 + Ax^2 + Bx
+        w = WeierstrassModel.from_ainvs(parts)
+    elif len(parts) == 2:  # (A, B) shorthand for y^2 = x^3 + Ax^2 + Bx
         A, B = parts
-        return WeierstrassModel.from_ainvs([0, A, 0, B, 0])
-    raise argparse.ArgumentTypeError("curve must be a1,a2,a3,a4,a6 or A,B")
+        w = WeierstrassModel.from_ainvs([0, A, 0, B, 0])
+    else:
+        raise Refusal("curve must be a1,a2,a3,a4,a6 or A,B")
+    if w.is_singular:
+        raise Refusal(f"curve {text!r} is singular (discriminant 0)")
+    return w
 
 
 def _load_config(path: str | None) -> dict:
@@ -76,7 +89,9 @@ def _emit(obj):
 
 def cmd_tate(args):
     w = _parse_curve(args.curve)
-    if args.prime:
+    if args.prime is not None:
+        if not is_prime(args.prime):
+            raise Refusal(f"--prime {args.prime} is not a prime")
         _emit(local_reduction(w, args.prime).as_dict())
         return 0
     gd = global_data(w)
@@ -203,16 +218,20 @@ def cmd_sweep(args):
     return 0
 
 
+_BOUND_OPTION = {3: "bound", 4: "bound", 6: "a_hi", 8: "s_hi", 9: "a_abs"}
+
+
 def cmd_verify_paper(args):
+    takes = verify_mod.section_options(args.section)
     opts = {}
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    if args.jobs and args.section in (4, 8):
+    for flag, key, value in [("--seed", "seed", args.seed), ("--bound", _BOUND_OPTION.get(args.section), args.bound)]:
+        if value is None:
+            continue
+        if key not in takes:
+            raise Refusal(f"section {args.section} takes no {flag}")
+        opts[key] = value
+    if "jobs" in takes:
         opts["jobs"] = args.jobs
-    if args.bound:
-        key = {3: "bound", 4: "bound", 6: "a_hi", 8: "s_hi", 9: "a_abs"}.get(args.section)
-        if key:
-            opts[key] = args.bound
     rep = verify_mod.verify_section(args.section, **opts)
     rep.dump_jsonl(sys.stdout)
     return 0 if rep.failed == 0 else 1
@@ -304,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Refusal as exc:
+        _emit({"command": args.command, "refused": str(exc)})
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,46 +2,24 @@
 
 Each test prints one PASS line (visible with -s or on failure); the time
 limits stated for the sweeps are asserted inside the tests themselves.
+The paper's tables (criteria 1-5, 9-11 and the second half of 6) run
+through `ecdescent.verify`, the code `ecdescent verify-paper` runs: each
+test runs exactly the tables its criterion names, at their default
+inputs, and asserts that no case failed, how many were checked, and the
+criterion's expected values.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 
 
-from ecdescent.arith import (
-    OO,
-    factorize,
-    hilbert_places,
-    hilbert_symbol,
-    is_prime,
-    padic_valuation,
-    prime_divisors,
-    square_class,
-)
-from ecdescent.descent2 import (
-    is_heegner_field,
-    kramer_sha2_bound,
-    local_image,
-    local_image_bruteforce,
-    phi_intersection,
-    selmer_kernel_class,
-)
-from ecdescent.descent3 import criterion_witnesses, sha3_criterion
-from ecdescent.families import (
-    SingularParameterError,
-    build_curve,
-    z2z2_point,
-    z2z4_point,
-    z2z6_point,
-    z3_point,
-    z4_point,
-)
+from ecdescent import verify
+from ecdescent.arith import OO, factorize, hilbert_places, hilbert_symbol, is_prime, prime_divisors
+from ecdescent.descent2 import is_heegner_field, kramer_sha2_bound, local_image, local_image_bruteforce
+from ecdescent.families import SingularParameterError
 from ecdescent.fixtures import FIXTURES
-from ecdescent.isogeny import hadano_quotient, three_isogeny_chain, velu_2_isogeny, velu_3_isogeny
-from ecdescent.tate import GOOD, SPLIT, global_data, local_reduction
-from ecdescent.verify import MOD128_PARITY
+from ecdescent.isogeny import hadano_quotient, velu_2_isogeny, velu_3_isogeny
 from ecdescent.weierstrass import WeierstrassModel, find_isomorphism
 
 
@@ -54,75 +32,40 @@ def _report(n, ok, text):
     assert ok, f"criterion {n}: {text}"
 
 
-def test_criterion_01_lambda_family_tate_rows():
+def _tables(section, *tables):
+    """Run the named tables of one section; the report and the seconds taken."""
+    rep = verify.Report(section)
     t0 = time.time()
-    rng = random.Random(11)
-    checked_pairs = 0
-    checked_primes = 0
-    while checked_pairs < 500:
-        alpha, beta = rng.randint(1, 300), rng.randint(1, 300)
-        if math.gcd(alpha, beta) != 1 or 4 * alpha == beta:
-            continue
-        lam = Fraction(16 * alpha**2 - beta**2, 16 * beta**2)
-        w = None
-        for p in prime_divisors(lam.numerator):
-            m = padic_valuation(lam, p)
-            if m <= 0:
-                continue
-            if w is None:
-                w = build_curve(z2z4_point(alpha, beta))
-            lr = local_reduction(w, p)
-            assert str(lr.kodaira) == f"I{4*m}", (alpha, beta, p)
-            assert lr.kind == SPLIT and lr.tamagawa == 4 * m, (alpha, beta, p)
-            checked_primes += 1
-        checked_pairs += 1
-    elapsed = time.time() - t0
+    for table in tables:
+        table(rep)
+    return rep, time.time() - t0
+
+
+def _model(label):
+    return str(FIXTURES[label].model)
+
+
+def test_criterion_01_lambda_family_tate_rows():
+    # 500 sampled pairs, every prime with ord_p(lambda) = m > 0: split I_4m, c = 4m
+    rep, elapsed = _tables(3, verify.multiplicative_rows)
     _report(
         1,
-        checked_primes > 200 and elapsed < 10,
-        f"500 sampled parameter pairs, {checked_primes} positive-valuation primes "
+        rep.failed == 0 and rep.attempted == 1553 and elapsed < 10,
+        f"500 sampled parameter pairs, {rep.attempted} positive-valuation primes "
         f"all split I_4m with c=4m ({elapsed:.1f}s < 10s)",
     )
 
 
 def test_criterion_02_exception_scan():
-    t0 = time.time()
-    violators_8C = {}
-    counting_exceptions = {}
-    for beta in range(1, 201):
-        for alpha in range(1, 201):
-            if math.gcd(alpha, beta) != 1 or 4 * alpha == beta:
-                continue
-            lam = Fraction(16 * alpha**2 - beta**2, 16 * beta**2)
-            S = [p for p in prime_divisors(lam.numerator) if padic_valuation(lam, p) > 0]
-            T = [p for p in prime_divisors(lam.denominator) if p != 2 and padic_valuation(lam, p) < 0]
-            conditions_ok = len(S) >= 1 and (len(T) >= 1 or len(S) >= 2)
-            # every curve in range is checked for 8 | C, not only the
-            # counting exceptions
-            w = build_curve(z2z4_point(alpha, beta))
-            hint = sorted(
-                set(prime_divisors(16 * alpha**2 - beta**2))
-                | set(prime_divisors(beta))
-                | set(prime_divisors(alpha))
-                | {2}
-            )
-            gd = global_data(w, bad_prime_hint=hint)
-            key = str(gd.minimal_model)
-            if not conditions_ok and padic_valuation(beta, 2) <= 4:
-                counting_exceptions[key] = gd.tamagawa_product
-            if gd.tamagawa_product % 8:
-                violators_8C[key] = gd.tamagawa_product
-    elapsed = time.time() - t0
-    nine = {
-        str(FIXTURES[lbl].model)
-        for lbl in ["15a1", "15a3", "21a1", "24a1", "48a3", "120a2", "240a3", "240d5", "336e4"]
-    }
-    ok = set(counting_exceptions) == nine
+    # every curve in range is checked for 8 | C, not only the counting exceptions
+    rep, elapsed = _tables(3, verify.exception_scan)
+    nine = ["15a1", "15a3", "21a1", "24a1", "48a3", "120a2", "240a3", "240d5", "336e4"]
+    exceptions, eight, cm = rep.cases
+    ok = rep.failed == 0 and exceptions["expected"] == sorted(map(_model, nine))
     # every prime power of 2 beyond the table still has 8 | C, so the lone
     # 8|C violator across the whole scan is the C*M = 8 curve
-    ok = ok and set(violators_8C) == {str(FIXTURES["15a3"].model)}
-    ok = ok and violators_8C[str(FIXTURES["15a3"].model)] * FIXTURES["15a3"].manin == 8
-    ok = ok and elapsed < 60
+    ok = ok and eight["computed"] == {"violators": [_model("15a3")]} and cm["computed"] == 8
+    ok = ok and eight["inputs"] == {"bound": 200, "curves": 24462} and elapsed < 60
     _report(
         2,
         ok,
@@ -131,58 +74,24 @@ def test_criterion_02_exception_scan():
 
 
 def test_criterion_03_full_two_torsion_sweep():
-    violators = {}
-    attempted = 0
-    for a in range(-300, 301):
-        for b in range(-300, a):
-            if a == 0 or b == 0 or a == b:
-                continue
-            try:
-                fp = z2z2_point(a, b)
-            except (ValueError, SingularParameterError):
-                continue
-            aa, bb = fp.params
-            w = build_curve(fp)
-            hint = sorted(
-                set(prime_divisors(aa)) | set(prime_divisors(bb)) | set(prime_divisors(aa - bb)) | {2}
-            )
-            gd = global_data(w, bad_prime_hint=hint)
-            attempted += 1
-            if gd.tamagawa_product % 4:
-                violators[str(gd.minimal_model)] = gd.tamagawa_product
-    expected = {str(FIXTURES["17a2"].model): 2, str(FIXTURES["32a2"].model): 2}
-    ok = violators == expected
+    rep, _ = _tables(4, verify.four_divides_scan)
+    (case,) = rep.cases
+    attempted = case["inputs"]["attempted"]
+    ok = rep.failed == 0 and attempted == 179700
+    ok = ok and case["computed"] == {_model("17a2"): 2, _model("32a2"): 2}
     _report(3, ok, f"{attempted} curves, 4 | C except the two C=M=2 curves")
 
 
 def test_criterion_04_mod128_table():
-    bad = []
-    for A in range(2, 2051):
-        w = W(0, A, 0, 1, 0)
-        if w.is_singular:
-            continue
-        lr = local_reduction(w, 2)
-        odd = lr.tamagawa % 2 == 1
-        r4, r16, r128 = A % 4, A % 16, A % 128
-        if r4 == 2:
-            expect_parity = (padic_valuation(A + 2, 2) % 2) if r128 == 126 else MOD128_PARITY[r128]
-            if lr.tamagawa % 2 != expect_parity:
-                bad.append(("table", A))
-        if (lr.kind == GOOD) != (r128 == 62):
-            bad.append(("good", A))
-        expect_odd = (
-            r4 in (0, 1)
-            or r16 == 10
-            or r128 in (30, 62, 94)
-            or (r128 == 126 and padic_valuation(A + 2, 2) % 2 == 1)
-        )
-        if odd != expect_odd:
-            bad.append(("criterion", A))
-    _report(4, not bad, f"parity table, good-reduction rule, odd-C_2 classes over A in [2,2050]: {bad[:4]}")
+    rep, _ = _tables(6, verify.b1_tables)
+    got = [(c["case_id"], c["inputs"]["range"], c["computed"]["mismatches"]) for c in rep.cases]
+    ok = got == [(t, [2, 2050], []) for t in ("s6-mod128-table", "s6-good-at-2", "s6-odd-criterion")]
+    _report(4, ok, f"parity table, good-reduction rule, odd-C_2 classes over A in [2,2050]: {got}")
 
 
 def test_criterion_05_beta_power_table():
-    rows = []
+    rep, _ = _tables(5, verify.beta_power_table)
+    rows = {c["inputs"]["beta"]: (c["expected"]["C"], c["expected"]["label"]) for c in rep.cases[:-1]}
     # (beta, expected C of the curve, expected label or None)
     for beta, c, label in [
         (2**2, 2, "40a3"),
@@ -195,19 +104,9 @@ def test_criterion_05_beta_power_table():
         (-(2**10), 2, None),
         (-(2**12), 4, None),
     ]:
-        w = build_curve(z4_point(beta))
-        gd = global_data(w)
-        got = gd.tamagawa_product if label else local_reduction(w, 2).tamagawa
-        ok = got == c
-        if label:
-            ok = ok and find_isomorphism(gd.minimal_model, FIXTURES[label].model) is not None
-        rows.append(ok)
-    try:
-        z4_point(-16)
-        rows.append(False)
-    except SingularParameterError:
-        rows.append(True)
-    _report(5, all(rows), "all nine beta rows including the singular and good-reduction rows")
+        assert rows[beta] == (c, label), beta
+    ok = rep.failed == 0 and rep.attempted == 12 and rep.cases[-1]["computed"] == "singular"
+    _report(5, ok, f"all {rep.attempted - 1} beta rows and the singular row")
 
 
 def _criterion6_pool():
@@ -245,19 +144,13 @@ def test_criterion_06_kramer_machinery():
         assert cert.sha2_dim_lower >= 1 and cert.two_divides_sha_sqrt
         count += 1
     # B = -1, A = 2 mod 4: the image of 2 is nontrivial in Phi
-    found = 0
-    for A in [6, 10, 14, 18, 22, 26, 30, 34]:
-        w = W(0, A, 0, -1, 0)
-        from ecdescent.descent2 import heegner_field_scan
-
-        for d in heegner_field_scan(w, 150):
-            inter = phi_intersection(w, d)
-            if square_class(2) in inter and square_class(2) != selmer_kernel_class(w):
-                found += 1
-                break
+    rep, _ = _tables(6, verify.phi2_table)
+    (phi2,) = rep.cases
+    found = phi2["computed"]["count"]
+    ok = phi2["inputs"]["A"] == [6, 10, 14, 18, 22, 26, 30, 34] and rep.failed == 0 and found == 7
     _report(
         6,
-        count == 100 and found >= 6,
+        count == 100 and ok,
         f"100 sampled pairs (pool of {len(pool)}): sum(i)=3, dim(Phi)>=1, Sha[2] nontrivial; "
         f"image of 2 nontrivial for {found} twisted-family cases",
     )
@@ -316,85 +209,30 @@ def test_criterion_08_velu_hadano_closed_forms():
 
 
 def test_criterion_09_chain_lengths():
-    max_len, at = 0, []
-    for a in range(-10_000, 10_001):
-        if a == 3:
-            continue
-        chain = three_isogeny_chain(a)
-        if chain.length > max_len:
-            max_len, at = chain.length, [a]
-        elif chain.length == max_len:
-            at.append(a)
-    ok = max_len == 4 and at == [-6]
-    ok = ok and global_data(build_curve(z3_point(-6, 1))).conductor == 27
-    _report(9, ok, f"max chain length {max_len} over |a| <= 10^4, attained at {at} (conductor 27)")
+    rep, _ = _tables(9, verify.chain_bound)
+    (case,) = rep.cases
+    ok = rep.failed == 0 and case["inputs"] == {"a_abs": 10_000, "chains": 20_000}
+    ok = ok and case["computed"] == {"max": 4, "attained_at": [-6], "conductor": 27}
+    _report(9, ok, f"max chain length over |a| <= 10^4: {case['computed']}")
 
 
 def test_criterion_10_z2z6_sweep():
-    t0 = time.time()
-    violations = []
-    attempted = 0
-    for S in range(1, 61):
-        for T in range(-60, 61):
-            if math.gcd(S, T) != 1:
-                continue
-            try:
-                fp = z2z6_point(S, T)
-            except (ValueError, SingularParameterError):
-                continue
-            from ecdescent.families import z2z6_uv
-
-            u, v = z2z6_uv(S, T)
-            hint = sorted(
-                set(prime_divisors(v)) | set(prime_divisors(v + u)) | set(prime_divisors(u))
-                | set(prime_divisors(9 * v + u)) | {2, 3}
-            )
-            gd = global_data(build_curve(fp), bad_prime_hint=hint)
-            attempted += 1
-            if gd.tamagawa_product % 12:
-                violations.append((S, T, gd.tamagawa_product))
-    elapsed = time.time() - t0
+    rep, elapsed = _tables(8, verify.twelve_divides_scan)
+    (case,) = rep.cases
+    attempted = case["inputs"]["attempted"]
     _report(
         10,
-        not violations and elapsed < 120,
+        rep.failed == 0 and attempted == 4402 and elapsed < 120,
         f"12 | C for all {attempted} nonsingular members ({elapsed:.1f}s < 120s)",
     )
 
 
 def test_criterion_11_cassels_three_descent():
-    done = 0
-    a = 1
-    results = []
-    while done < 50 and a < 3000:
-        a += 1
-        if a == 3:
-            continue
-        divs, near = criterion_witnesses(a)
-        if len(divs) < 2 and not near:
-            continue
-        E = build_curve(z3_point(a, 1))
-        gd = global_data(E)
-        if gd.tamagawa_product % 3 == 0:
-            continue
-        from ecdescent.descent2 import heegner_field_scan
-
-        ds = [d for d in heegner_field_scan(E, 100) if d != -3]
-        if not ds:
-            continue
-        cert = sha3_criterion(a, ds[0])
-        assert cert.route == "cassels"
-        assert cert.ledger.sel_phi_dim_lower >= 4, (a, ds[0])
-        assert cert.sha3_dim_lower >= 2
-        # oracle equivalence of every 3-divisibility claim
-        for p, c in cert.witnesses.items():
-            lr = local_reduction(cert.ledger.quotient, p)
-            assert lr.tamagawa == c and c % 3 == 0, (a, p)
-        for p, o3 in cert.ledger.witnesses.items():
-            lr = local_reduction(cert.ledger.quotient, p)
-            assert padic_valuation(lr.tamagawa, 3) == o3
-        results.append(a)
-        done += 1
-    _report(11, done == 50, f"50 admissible parameters with Selmer bound >= 4 and verified witnesses")
+    # route, Selmer and Sha bounds, and every witness re-derived, per row
+    rep, _ = _tables(9, verify.selmer_rows)
+    routes = {c["computed"]["route"] for c in rep.cases}
+    ok = rep.failed == 0 and rep.attempted == 50 and routes == {"cassels"}
+    _report(11, ok, f"{rep.attempted} admissible parameters with Selmer bound >= 4 and verified witnesses")
 
 
 def test_criterion_12_hilbert_reciprocity():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecdescent import arith
 from ecdescent.arith import (
     OO,
     LocalSquareClassGroup,
@@ -75,6 +76,29 @@ def test_factorize_product_property():
             prod *= p**e
         assert prod * (1 if n > 0 else -1) == n
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI12 = (399165290221, 798330580441)
+PSI13 = (1287836182261, 2575672364521)
+
+
+def test_is_prime_beyond_the_miller_rabin_bound():
+    for p, q in (PSI12, PSI13):
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(p * q)
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+    for e in (89, 107, 127):  # Mersenne primes above psi_12
+        assert is_prime(2**e - 1)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert not is_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 30000 that pass the Selfridge strong Lucas test
+    passed = [n for n in range(7, 30_000, 2) if not is_prime(n) and arith._strong_lucas(n)]
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(arith._strong_lucas(p) for p in arith.SMALL_PRIMES if p > 5)
 
 
 def test_padic_valuation():
@@ -191,6 +215,11 @@ def test_square_class_basics():
 @given(nonzero_ints, nonzero_ints)
 def test_square_class_homomorphism(x, y):
     assert square_class(x * y) == square_class(x) * square_class(y)
+
+
+@given(nonzero_ints, nonzero_ints, nonzero_ints)
+def test_square_class_product_with_shared_factors(x, y, g):
+    assert square_class(g * x) * square_class(g * y) == square_class(g * x * g * y)
 
 
 def test_square_class_is_self_inverse():

@@ -172,6 +172,61 @@ def test_cli_verify_exit_codes(capsys):
     assert json.loads(out[-1])["summary"]["failed"] == 0
 
 
+def _refusal(capsys, argv):
+    rc = cli_main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 2 and out["command"] in argv and out["refused"]
+    return out["refused"]
+
+
+def test_cli_tate_refuses_a_composite_prime(capsys):
+    assert "not a prime" in _refusal(capsys, ["tate", "--curve", "0,0,0,-1,0", "--prime", "4"])
+
+
+def test_cli_tate_refuses_a_malformed_curve(capsys):
+    assert "not a rational number" in _refusal(capsys, ["tate", "--curve", "1,2,x"])
+
+
+def test_cli_tate_refuses_a_singular_curve(capsys):
+    assert "singular" in _refusal(capsys, ["tate", "--curve", "0,0,0,0,0"])
+
+
+def test_cli_torsion_refuses_a_singular_curve(capsys):
+    assert "singular" in _refusal(capsys, ["torsion", "--curve", "0,0,0,0,0"])
+
+
+def test_cli_verify_refuses_an_option_the_section_ignores(capsys):
+    assert "--bound" in _refusal(capsys, ["verify-paper", "--section", "5", "--bound", "40"])
+    assert "--seed" in _refusal(capsys, ["--seed", "1", "verify-paper", "--section", "4"])
+
+
+def test_wrong_tamagawa_number_fails_every_tamagawa_section(monkeypatch, capsys):
+    import dataclasses
+
+    import ecdescent.verify as verify
+
+    small = {3: {"bound": 40, "samples": 10}, 4: {"bound": 20}, 6: {"a_hi": 200}, 8: {"s_hi": 5}}
+    for section, opts in small.items():
+        assert verify_section(section, **opts).failed == 0, section
+    real_local, real_global = verify.local_reduction, verify.global_data
+
+    def local_reduction(w, p):
+        lr = real_local(w, p)
+        return dataclasses.replace(lr, tamagawa=lr.tamagawa + 1)
+
+    def global_data(w, bad_prime_hint=None):
+        gd = real_global(w, bad_prime_hint)
+        return dataclasses.replace(gd, tamagawa_product=gd.tamagawa_product + 1)
+
+    monkeypatch.setattr(verify, "local_reduction", local_reduction)
+    monkeypatch.setattr(verify, "global_data", global_data)
+    for section, opts in small.items():
+        assert verify_section(section, **opts).failed > 0, section
+    rc = cli_main(["verify-paper", "--section", "4", "--bound", "20"])
+    out = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1 and json.loads(out[-1])["summary"]["failed"] == 1
+
+
 def test_cli_sweep_reports_singular(capsys):
     rc = cli_main(["sweep", "--family", "z4", "--params-range=-17:-15"])
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
