@@ -9,6 +9,7 @@ fractions.Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -177,7 +178,7 @@ def padic_valuation(q: Rational, p: int) -> int:
     """Largest v with p**v dividing q (negative for denominators)."""
     if q == 0:
         raise ValueError("valuation of 0 is undefined")
-    if isinstance(q, Fraction):
+    if type(q) is not int and isinstance(q, Fraction):  # ints skip the ABC check
         return padic_valuation(q.numerator, p) - padic_valuation(q.denominator, p)
     v = 0
     q = abs(q)
@@ -218,6 +219,7 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+@functools.cache
 def smallest_nonresidue(p: int) -> int:
     """Least positive quadratic nonresidue of an odd prime p."""
     for a in range(2, p):
@@ -228,7 +230,7 @@ def smallest_nonresidue(p: int) -> int:
 
 def _as_integer_squareclass(q: Rational) -> int:
     """Replace a nonzero rational by an integer in the same square class."""
-    if isinstance(q, Fraction):
+    if type(q) is not int and isinstance(q, Fraction):
         return q.numerator * q.denominator
     return q
 

@@ -99,7 +99,7 @@ def main_theorem_audit(
     last = _audit_with_d(gd, tg, None, rank_hypothesis)
     if last.holds:
         return last
-    for cand in [x for x in heegner_field_scan(gd.minimal_model, heegner_bound) if x != -3][:8]:
+    for cand in [x for x in heegner_field_scan(gd.minimal_model, heegner_bound, gd) if x != -3][:8]:
         last = _audit_with_d(gd, tg, cand, rank_hypothesis)
         if last.holds:
             return last

@@ -11,6 +11,7 @@ with a {"command", "refused"} object on malformed or out-of-range input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -55,7 +56,7 @@ class Refusal(Exception):
 def _parse_curve(text: str) -> WeierstrassModel:
     try:
         parts = [Fraction(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise Refusal(f"curve {text!r} has a coefficient that is not a rational number") from None
     if len(parts) == 5:
         w = WeierstrassModel.from_ainvs(parts)
@@ -122,8 +123,15 @@ def cmd_torsion(args):
 
 def cmd_isogeny(args):
     w = _parse_curve(args.curve)
-    x, y = (Fraction(t) for t in args.kernel.split(","))
+    try:
+        x, y = (Fraction(t) for t in args.kernel.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise Refusal(f"kernel {args.kernel!r} must be two rational coordinates x,y") from None
+    if not w.contains(x, y):
+        raise Refusal(f"kernel point ({x}, {y}) is not on the curve")
     order = point_order(w, (x, y), 4)
+    if order not in (2, 3):
+        raise Refusal(f"kernel point ({x}, {y}) has order {order or 'above 4'}, not 2 or 3")
     rec = velu_2_isogeny(w, (x, y)) if order == 2 else velu_3_isogeny(w, (x, y))
     from .isogeny import etale_side, pullback_scale
 
@@ -174,17 +182,19 @@ def cmd_descent3(args):
     return 0
 
 
-def _parse_ranges(spec: str):
-    out = []
-    for dim in spec.split(","):
-        lo, hi = dim.split(":")
-        out.append(range(int(lo), int(hi) + 1))
+def _parse_ranges(spec: str, arity: int) -> list[range]:
+    try:
+        out = [range(int(lo), int(hi) + 1) for lo, hi in (dim.split(":") for dim in spec.split(","))]
+    except ValueError:
+        raise Refusal(f"--params-range {spec!r} must be lo:hi[,lo:hi] with integer bounds") from None
+    if len(out) != arity:
+        raise Refusal(f"--params-range {spec!r} gives {len(out)} ranges, the family takes {arity} parameters")
     return out
 
 
 def cmd_sweep(args):
     maker = _POINT_MAKERS[args.family]
-    ranges = _parse_ranges(args.params_range)
+    ranges = _parse_ranges(args.params_range, len(inspect.signature(maker).parameters))
     import itertools
 
     count = 0

@@ -10,8 +10,11 @@ Selmer ratio, Tamagawa numbers from Tate's algorithm).  Its members come
 from an exact p-adic scan of X with valuation-controlled refinement: a
 residue determines the square class of X^3 + A'X^2 + B'X, Hensel-converges
 to a root, or is split one digit deeper; at odd l the scan stops at the
-predicted size, and a mismatch raises ArithmeticError.  A brute-force
-torsor enumeration is provided as an oracle.
+predicted size, and a mismatch raises ArithmeticError.  The scan is integer
+arithmetic throughout: X = w l^m is an integer for m >= 0, and the discs
+v(X) = -j < 0 that l = 2 needs are cleared of denominators by evaluating
+2^{3j} F(X) and 2^{2j} F'(X), whose valuations are shifted back by 3j and
+2j.  A brute-force torsor enumeration is provided as an oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .arith import (
     square_class,
     squarefree_part,
 )
-from .tate import GlobalData, global_data, local_reduction
+from .tate import GlobalData, global_data, local_reduction, tate_algorithm
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
@@ -86,7 +89,7 @@ def local_image(w: WeierstrassModel, place) -> LocalImage:
     else:
         # #im = #E[phi](Q_l) c_l(E') / c_l(E) = 2 c_l(E') / c_l(E) at odd l
         c = local_reduction(w, ell).tamagawa
-        cp = local_reduction(WeierstrassModel.from_ainvs([0, Ai, 0, Bi, 0]), ell).tamagawa
+        cp = tate_algorithm((0, Ai, 0, Bi, 0), ell).tamagawa
         size, rem = divmod(2 * cp, c)
         if rem or size not in (1, 2, 4):
             raise ArithmeticError(f"{w} at {ell}: Tamagawa ratio 2*{cp}/{c} is not an image size")
@@ -123,34 +126,37 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
         unit_mod, k0 = ell, 1
 
     for m in m_range:
-        # X = w * ell^m with w a unit known modulo ell^k
+        # X = w * ell^m with w a unit known modulo ell^k, written X = x / s with
+        # x = w ell^max(m, 0) and s = ell^j, j = max(-m, 0).  Then
+        # s^3 F(X) = x (x^2 + A's x + B's^2) and s^2 F'(X) = 3x^2 + 2A's x + B's^2,
+        # and modulo squares X ~ x s and F(X) ~ s^3 F(X) s.
+        j = max(-m, 0)
+        s = ell**j
+        scale, As, Bs = ell ** max(m, 0), Ap * s, Bi * s * s
         stack = [(w0, k0) for w0 in range(1, unit_mod) if w0 % ell]
         while stack:
             if len(members) >= size:
                 return members
             w0, k = stack.pop()
-            if m >= 0:
-                X = Fraction(w0 * ell**m)
-            else:
-                X = Fraction(w0, ell**-m)
-            val = X * (X * X + Ap * X + Bi)
+            x = w0 * scale
+            val = x * (x * x + As * x + Bs)
             if val == 0:
-                members.add(local_square_rep(X, ell))
+                members.add(local_square_rep(x * s, ell))
                 continue
-            vF = padic_valuation(val, ell)
-            dval = 3 * X * X + 2 * Ap * X + Bi
-            vdF = padic_valuation(dval, ell) if dval else _BIG
+            vF = padic_valuation(val, ell) - 3 * j
+            dval = 3 * x * x + 2 * As * x + Bs
+            vdF = padic_valuation(dval, ell) - 2 * j if dval else _BIG
             if vF > 2 * vdF and vF - vdF >= m + k:
                 # Newton converges to a root at distance >= vF - vdF, hence
                 # inside this residue disc; X - root then varies freely there
                 # and F can be made a square, so class(X) is in the image
-                members.add(local_square_rep(X, ell))
+                members.add(local_square_rep(x * s, ell))
                 continue
             second = 2 * (m + k) + min(m, 0)
             determined = vF + slack <= min(vdF + m + k, second)
             if determined:
-                if is_local_square(val, ell):
-                    members.add(local_square_rep(X, ell))
+                if is_local_square(val * s, ell):
+                    members.add(local_square_rep(x * s, ell))
                 continue
             if k > guard:  # pragma: no cover - safety net
                 raise ArithmeticError("runaway refinement in local image scan")
@@ -346,9 +352,11 @@ def is_heegner_field(N: int, d: int) -> bool:
     return all(splits_in(d, p) for p in prime_divisors(N))
 
 
-def heegner_field_scan(w: WeierstrassModel, bound: int) -> list[int]:
+def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -> list[int]:
     """Negative squarefree d with |d| <= bound, all p | N split in Q(sqrt d)."""
-    ps = prime_divisors(global_data(w).conductor)
+    if gd is None:
+        gd = global_data(w)
+    ps = prime_divisors(gd.conductor)
     square_multiples = {m for q in range(2, isqrt(max(bound, 0)) + 1) for m in range(q * q, bound + 1, q * q)}
     out = []
     for d in range(-1, -bound - 1, -1):

@@ -161,10 +161,12 @@ def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     if w.is_singular:
         raise SingularModelError("Tate's algorithm needs a nonsingular curve")
     wi, _ = integral_model(w)
-    return _tate(tuple(int(x) for x in wi.ainvs), p)
+    return tate_algorithm(tuple(int(x) for x in wi.ainvs), p)
 
 
-def _tate(a, p) -> LocalReduction:
+def tate_algorithm(a: tuple, p: int) -> LocalReduction:
+    """Tate's algorithm at p on the integral coefficient 5-tuple a of a
+    nonsingular model."""
     u_exp = 0
     while True:
         _, _, _, _, c4, _, disc = curve_invariants(a)
@@ -315,7 +317,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
     else:
         primes = prime_divisors(disc)
     a = tuple(int(x) for x in wi.ainvs)
-    local = {p: _tate(a, p) for p in primes}
+    local = {p: tate_algorithm(a, p) for p in primes}
     u = 1
     for p, lr in local.items():
         u *= p**lr.minimal_scale_exp

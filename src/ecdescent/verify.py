@@ -140,30 +140,25 @@ def multiplicative_rows(rep: Report, samples: int = 500, seed: int = 11):
         done += 1
 
 
-def exception_scan(rep: Report, bound: int = 200):
+def exception_scan(rep: Report, bound: int = 200, jobs: int = 1):
     """Every curve with alpha, beta <= bound: the nine counting exceptions and 8 | C.
 
     The S/T counting conditions fail exactly on nine curves (restricting to
     v_2(beta) <= 4; larger powers of 2 are covered by the even-C_2 argument),
     and the only curve of the whole scan with 8 not dividing C has C*M = 8.
     """
-    counted, violators, curves = set(), {}, 0
-    for beta in range(1, bound + 1):
-        for alpha in range(1, bound + 1):
-            if math.gcd(alpha, beta) != 1 or 4 * alpha == beta:
-                continue
-            lam = _lambda(alpha, beta)
-            S = [p for p in prime_divisors(lam.numerator) if padic_valuation(lam, p) > 0]
-            T = [p for p in prime_divisors(lam.denominator) if p != 2 and padic_valuation(lam, p) < 0]
-            conditions_ok = len(S) >= 1 and (len(T) >= 1 or len(S) >= 2)
-            w = build_curve(z2z4_point(alpha, beta))
-            gd = global_data(w, bad_prime_hint=_lambda_bad_prime_hint(alpha, beta))
-            curves += 1
-            key = str(gd.minimal_model)
-            if not conditions_ok and padic_valuation(beta, 2) <= 4:
-                counted.add(key)
-            if gd.tamagawa_product % 8:
-                violators[key] = gd.tamagawa_product
+    pairs = [
+        (alpha, beta)
+        for beta in range(1, bound + 1)
+        for alpha in range(1, bound + 1)
+        if math.gcd(alpha, beta) == 1 and 4 * alpha != beta
+    ]
+    counted, violators = set(), {}
+    for key, is_counted, C in _map(_sec3_case, pairs, jobs, 512):
+        if is_counted:
+            counted.add(key)
+        if C % 8:
+            violators[key] = C
     expected_models = {
         str(FIXTURES[lbl].model)
         for lbl in ["15a1", "15a3", "21a1", "24a1", "48a3", "120a2", "240a3", "240d5", "336e4"]
@@ -179,7 +174,7 @@ def exception_scan(rep: Report, bound: int = 200):
     fifteen = str(FIXTURES["15a3"].model)
     rep.add(
         "s3-eight-divides",
-        {"bound": bound, "curves": curves},
+        {"bound": bound, "curves": len(pairs)},
         {"violators": sorted(violators)},
         {"violators": [fifteen]},
         "8 | C over the family except one curve with C*M = 8",
@@ -194,6 +189,18 @@ def exception_scan(rep: Report, bound: int = 200):
         "C*M = 8 for the exceptional curve (Manin constant from modular tables)",
         cm == 8,
     )
+
+
+def _sec3_case(pair):
+    alpha, beta = pair
+    lam = _lambda(alpha, beta)
+    S = [p for p in prime_divisors(lam.numerator) if padic_valuation(lam, p) > 0]
+    T = [p for p in prime_divisors(lam.denominator) if p != 2 and padic_valuation(lam, p) < 0]
+    conditions_ok = len(S) >= 1 and (len(T) >= 1 or len(S) >= 2)
+    w = build_curve(z2z4_point(alpha, beta))
+    gd = global_data(w, bad_prime_hint=_lambda_bad_prime_hint(alpha, beta))
+    counted = not conditions_ok and padic_valuation(beta, 2) <= 4
+    return str(gd.minimal_model), counted, gd.tamagawa_product
 
 
 # -- section 4: the Z/2+Z/2 family -------------------------------------------
@@ -573,15 +580,12 @@ def _sec8_case(st):
 # -- section 9: the Z/3 family ----------------------------------------------------
 
 
-def chain_bound(rep: Report, a_abs: int = 10_000):
+def chain_bound(rep: Report, a_abs: int = 10_000, jobs: int = 1):
     """Every quotient chain over |a| <= a_abs with b = 1: the longest has 4 curves,
     only at a = -6, of conductor 27."""
-    max_len, at, chains = 0, [], 0
-    for a in range(-a_abs, a_abs + 1):
-        if a == 3:
-            continue
-        length = three_isogeny_chain(a).length
-        chains += 1
+    avals = [a for a in range(-a_abs, a_abs + 1) if a != 3]
+    max_len, at = 0, []
+    for a, length in zip(avals, _map(_chain_length, avals, jobs, 256)):
         if length > max_len:
             max_len, at = length, [a]
         elif length == max_len:
@@ -589,12 +593,16 @@ def chain_bound(rep: Report, a_abs: int = 10_000):
     conductor = global_data(build_curve(z3_point(-6, 1))).conductor
     rep.add(
         "s9-chain-bound",
-        {"a_abs": a_abs, "chains": chains},
+        {"a_abs": a_abs, "chains": len(avals)},
         {"max": max_len, "attained_at": at, "conductor": conductor},
         {"max": 4, "attained_at": [-6], "conductor": 27},
         "maximal chain length 4, attained only at conductor 27",
         max_len == 4 and at == [-6] and conductor == 27,
     )
+
+
+def _chain_length(a):
+    return three_isogeny_chain(a).length
 
 
 def bneq1_rows(rep: Report):

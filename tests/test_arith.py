@@ -113,6 +113,20 @@ def test_valuation_additive(x, y, p):
     assert padic_valuation(x * y, p) == padic_valuation(x, p) + padic_valuation(y, p)
 
 
+@given(
+    st.integers(min_value=-(10**12), max_value=10**12).filter(lambda n: n != 0),
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=0, max_value=6),
+)
+def test_integer_and_fraction_inputs_agree(n, p, ell, k):
+    # the int fast path and the Fraction path give the same valuation and class
+    assert padic_valuation(Fraction(n), p) == padic_valuation(n, p)
+    assert padic_valuation(Fraction(n, ell**k), p) == padic_valuation(n, p) - (k if ell == p else 0)
+    assert local_square_rep(Fraction(n), p) == local_square_rep(n, p)
+    assert local_square_rep(Fraction(n, ell**k), p) == local_square_rep(n * ell**k, p)
+
+
 def test_kronecker_vs_bruteforce():
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 199]:
         residues = {x * x % p for x in range(1, p)}

@@ -132,6 +132,44 @@ def test_local_image_ratio_path_matches_oracle():
     assert seen["l=3"] and seen["good"] and seen["nonminimal"] == 3, seen
 
 
+def test_local_image_at_2_matches_oracle(monkeypatch):
+    # the exact integer scan at 2 against the torsor enumeration, on integral
+    # box curves and on curves whose dual (A', B') has A' odd (A = -A'/2,
+    # B = (A'^2 - 4B')/16); only the latter reach classes on the discs v(X) < 0,
+    # so the oracle runs on the 2-isomorphic integral model [0, 4A, 0, 16B, 0]
+    rng = random.Random(2016)
+    box = [(A, B) for A in range(-12, 13) for B in range(-12, 13) if B and A * A != 4 * B]
+    odd_dual = [(a, b) for a in range(-11, 12, 2) for b in range(-12, 13) if b and a * a != 4 * b]
+    curves = rng.sample(box, 30)
+    curves += [(Fraction(-a, 2), Fraction(a * a - 4 * b, 16)) for a, b in rng.sample(odd_dual, 30)]
+
+    # count classes the scan adds while it works on a disc with m < 0
+    real = descent2.local_square_rep
+    hits = []
+
+    def spy(q, place):
+        rep = real(q, place)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_image_scan" and frame.f_locals.get("m", 0) < 0:
+            hits.append(rep not in frame.f_locals["members"])
+        return rep
+
+    monkeypatch.setattr(descent2, "local_square_rep", spy)
+    sizes = set()
+    for A, B in curves:
+        a = local_image(W(0, A, 0, B, 0), 2).subgroup.elements
+        b = local_image_bruteforce(W(0, 4 * A, 0, 16 * B, 0), 2, cap=8192).subgroup.elements
+        assert a == b, (A, B, sorted(a), sorted(b))
+        sizes.add(len(a))
+    assert sizes == {1, 2, 4, 8}
+    assert sum(hits) > 0
+
+
+def test_heegner_scan_takes_global_data():
+    w = W(0, 1, 0, 3, 0)
+    assert heegner_field_scan(w, 150, global_data(w)) == heegner_field_scan(w, 150)
+
+
 def _miscount(real, curve, ell, tamagawa):
     # Tate's algorithm with one wrong Tamagawa number
     def local_reduction(w, p):

@@ -200,6 +200,26 @@ def test_cli_verify_refuses_an_option_the_section_ignores(capsys):
     assert "--seed" in _refusal(capsys, ["--seed", "1", "verify-paper", "--section", "4"])
 
 
+def test_cli_isogeny_refuses_a_malformed_kernel(capsys):
+    assert "rational coordinates" in _refusal(capsys, ["isogeny", "--curve", "0,5,0,-1,0", "--kernel", "0,x"])
+
+
+def test_cli_sweep_refuses_a_malformed_params_range(capsys):
+    assert "lo:hi" in _refusal(capsys, ["sweep", "--family", "z4", "--params-range=a"])
+
+
+def test_sections_3_and_9_reports_do_not_depend_on_jobs():
+    from ecdescent.verify import Report, chain_bound, exception_scan
+
+    for table, opts in [(exception_scan, {"bound": 30}), (chain_bound, {"a_abs": 60})]:
+        reports = []
+        for jobs in (1, 2):
+            rep = Report(0)
+            table(rep, jobs=jobs, **opts)
+            reports.append(json.dumps(rep.cases, default=str))
+        assert reports[0] == reports[1], table.__name__
+
+
 def test_wrong_tamagawa_number_fails_every_tamagawa_section(monkeypatch, capsys):
     import dataclasses
 
