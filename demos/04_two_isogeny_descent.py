@@ -22,7 +22,7 @@ E = WeierstrassModel.from_ainvs([0, p * p + 8, 0, 16, 0])
 print("E =", E)
 for place in [OO, 2, p]:
     img = local_image(E, place)
-    print(f"  image at {place}: {sorted(img.subgroup.elements)}")
+    print(f"  image at {place}: {sorted(img.elements)}")
 
 sel = phi_selmer(E)
 print("Selmer group basis:", [c.rep for c in sel.basis], "dim", sel.dim)

@@ -153,7 +153,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = random.Random(0x5EED)
+    rng = None  # one generator per call, seeded when Pollard rho first runs
     while stack:
         m = stack.pop()
         if m == 1:
@@ -165,6 +165,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
         if root * root == m:
             stack += [root, root]
             continue
+        rng = rng or random.Random(0x5EED)
         d = _pollard_rho(m, rng)
         stack += [d, m // d]
     return sorted(out.items())

@@ -5,16 +5,21 @@ group cut out by them, the everywhere-local norm group obtained by
 intersecting with the twisted Selmer group, Kramer's local norm indices
 i_l, and the resulting lower bound for dim Sha(E/K)[2].
 
-At odd l the local image has 2 c_l(E')/c_l(E) classes (Cassels' local
-Selmer ratio, Tamagawa numbers from Tate's algorithm).  Its members come
-from an exact p-adic scan of X with valuation-controlled refinement: a
-residue determines the square class of X^3 + A'X^2 + B'X, Hensel-converges
-to a root, or is split one digit deeper; at odd l the scan stops at the
-predicted size, and a mismatch raises ArithmeticError.  The scan is integer
-arithmetic throughout: X = w l^m is an integer for m >= 0, and the discs
-v(X) = -j < 0 that l = 2 needs are cleared of denominators by evaluating
-2^{3j} F(X) and 2^{2j} F'(X), whose valuations are shifted back by 3j and
-2j.  A brute-force torsor enumeration is provided as an oracle.
+At every finite l the local image has 2 c_l(E')/c_l(E) l^(s'-s) classes:
+Schaefer-Stoll 2004, Lemma 3.8 gives #E(Q_l)[phi] c_l(E')/c_l(E) |phi'(0)|^-1
+with Tamagawa numbers from Tate's algorithm and phi'(0) on Neron
+differentials.  The 2-isogeny keeps the model differential dx/2y, so
+|phi'(0)|^-1 = l^(s'-s), where s and s' are the scales (v(disc) - v_min)/12
+of the models of E and E' over their minimal models.  At odd l, s' = s:
+phi'(0) and phi-hat'(0) are integral on Neron differentials and their
+product 2 is a unit.  The members come from an exact p-adic scan of X with
+valuation-controlled refinement: a residue determines the square class of
+X^3 + A'X^2 + B'X, Hensel-converges to a root, or is split one digit deeper;
+the scan stops at the predicted size, and a mismatch raises ArithmeticError.
+The scan is integer arithmetic throughout: X = w l^m is an integer for
+m >= 0, and the disc v(X) = -2 that l = 2 needs is cleared of denominators
+by evaluating 2^6 F(X) and 2^4 F'(X), whose valuations are shifted back by 6
+and 4.  A brute-force torsor enumeration is provided as an oracle.
 """
 
 from __future__ import annotations
@@ -53,19 +58,6 @@ def dual_params(A: Fraction, B: Fraction) -> tuple[Fraction, Fraction]:
     return -2 * A, A * A - 4 * B
 
 
-@dataclass
-class LocalImage:
-    place: object
-    subgroup: LocalSquareClassGroup
-
-    def __contains__(self, q) -> bool:
-        return q in self.subgroup
-
-    @property
-    def dim(self) -> int:
-        return self.subgroup.dim
-
-
 def _int_pair(A, B) -> tuple[int, int]:
     A, B = Fraction(A), Fraction(B)
     if A.denominator != 1 or B.denominator != 1:
@@ -73,7 +65,7 @@ def _int_pair(A, B) -> tuple[int, int]:
     return int(A), int(B)
 
 
-def local_image(w: WeierstrassModel, place) -> LocalImage:
+def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
     """Image of delta: E'(Q_l)/phi(E(Q_l)) -> Q_l*/Q_l*^2 for the descent
     through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx."""
     A, B = two_torsion_form(w)
@@ -81,25 +73,28 @@ def local_image(w: WeierstrassModel, place) -> LocalImage:
         raise SingularModelError("descent needs a nonsingular curve")
     Ap, Bp = dual_params(A, B)
     if place == OO or place is None:
-        return LocalImage(OO, LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B))))
+        return LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B)))
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)
-    if ell == 2:
-        reps = _image_scan(Ai, Bi, 2, len(LocalSquareClassGroup.full(2)))
-    else:
-        # #im = #E[phi](Q_l) c_l(E') / c_l(E) = 2 c_l(E') / c_l(E) at odd l
-        c = local_reduction(w, ell).tamagawa
-        cp = tate_algorithm((0, Ai, 0, Bi, 0), ell).tamagawa
-        size, rem = divmod(2 * cp, c)
-        if rem or size not in (1, 2, 4):
-            raise ArithmeticError(f"{w} at {ell}: Tamagawa ratio 2*{cp}/{c} is not an image size")
-        reps = LocalSquareClassGroup.full(ell).elements if size == 4 else _image_scan(Ai, Bi, ell, size)
-        if len(reps) != size:
-            raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tamagawa ratio predicts {size}")
+    # size 2 c_l(E')/c_l(E) l^(s'-s); [0, A', 0, B', 0] is integral, so s' is
+    # its count of restarts, while w may not be, so s is read off disc(w)
+    lr = local_reduction(w, ell)
+    lrp = tate_algorithm((0, Ai, 0, Bi, 0), ell)
+    ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
+    size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
+    full = LocalSquareClassGroup.full(ell)
+    if rem or not size or len(full) % size:
+        raise ArithmeticError(f"{w} at {ell}: 2*{lrp.tamagawa}/{lr.tamagawa}*{ell}^{ds} is not an image size")
+    if size == len(full):
+        return full
+    # delta(0, 0) = B', so the class of B' lies in every image
+    reps = _image_scan(Ai, Bi, ell, size) if size > 1 else {1, local_square_rep(Bi, ell)}
+    if len(reps) != size:
+        raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tate predicts {size}")
     grp = LocalSquareClassGroup(ell, frozenset(reps))
     if not grp.is_subgroup():
         raise ArithmeticError(f"{w} at {ell}: local image {sorted(reps)} is not a subgroup")
-    return LocalImage(ell, grp)
+    return grp
 
 
 def _image_at_infinity(Ap, Bp, B) -> set:
@@ -112,14 +107,17 @@ def _image_at_infinity(Ap, Bp, B) -> set:
 
 
 def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
-    """Classes b of points of E' over Q_ell: all of them, or the first `size` found."""
+    """The first `size` classes b of points of E' over Q_ell that the scan finds."""
     members = {1, local_square_rep(Bi, ell)}
     slack = 3 if ell == 2 else 1
     c = padic_valuation(Bi, ell)  # B' != 0 on a nonsingular curve
     guard = 2 * (padic_valuation(Ap * Ap - 4 * Bi, ell) if Ap * Ap != 4 * Bi else 0) + 2 * c + 24
 
     if ell == 2:
-        m_range = range(-2, c + 4)
+        # at a point, v(F(X)) = 3 v(X) is even when v(X) < 0, so v(X) is even;
+        # for v(X) <= -4 the factor 1 + A'/X + B'/X^2 of F(X)/X^3 is 1 mod 16,
+        # so X is a square: only the disc v(X) = -2 can add a class
+        m_range = (-2, *range(0, c + 4))
         unit_mod, k0 = 8, 3
     else:
         m_range = range(0, c + 2)
@@ -165,20 +163,22 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
     return members
 
 
-def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int = 500_000) -> LocalImage:
+def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int = 500_000) -> LocalSquareClassGroup:
     """Independent oracle: enumerate torsor points b w^2 = b^2 t^4 + A'b t^2 z^2 + B' z^4
     on both affine charts at bounded precision.
 
-    The precision is 2 v(disc) + 6 digits (four more at 2) shifted by
-    `extra`, but never more than `cap` residues per chart."""
+    The precision is 2 v + 6 digits (four more at 2) shifted by `extra`, but
+    never more than `cap` residues per chart; v is the larger valuation of
+    disc(E) and disc(E'), so a non-integral model of E keeps the precision
+    of its integral dual."""
     A, B = two_torsion_form(w)
     Ap, Bp = dual_params(A, B)
     if place == OO or place is None:
-        return LocalImage(OO, LocalSquareClassGroup(OO, frozenset(_infty_oracle(Ap, Bp))))
+        return LocalSquareClassGroup(OO, frozenset(_infty_oracle(Ap, Bp)))
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)
-    disc = int(w.discriminant)
-    k = 2 * padic_valuation(disc, ell) + 6 + extra
+    v = max(padic_valuation(w.discriminant, ell), padic_valuation(16 * Bi * Bi * (Ai * Ai - 4 * Bi), ell))
+    k = 2 * v + 6 + extra
     if ell == 2:
         k += 4
     while k > 1 and ell**k > cap:
@@ -190,7 +190,7 @@ def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int 
     grp = LocalSquareClassGroup(ell, frozenset(members))
     if not grp.is_subgroup():
         raise ArithmeticError(f"{w} at {ell}: torsor classes {sorted(members)} are not a subgroup")
-    return LocalImage(ell, grp)
+    return grp
 
 
 def _infty_oracle(Ap, Bp) -> set:

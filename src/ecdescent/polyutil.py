@@ -162,18 +162,6 @@ def fp_mulmod(f: list[int], g: list[int], h: list[int], p: int) -> list[int]:
     return fp_divmod(prod, h, p)[1]
 
 
-def fp_powmod_x(e: int, h: list[int], p: int) -> list[int]:
-    """x^e modulo h over F_p."""
-    result = [1]
-    base = fp_divmod([0, 1], h, p)[1]
-    while e:
-        if e & 1:
-            result = fp_mulmod(result, base, h, p)
-        base = fp_mulmod(base, base, h, p)
-        e >>= 1
-    return result
-
-
 def fp_roots(f: list[int], p: int) -> list[int]:
     """All roots of f in F_p (each once), any degree, any p."""
     f = fp_trim(f[:], p)
@@ -190,7 +178,7 @@ def fp_roots(f: list[int], p: int) -> list[int]:
         roots += [x for x in range(1, p) if poly_eval(f, x) % p == 0]
         return sorted(set(roots))
     # split off the part with roots in F_p: gcd(x^p - x, f)
-    xp = fp_powmod_x(p, f, p)
+    xp = fp_powmod_poly([0, 1], p, f, p)
     xp_minus_x = fp_trim(poly_add(xp, [0, -1]), p)
     g = fp_gcd(xp_minus_x, f, p)
     roots += _fp_split_linear(g, p)

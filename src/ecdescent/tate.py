@@ -120,18 +120,14 @@ def _singular_point(a, p):
                 if f % p == 0 and fx % p == 0 and fy % p == 0:
                     return x, y
         raise ArithmeticError("no singular point found")
-    b2, b4, b6 = curve_invariants(a)[:3]
-    from .polyutil import fp_gcd, poly_deriv
-
-    G = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
-    d = fp_gcd(G, poly_deriv(G), p)
-    if len(d) == 2:
-        x0 = (-d[0] * pow(d[1], -1, p)) % p
-    elif len(d) == 3:
-        x0 = (-d[1] * pow(2 * d[2], -1, p)) % p
-    else:  # pragma: no cover
-        raise ArithmeticError("degenerate gcd while locating singular point")
-    y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
+    # the double root of X^3 - 27 c4 X - 54 c6 (X = 36x + 3 b2) is -3 c6/c4,
+    # or 0 when p | c4 (Cremona 1997, section 3.2)
+    b2, _, _, _, c4, c6, _ = curve_invariants(a)
+    if c4 % p:
+        x0 = -(b2 * c4 + c6) * pow(12 * c4, -1, p) % p
+    else:
+        x0 = -b2 * pow(12, -1, p) % p
+    y0 = -(a1 * x0 + a3) * pow(2, -1, p) % p
     return x0, y0
 
 

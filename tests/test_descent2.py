@@ -46,20 +46,20 @@ def beta_even_curve(p, z):
 def test_image_at_infinity_cases():
     # beta-family curve: Im at infinity is trivial
     img = local_image(beta_even_curve(3, 1), OO)
-    assert img.subgroup.elements == {1}
+    assert img.elements == {1}
     # B = -1 family: also trivial (no negative 2-torsion real locus)
     img = local_image(W(0, 5, 0, -1, 0), OO)
-    assert img.subgroup.elements == {1}
+    assert img.elements == {1}
     # twist of the beta curve by -2 has full image at infinity
     tw = quadratic_twist(beta_even_curve(3, 1), -2)
-    assert local_image(tw, OO).subgroup.elements == {1, -1}
+    assert local_image(tw, OO).elements == {1, -1}
 
 
 def test_image_at_2_beta_family():
     # Im delta_2 = {1, 5}
     for p, z in [(3, 1), (7, 1), (11, 1), (3, 2)]:
         img = local_image(beta_even_curve(p, z), 2)
-        assert img.subgroup.elements == {1, 5}, (p, z, img.subgroup.elements)
+        assert img.elements == {1, 5}, (p, z, img.elements)
 
 
 def test_image_at_good_odd_primes():
@@ -67,18 +67,18 @@ def test_image_at_good_odd_primes():
     w = beta_even_curve(3, 1)
     img = local_image(w, 7)
     n = smallest_nonresidue(7)
-    assert img.subgroup.elements == {1, n}
+    assert img.elements == {1, n}
 
 
 def test_image_at_p_depends_on_mod4():
     # at l = p: full local group iff p = 1 mod 4
     for p, z in [(5, 1), (13, 1)]:
         img = local_image(beta_even_curve(p, z), p)
-        assert img.dim == 2, (p, img.subgroup.elements)
+        assert img.dim == 2, (p, img.elements)
     for p, z in [(3, 1), (7, 1), (11, 1)]:
         img = local_image(beta_even_curve(p, z), p)
         n = smallest_nonresidue(p)
-        assert img.subgroup.elements == {1, n}, (p, img.subgroup.elements)
+        assert img.elements == {1, n}, (p, img.elements)
 
 
 def test_image_at_odd_divisors_of_q():
@@ -92,18 +92,18 @@ def test_image_at_2_B_minus_one_family():
     # B = -1: {1,5} for A odd, {1,2,5,10} for A = 2 mod 4
     for A in [1, 3, 5, 7, 9]:
         w = W(0, A, 0, -1, 0)
-        assert local_image(w, 2).subgroup.elements == {1, 5}, A
+        assert local_image(w, 2).elements == {1, 5}, A
     for A in [6, 10, 14]:
         w = W(0, A, 0, -1, 0)
-        assert local_image(w, 2).subgroup.elements == {1, 2, 5, 10}, A
+        assert local_image(w, 2).elements == {1, 2, 5, 10}, A
 
 
 def test_local_image_oracle_equivalence_small():
     curves = [W(0, 1, 0, 3, 0), W(0, 3, 0, -1, 0), W(0, -2, 0, 5, 0), W(0, 5, 0, 4, 0)]
     for w in curves:
         for place in [2, 3, 5, OO]:
-            a = local_image(w, place).subgroup.elements
-            b = local_image_bruteforce(w, place).subgroup.elements
+            a = local_image(w, place).elements
+            b = local_image_bruteforce(w, place).elements
             assert a == b, (w, place, a, b)
 
 
@@ -121,8 +121,8 @@ def test_local_image_ratio_path_matches_oracle():
         disc = int(w.discriminant)
         good = next(p for p in (3, 5, 7, 11, 13) if disc % p)
         for ell in [p for p in prime_divisors(disc) if p != 2] + [good]:
-            a = local_image(w, ell).subgroup.elements
-            b = local_image_bruteforce(w, ell, cap=8192).subgroup.elements
+            a = local_image(w, ell).elements
+            b = local_image_bruteforce(w, ell, cap=8192).elements
             assert a == b, (w, ell, sorted(a), sorted(b))
             sizes.add(len(a))
             seen["l=3"] += ell == 3
@@ -157,12 +157,34 @@ def test_local_image_at_2_matches_oracle(monkeypatch):
     monkeypatch.setattr(descent2, "local_square_rep", spy)
     sizes = set()
     for A, B in curves:
-        a = local_image(W(0, A, 0, B, 0), 2).subgroup.elements
-        b = local_image_bruteforce(W(0, 4 * A, 0, 16 * B, 0), 2, cap=8192).subgroup.elements
+        a = local_image(W(0, A, 0, B, 0), 2).elements
+        b = local_image_bruteforce(W(0, 4 * A, 0, 16 * B, 0), 2, cap=8192).elements
         assert a == b, (A, B, sorted(a), sorted(b))
         sizes.add(len(a))
     assert sizes == {1, 2, 4, 8}
     assert sum(hits) > 0
+
+
+def test_local_image_at_2_matches_exhaustive_scan():
+    # the Tate-sized image at 2 against the scan run over every class, on the
+    # integral box and on the A'-odd models of the oracle test above
+    box = [(A, B) for A in range(-12, 13) for B in range(-12, 13) if B and A * A != 4 * B]
+    odd_dual = [(a, b) for a in range(-11, 12, 2) for b in range(-12, 13) if b and a * a != 4 * b]
+    curves = box + [(Fraction(-a, 2), Fraction(a * a - 4 * b, 16)) for a, b in odd_dual]
+    sizes = set()
+    for A, B in curves:
+        Ap, Bp = dual_params(A, B)
+        a = local_image(W(0, A, 0, B, 0), 2).elements
+        assert a == descent2._image_scan(int(Ap), int(Bp), 2, 8), (A, B, sorted(a))
+        sizes.add(len(a))
+    assert sizes == {1, 2, 4, 8}
+
+
+def test_oracle_on_non_integral_model():
+    # y^2 = x^3 - x^2/2 - 3x/16 has disc 9/16; the oracle runs on it directly
+    w = W(0, Fraction(-1, 2), 0, Fraction(-3, 16), 0)
+    assert local_image_bruteforce(w, 2, cap=8192).elements == {1, 5}
+    assert local_image(w, 2).elements == {1, 5}
 
 
 def test_heegner_scan_takes_global_data():
@@ -182,7 +204,7 @@ def _miscount(real, curve, ell, tamagawa):
 def test_wrong_tamagawa_number_raises(monkeypatch):
     real = descent2.local_reduction
     w = W(0, 1, 0, 3, 0)  # image {1} at 3: c_3(E) = 2, c_3(E') = 1
-    assert local_image(w, 3).subgroup.elements == {1}
+    assert local_image(w, 3).elements == {1}
     # ratio 2 * 1 / 3 is no image size
     monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 3, 3))
     with pytest.raises(ArithmeticError):
@@ -197,6 +219,27 @@ def test_wrong_tamagawa_number_raises(monkeypatch):
         local_image(w, 11)
 
 
+def test_wrong_tamagawa_number_raises_at_2(monkeypatch):
+    real = descent2.local_reduction
+    w = W(0, 1, 0, 3, 0)  # image {1, 5} at 2: c_2(E) = c_2(E') = 1
+    assert local_image(w, 2).elements == {1, 5}
+    # ratio 2 * 1 / 3 is no image size
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 3))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 2)
+    # ratio 2 * 1 / 2 = 1, but the class of B' = -11 is 5 at 2
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 2))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 2)
+    # image {1} at 2 with c_2(E) = 4, c_2(E') = 2; ratio 2 * 2 / 2 = 2, but the
+    # scan finds a single class
+    w = W(0, 5, 0, 4, 0)
+    assert local_image(w, 2).elements == {1}
+    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 2))
+    with pytest.raises(ArithmeticError):
+        local_image(w, 2)
+
+
 def test_tamagawa_mismatch_raises_under_optimize():
     script = (
         "import dataclasses\n"
@@ -204,16 +247,17 @@ def test_tamagawa_mismatch_raises_under_optimize():
         "from ecdescent.weierstrass import WeierstrassModel\n"
         "real = descent2.local_reduction\n"
         "descent2.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
-        "try:\n"
-        "    descent2.local_image(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), 3)\n"
-        "except ArithmeticError:\n"
-        "    print('raised')\n"
+        "for ainvs, ell in [([0, 1, 0, 3, 0], 3), ([0, 5, 0, 4, 0], 2)]:\n"
+        "    try:\n"
+        "        descent2.local_image(WeierstrassModel.from_ainvs(ainvs), ell)\n"
+        "    except ArithmeticError:\n"
+        "        print('raised')\n"
     )
     src = os.path.dirname(os.path.dirname(ecdescent.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised", "raised"]
 
 
 def test_phi_selmer_contains_kernel_class():

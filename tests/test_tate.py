@@ -8,6 +8,7 @@ from ecdescent.tate import (
     NONSPLIT,
     SPLIT,
     KodairaType,
+    _singular_point,
     global_data,
     local_reduction,
     minimal_model,
@@ -19,6 +20,7 @@ from ecdescent.weierstrass import (
     SingularModelError,
     WeierstrassModel,
     change_variables,
+    curve_invariants,
 )
 
 
@@ -255,3 +257,32 @@ def test_bad_prime_hint_validation():
     with pytest.raises(ValueError):
         global_data(w, bad_prime_hint=[3])
     assert global_data(w, bad_prime_hint=[11, 3]).conductor == 11
+
+
+def _singular_residue(a, p):
+    # brute force: the residue pair where the reduction and both partials vanish
+    a1, a2, a3, a4, a6 = a
+    for x in range(p):
+        for y in range(p):
+            f = y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)
+            fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
+            fy = 2 * y + a1 * x + a3
+            if f % p == 0 and fx % p == 0 and fy % p == 0:
+                return x, y
+    raise AssertionError("no singular residue")
+
+
+def test_singular_point_closed_form_matches_residue_search():
+    rng = random.Random(1997)
+    primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
+    seen = {"p | c4": 0, "p !| c4": 0}
+    for _ in range(1500):
+        a = tuple(rng.randint(-60, 60) for _ in range(5))
+        _, _, _, _, c4, _, disc = curve_invariants(a)
+        if disc == 0:
+            continue
+        for p in primes:
+            if disc % p == 0:
+                assert _singular_point(a, p) == _singular_residue(a, p), (a, p)
+                seen["p | c4" if c4 % p == 0 else "p !| c4"] += 1
+    assert min(seen.values()) >= 20, seen
