@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -394,14 +394,6 @@ class LocalSquareClassGroup:
             n = smallest_nonresidue(p)
             reps = {1, n, p, (n * p)}
         return LocalSquareClassGroup(place, frozenset(reps))
-
-    @staticmethod
-    def span(place, gens: Iterable[Rational]) -> "LocalSquareClassGroup":
-        elems = {1}
-        for g in gens:
-            r = local_square_rep(g, place)
-            elems |= {local_square_rep(x * r, place) for x in elems}
-        return LocalSquareClassGroup(place, frozenset(elems))
 
     def __contains__(self, q) -> bool:
         return local_square_rep(q, self.place) in self.elements

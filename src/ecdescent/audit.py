@@ -20,7 +20,7 @@ from .descent2 import (
     is_heegner_field,
     kramer_sha2_bound,
 )
-from .descent3 import HypothesisFailure, ThreeDividesTamagawa, sha3_criterion
+from .descent3 import HypothesisFailure, NoWitnessPrimes, sha3_criterion
 from .families import TorsionGroup, torsion_subgroup, torsion_growth, two_torsion_points
 from .fixtures import fixture_for_minimal_model
 from .isogeny import DivisibilityClaim, TransferRefused, transfer_certificate, velu_2_isogeny
@@ -75,41 +75,41 @@ def shape_with_two_torsion(w: WeierstrassModel) -> WeierstrassModel:
     return w3
 
 
+#: Heegner fields are searched up to this |d| when no field is given.
+HEEGNER_BOUND = 300
+
+
 def _u_k(d: int | None) -> int:
     return {None: 1, -1: 2, -3: 3}.get(d, 1)
 
 
-def main_theorem_audit(
-    w: WeierstrassModel,
-    d: int | None = None,
-    rank_hypothesis: int = 1,
-    heegner_bound: int = 300,
-) -> AuditCertificate:
+def main_theorem_audit(w: WeierstrassModel, d: int | None = None) -> AuditCertificate:
     """Certify #E(Q)_tors | u_K * C * M * sqrt(#Sha(E/K)).
 
-    When d is omitted the first admissible field below `heegner_bound` is
-    chosen by the Heegner scan.  The rank hypothesis and all Manin
-    constants are recorded as assumptions, never computed.
+    When d is omitted the first admissible field below `HEEGNER_BOUND` is
+    chosen by the Heegner scan.  rank E(K) = 1 follows from the Heegner
+    hypothesis and is recorded, not taken as an input; Manin constants are
+    recorded as assumptions, never computed.
     """
     gd = global_data(w)
     tg = torsion_subgroup(gd.minimal_model)
     if d is not None:
-        return _audit_with_d(gd, tg, d, rank_hypothesis)
+        return _audit_with_d(gd, tg, d)
     # d-independent routes first, then scan admissible fields
-    last = _audit_with_d(gd, tg, None, rank_hypothesis)
+    last = _audit_with_d(gd, tg, None)
     if last.holds:
         return last
-    for cand in [x for x in heegner_field_scan(gd.minimal_model, heegner_bound, gd) if x != -3][:8]:
-        last = _audit_with_d(gd, tg, cand, rank_hypothesis)
+    for cand in [x for x in heegner_field_scan(gd.minimal_model, HEEGNER_BOUND, gd) if x != -3][:8]:
+        last = _audit_with_d(gd, tg, cand)
         if last.holds:
             return last
     return last
 
 
-def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothesis: int) -> AuditCertificate:
+def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCertificate:
     n1, n2 = tg.structure
     order = tg.order
-    hyp = [f"rank E(K) = {rank_hypothesis} over K = Q(sqrt({d}))"] if d is not None else []
+    hyp = [f"rank E(K) = 1 over K = Q(sqrt({d}))"] if d is not None else []
     if d is not None and not is_heegner_field(gd.conductor, d):
         raise ValueError(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
 
@@ -169,7 +169,7 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothes
         if missing == 2:
             try:
                 shape = shape_with_two_torsion(gd.minimal_model)
-                kcert = kramer_sha2_bound(shape, d, rank_hypothesis)
+                kcert = kramer_sha2_bound(shape, d)
                 cert.evidence.append({"step": "sha2-bound", **kcert.as_dict()})
                 if kcert.two_divides_sha_sqrt:
                     cert.route, cert.holds = "kramer", True
@@ -182,7 +182,7 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothes
                 pass
         # transfer route through the 2-isogeny quotient
         try:
-            return _transfer_route(cert, gd, d, rank_hypothesis)
+            return _transfer_route(cert, gd, d)
         except (TransferRefused, ValueError) as exc:
             cert.route = "unresolved"
             cert.evidence.append({"step": "transfer-refused", "why": str(exc)})
@@ -201,19 +201,12 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothes
             cert.evidence.append({"step": "note", "why": "b != 1 yet 3 does not divide C"})
             return cert
         try:
-            scert = sha3_criterion(a3, d, rank_hypothesis)
+            scert = sha3_criterion(a3, d)
             cert.evidence.append({"step": "sha3", **scert.as_dict()})
             cert.route, cert.holds = "cassels", True
             cert.hypotheses += scert.hypotheses
             return cert
-        except ThreeDividesTamagawa:  # pragma: no cover - caught by C above
-            cert.route, cert.holds = "tamagawa", True
-            return cert
-        except HypothesisFailure as exc:
-            if "prime power" not in str(exc):
-                cert.route = "unresolved"
-                cert.evidence.append({"step": "refused", "why": str(exc)})
-                return cert
+        except NoWitnessPrimes as exc:
             # the optimal-curve dichotomy: settled by the 3 | M fixture route
             cert.route = "fixture-manin"
             cert.holds = True
@@ -222,12 +215,16 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None, rank_hypothes
             )
             cert.evidence.append({"step": "m-fixture", "why": str(exc)})
             return cert
+        except HypothesisFailure as exc:
+            cert.route = "unresolved"
+            cert.evidence.append({"step": "refused", "why": str(exc)})
+            return cert
 
     cert.route = "unresolved"
     return cert
 
 
-def _transfer_route(cert: AuditCertificate, gd, d: int, rank_hypothesis: int) -> AuditCertificate:
+def _transfer_route(cert: AuditCertificate, gd, d: int) -> AuditCertificate:
     """Carry the claim across the quotient by the rational 2-torsion point."""
     shape = shape_with_two_torsion(gd.minimal_model)
     rec = velu_2_isogeny(shape, (Fraction(0), Fraction(0)))
@@ -250,7 +247,7 @@ def _transfer_route(cert: AuditCertificate, gd, d: int, rank_hypothesis: int) ->
         prime=2,
         d=d,
         holds=True,
-        hypotheses=[f"rank E(K) = {rank_hypothesis}"],
+        hypotheses=["rank E(K) = 1"],
         trail=[f"quotient satisfies ord_2: tors {ttors.structure}, C = {tC}"],
     )
     out = transfer_certificate(claim, rec, 2, growth)

@@ -22,7 +22,7 @@ from .arith import is_prime
 from .audit import OutOfScopeTorsion, main_theorem_audit
 from .cremona import ingest_cremona, render_allcurves_line
 from .descent2 import kramer_sha2_bound
-from .descent3 import HypothesisFailure, ThreeDividesTamagawa, sha3_criterion
+from .descent3 import HypothesisFailure, sha3_criterion
 from .families import (
     FAMILIES,
     SingularParameterError,
@@ -68,20 +68,6 @@ def _parse_curve(text: str) -> WeierstrassModel:
     if w.is_singular:
         raise Refusal(f"curve {text!r} is singular (discriminant 0)")
     return w
-
-
-def _load_config(path: str | None) -> dict:
-    path = path or os.environ.get("ECDESCENT_CONFIG")
-    conf = {}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, val = line.split("=", 1)
-                conf[key.strip()] = val.strip()
-    return conf
 
 
 def _emit(obj):
@@ -164,7 +150,7 @@ def cmd_chain(args):
 def cmd_descent(args):
     w = _parse_curve(args.curve)
     try:
-        cert = kramer_sha2_bound(w, args.disc, args.rank)
+        cert = kramer_sha2_bound(w, args.disc)
     except ValueError as exc:
         _emit({"curve": args.curve, "d": args.disc, "refused": str(exc)})
         return 1
@@ -175,7 +161,7 @@ def cmd_descent(args):
 def cmd_descent3(args):
     try:
         cert = sha3_criterion(args.a, args.disc)
-    except (HypothesisFailure, ThreeDividesTamagawa) as exc:
+    except HypothesisFailure as exc:
         _emit({"a": args.a, "d": args.disc, "refused": str(exc)})
         return 1
     _emit(cert.as_dict())
@@ -250,7 +236,7 @@ def cmd_verify_paper(args):
 def cmd_audit(args):
     w = _parse_curve(args.curve)
     try:
-        cert = main_theorem_audit(w, args.disc, args.rank)
+        cert = main_theorem_audit(w, args.disc)
     except OutOfScopeTorsion as exc:
         _emit({"curve": args.curve, "out_of_scope": str(exc)})
         return 1
@@ -259,12 +245,15 @@ def cmd_audit(args):
 
 
 def cmd_ingest(args):
-    conf = _load_config(args.config)
-    path = args.path or conf.get("cremona_path") or os.environ.get("ECDESCENT_CREMONA")
+    path = args.path or os.environ.get("ECDESCENT_CREMONA")
     if not path:
-        print("no curve table given (use --path, config, or ECDESCENT_CREMONA)", file=sys.stderr)
-        return 2
-    table = ingest_cremona(path, validate=not args.no_validate)
+        raise Refusal("no curve table given (use --path or ECDESCENT_CREMONA)")
+    try:
+        table = ingest_cremona(path, validate=not args.no_validate)
+    except OSError as exc:
+        raise Refusal(f"curve table {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise Refusal(f"curve table {path!r}: {exc}") from None
     for label in sorted(table):
         print(render_allcurves_line(table[label]))
     print(json.dumps({"rows": len(table), "validated": not args.no_validate}), file=sys.stderr)
@@ -275,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ecdescent", description=__doc__)
     ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     ap.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
-    ap.add_argument("--config", default=None, help="optional key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tate", help="local reduction data")
@@ -299,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descent", help="Sha[2] lower-bound certificate")
     p.add_argument("--curve", required=True, help="A,B for y^2 = x^3+Ax^2+Bx")
     p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_descent)
 
     p = sub.add_parser("descent3", help="Sha[3] certificate for y^2+axy+y=x^3")
@@ -321,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="end-to-end divisibility certificate")
     p.add_argument("--curve", required=True)
     p.add_argument("--disc", type=int, default=None)
-    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("ingest", help="parse and validate an allcurves table")

@@ -62,11 +62,15 @@ def parse_allcurves_line(line: str, lineno: int = 0) -> CurveRow:
                 raise MalformedLineError(lineno, line.find(fields[i]) + 1, f"bad {want} field {fields[i]!r}")
             col = line.find(fields[i]) + len(fields[i]) + 1
         raise MalformedLineError(lineno, 1, "unparseable line")
+    try:
+        model = parse_model(m["ainvs"])
+    except (ValueError, ZeroDivisionError):
+        raise MalformedLineError(lineno, m.start("ainvs") + 1, f"bad ainvs field {m['ainvs']!r}") from None
     return CurveRow(
         conductor=int(m["cond"]),
         iso_class=m["cls"],
         number=int(m["num"]),
-        model=parse_model(m["ainvs"]),
+        model=model,
         rank=int(m["rank"]),
         torsion_order=int(m["tors"]),
     )

@@ -87,8 +87,7 @@ def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
         raise ArithmeticError(f"{w} at {ell}: 2*{lrp.tamagawa}/{lr.tamagawa}*{ell}^{ds} is not an image size")
     if size == len(full):
         return full
-    # delta(0, 0) = B', so the class of B' lies in every image
-    reps = _image_scan(Ai, Bi, ell, size) if size > 1 else {1, local_square_rep(Bi, ell)}
+    reps = _image_scan(Ai, Bi, ell, size)
     if len(reps) != size:
         raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tate predicts {size}")
     grp = LocalSquareClassGroup(ell, frozenset(reps))
@@ -108,6 +107,7 @@ def _image_at_infinity(Ap, Bp, B) -> set:
 
 def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
     """The first `size` classes b of points of E' over Q_ell that the scan finds."""
+    # delta(0, 0) = B', so the class of B' lies in every image
     members = {1, local_square_rep(Bi, ell)}
     slack = 3 if ell == 2 else 1
     c = padic_valuation(Bi, ell)  # B' != 0 on a nonsingular curve
@@ -163,14 +163,14 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
     return members
 
 
-def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int = 500_000) -> LocalSquareClassGroup:
+def local_image_bruteforce(w: WeierstrassModel, place, cap: int = 500_000) -> LocalSquareClassGroup:
     """Independent oracle: enumerate torsor points b w^2 = b^2 t^4 + A'b t^2 z^2 + B' z^4
     on both affine charts at bounded precision.
 
-    The precision is 2 v + 6 digits (four more at 2) shifted by `extra`, but
-    never more than `cap` residues per chart; v is the larger valuation of
-    disc(E) and disc(E'), so a non-integral model of E keeps the precision
-    of its integral dual."""
+    The precision is 2 v + 6 digits (four more at 2), but never more than
+    `cap` residues per chart; v is the larger valuation of disc(E) and
+    disc(E'), so a non-integral model of E keeps the precision of its
+    integral dual."""
     A, B = two_torsion_form(w)
     Ap, Bp = dual_params(A, B)
     if place == OO or place is None:
@@ -178,7 +178,7 @@ def local_image_bruteforce(w: WeierstrassModel, place, extra: int = 0, cap: int 
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)
     v = max(padic_valuation(w.discriminant, ell), padic_valuation(16 * Bi * Bi * (Ai * Ai - 4 * Bi), ell))
-    k = 2 * v + 6 + extra
+    k = 2 * v + 6
     if ell == 2:
         k += 4
     while k > 1 and ell**k > cap:
@@ -252,17 +252,20 @@ def _f2_basis(elements) -> tuple:
     return tuple(basis)
 
 
-def descent_places(w: WeierstrassModel) -> list:
-    A, B = _int_pair(*two_torsion_form(w))
+def _descent_primes(w: WeierstrassModel) -> list:
+    """Primes of the numerators and denominators of B and B' = A^2 - 4B."""
+    A, B = two_torsion_form(w)
     Bp = A * A - 4 * B
-    ps = {2} | set(prime_divisors(B)) | set(prime_divisors(Bp))
-    return sorted(ps) + [OO]
+    return prime_divisors(B.numerator * B.denominator * Bp.numerator * Bp.denominator)
+
+
+def descent_places(w: WeierstrassModel) -> list:
+    return sorted({2, *_descent_primes(w)}) + [OO]
 
 
 def candidate_classes(w: WeierstrassModel) -> list:
     """Square classes supported on -1 and the primes of 2*B*disc."""
-    A, B = _int_pair(*two_torsion_form(w))
-    gens = [-1, 2] + [p for p in prime_divisors(B * (A * A - 4 * B)) if p != 2]
+    gens = [-1, 2] + [p for p in _descent_primes(w) if p != 2]
     if len(gens) > 14:
         raise ArithmeticError("too many bad primes for a desk-scale descent")
     classes = [1]
@@ -423,22 +426,21 @@ class DescentCertificate:
         }
 
 
-def kramer_sha2_bound(w: WeierstrassModel, d: int, rank_hypothesis: int = 1) -> DescentCertificate:
-    """dim Sha(E/K)[2] >= sum(i_l) + dim(Phi) - rank - 2 dim E(Q)[2].
+def kramer_sha2_bound(w: WeierstrassModel, d: int) -> DescentCertificate:
+    """dim Sha(E/K)[2] >= sum(i_l) + dim(Phi) - rank E(K) - 2 dim E(Q)[2].
 
-    With rank 1 and E(Q)[2] = Z/2 the nonnegative norm-image term dropped,
-    the bound is sum(i_l) + dim(Phi) - 3; when it is >= 1, the square
-    order of Sha[2^inf] forces 2 | sqrt(#Sha(E/K)).
+    rank E(K) = 1 follows from the Heegner hypothesis (Gross-Zagier,
+    Kolyvagin).  With E(Q)[2] = Z/2 and the nonnegative norm-image term
+    dropped, the bound is sum(i_l) + dim(Phi) - 3; when it is >= 1, the
+    square order of Sha[2^inf] forces 2 | sqrt(#Sha(E/K)).
     """
-    if rank_hypothesis != 1:
-        raise ValueError("the bound is stated for rank E(K) = 1")
     _check_z2_two_torsion(w)
     gd = global_data(w)
     if not is_heegner_field(gd.conductor, d):
         raise ValueError(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
     total, i_map = sum_local_norm_indices(w, d, gd)
     dim_phi = everywhere_local_norm_dim(w, d)
-    lower = total + dim_phi - rank_hypothesis - 2
+    lower = total + dim_phi - 3
     cert = DescentCertificate(
         curve=w,
         d=d,
@@ -447,7 +449,7 @@ def kramer_sha2_bound(w: WeierstrassModel, d: int, rank_hypothesis: int = 1) -> 
         dim_phi_lower=dim_phi,
         sha2_dim_lower=lower,
         two_divides_sha_sqrt=lower >= 1,
-        hypotheses=[f"rank E(K) = {rank_hypothesis}", f"K = Q(sqrt({d})) satisfies the Heegner condition"],
+        hypotheses=["rank E(K) = 1", f"K = Q(sqrt({d})) satisfies the Heegner condition"],
     )
     if lower < 1:
         cert.notes.append("insufficient: sum(i_l) + dim(Phi) < 4")

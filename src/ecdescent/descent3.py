@@ -33,6 +33,10 @@ class HypothesisFailure(ValueError):
     """A named hypothesis of the criterion fails."""
 
 
+class NoWitnessPrimes(HypothesisFailure):
+    """Neither witness hypothesis holds; the optimal-curve route settles a."""
+
+
 @dataclass
 class CasselsLedger:
     curve: WeierstrassModel
@@ -159,17 +163,15 @@ def criterion_witnesses(a: int) -> tuple[list[int], list[int]]:
     return divs, near
 
 
-def sha3_criterion(a: int, d: int, rank_hypothesis: int = 1) -> Sha3Certificate:
+def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     """Certify 3 | C or dim Sha(E/K)[3] >= 2 for E: y^2 + axy + y = x^3.
 
     Route one: 3 | C directly.  Route two: two split places of K with
     Tamagawa number divisible by 3 on the quotient curve push
-    dim Sel(E/K) for the 3-isogeny to >= 4; the rank-1 hypothesis pins
-    E(K)/3E(K) = (Z/3)^2 and leaves dim Sha[3] >= 2, hence
-    3 | sqrt(#Sha(E/K)).
+    dim Sel(E/K) for the 3-isogeny to >= 4; rank E(K) = 1, which the
+    infinite order of the Heegner point forces, pins E(K)/3E(K) = (Z/3)^2
+    and leaves dim Sha[3] >= 2, hence 3 | sqrt(#Sha(E/K)).
     """
-    if rank_hypothesis != 1:
-        raise HypothesisFailure("the criterion is stated for rank E(K) = 1")
     E = build_curve(z3_point(a, 1))
     try:
         ledger = cassels_ledger(a, d)
@@ -192,7 +194,7 @@ def sha3_criterion(a: int, d: int, rank_hypothesis: int = 1) -> Sha3Certificate:
     cond_i = len(divs) >= 2
     cond_ii = bool(near)
     if not (cond_i or cond_ii):
-        raise HypothesisFailure(
+        raise NoWitnessPrimes(
             "neither hypothesis holds: the normalized quotient parameter is a "
             "prime power (or trivial) and no prime p = 1 mod 3 divides a-3; "
             "these parameters are settled through the optimal-curve route instead"
@@ -225,7 +227,7 @@ def sha3_criterion(a: int, d: int, rank_hypothesis: int = 1) -> Sha3Certificate:
         conclusion="3 | sqrt(#Sha(E/K))",
         sha3_dim_lower=sha_lower,
         ledger=ledger,
-        hypotheses=ledger.hypotheses + [f"rank E(K) = {rank_hypothesis}"],
+        hypotheses=ledger.hypotheses + ["rank E(K) = 1"],
         witnesses=confirmed,
     )
 

@@ -295,13 +295,13 @@ def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
     return total
 
 
-def torsion_order_bound(w: WeierstrassModel, samples: int = 8) -> int:
-    """gcd of #E(F_p) over several good odd primes; a multiple of #tors."""
+def torsion_order_bound(w: WeierstrassModel) -> int:
+    """gcd of #E(F_p) over up to eight good odd primes; a multiple of #tors."""
     disc = int(w.discriminant)
     bound = 0
     count = 0
     p = 3
-    while count < samples and p < 3000:
+    while count < 8 and p < 3000:
         if disc % p:
             bound = math.gcd(bound, count_points_mod_p(w, p))
             count += 1
@@ -335,14 +335,10 @@ def two_torsion_points(w: WeierstrassModel) -> list:
 
 def halve_point(w: WeierstrassModel, P) -> list:
     """All rational Q with 2Q = P."""
-    xP = P[0]
-    quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -xP))
     if point_order(w, P, 2) == 2:
-        # preimages pair up; the quartic is the square of a rational quadratic
-        q = poly_sqrt_monic_quartic([Fraction(c) for c in quartic])
-        assert q is not None
-        xs = rational_roots(q)
+        xs = rational_roots(halving_quadratic(w, P))
     else:
+        quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -P[0]))
         xs = rational_roots(quartic)
     out = []
     for x in xs:
@@ -537,7 +533,9 @@ def _quadratic_growth_classes(w: WeierstrassModel, polys) -> set:
 
 
 def halving_quadratic(w: WeierstrassModel, T) -> list[Fraction]:
-    """For T of order 2: the quadratic q with q(x(Q))=0 iff 2Q = T."""
+    """For T of order 2: the quadratic q with q(x(Q))=0 iff 2Q = T.
+
+    The preimages pair up, so the halving quartic is the square of q."""
     quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -T[0]))
     q = poly_sqrt_monic_quartic([Fraction(c) for c in quartic])
     assert q is not None

@@ -390,25 +390,14 @@ def _split_quartic(g: list[Fraction]) -> list[list[Fraction]] | None:
         sq = _fraction_sqrt(disc)
         for a in {(p3 + sq) / 2, (p3 - sq) / 2}:
             c = p3 - a
-            if a != c:
-                bd_disc = u * u - 4 * s
-                if bd_disc < 0 or not is_square(bd_disc):
-                    continue
-                sq2 = _fraction_sqrt(bd_disc)
-                for b in {(u + sq2) / 2, (u - sq2) / 2}:
-                    d = u - b
-                    if a * d + b * c == r_ and b * d == s:
-                        return [[b, a, Fraction(1)], [d, c, Fraction(1)]]
-            else:
-                # a = c = p3/2; solve b+d = u, bd = s, a(b+d) = r_
-                if a * u != r_:
-                    continue
-                bd_disc = u * u - 4 * s
-                if bd_disc < 0 or not is_square(bd_disc):
-                    continue
-                sq2 = _fraction_sqrt(bd_disc)
-                b, d = (u + sq2) / 2, (u - sq2) / 2
-                return [[b, a, Fraction(1)], [d, a, Fraction(1)]]
+            bd_disc = u * u - 4 * s
+            if bd_disc < 0 or not is_square(bd_disc):
+                continue
+            sq2 = _fraction_sqrt(bd_disc)
+            for b in {(u + sq2) / 2, (u - sq2) / 2}:
+                d = u - b
+                if a * d + b * c == r_ and b * d == s:
+                    return [[b, a, Fraction(1)], [d, c, Fraction(1)]]
     return None
 
 

@@ -175,11 +175,6 @@ class CoordinateChange:
         x, y = Fraction(x), Fraction(y)
         return (self.u**2 * x + self.r, self.u**3 * y + self.u**2 * self.s * x + self.t)
 
-    def pull_point(self, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
-        """New-model coordinates of a point on the old model."""
-        inv = self.inverse()
-        return inv.apply_point(x, y)
-
 
 def change_variables(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassModel:
     """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved."""

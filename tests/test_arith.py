@@ -254,7 +254,7 @@ def test_local_square_groups():
     assert len(LocalSquareClassGroup.full(2)) == 8
     assert LocalSquareClassGroup.full(2).elements == {1, -1, 2, -2, 5, -5, 10, -10}
     assert len(LocalSquareClassGroup.full(OO)) == 2
-    g = LocalSquareClassGroup.span(2, [5])
+    g = LocalSquareClassGroup(2, frozenset({1, 5}))
     assert g.elements == {1, 5}
     assert g.dim == 1
     assert g.is_subgroup()

@@ -118,8 +118,6 @@ def test_sha3_refusals():
     if len(divs) < 2 and not near:
         with pytest.raises(HypothesisFailure, match="prime power"):
             sha3_criterion(a, d)
-    with pytest.raises(HypothesisFailure, match="rank"):
-        sha3_criterion(5, -7, rank_hypothesis=2)
 
 
 def test_sha3_rejects_minus_three():

@@ -263,8 +263,32 @@ def test_cli_ingest_env(capsys, monkeypatch):
     assert "15 a 3" in out
 
 
-def test_cli_config_file(tmp_path, capsys):
-    conf = tmp_path / "conf"
-    conf.write_text(f"cremona_path = {data_path()}\n")
-    rc = cli_main(["--config", str(conf), "ingest", "--no-validate"])
-    assert rc == 0
+def test_cli_ingest_refuses_without_a_path(capsys, monkeypatch):
+    monkeypatch.delenv("ECDESCENT_CREMONA", raising=False)
+    assert cli_main(["ingest"]) == 2
+    assert "no curve table" in json.loads(capsys.readouterr().out)["refused"]
+
+
+def test_cli_ingest_refuses_a_missing_file(tmp_path, capsys):
+    assert cli_main(["ingest", "--path", str(tmp_path / "absent.allcurves")]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["command"] == "ingest" and "No such file" in out["refused"]
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ("11 a 1 [0,-1,1,-10,-20] 0\n", "missing torsion field"),
+        ("11 a 1 [0,-1,1,-10,-20/0] 0 5\n", "line 1, column 8: bad ainvs field '[0,-1,1,-10,-20/0]'"),
+        ("12 a 1 [0,-1,1,-10,-20] 0 5\n", "computed conductor 11 != 12"),
+        ("11 a 1 [0,-1,1,-10,-20] 0 7\n", "computed torsion 5 != 7"),
+        ("11 a 1 [0,-1,1,-10,-20] 0 5\n" * 2, "line 2: duplicate label 11a1"),
+    ],
+    ids=["malformed-line", "zero-denominator", "conductor-mismatch", "torsion-mismatch", "duplicate-label"],
+)
+def test_cli_ingest_refuses_a_bad_table(tmp_path, capsys, rows, reason):
+    table = tmp_path / "t.allcurves"
+    table.write_text(rows)
+    assert cli_main(["ingest", "--path", str(table)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["command"] == "ingest" and reason in out["refused"]
