@@ -16,8 +16,8 @@ from fractions import Fraction
 from .arith import padic_valuation, prime_divisors
 from .descent2 import (
     FullTwoTorsionError,
+    check_heegner_field,
     heegner_field_scan,
-    is_heegner_field,
     kramer_sha2_bound,
 )
 from .descent3 import HypothesisFailure, NoWitnessPrimes, sha3_criterion
@@ -110,8 +110,8 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
     n1, n2 = tg.structure
     order = tg.order
     hyp = [f"rank E(K) = 1 over K = Q(sqrt({d}))"] if d is not None else []
-    if d is not None and not is_heegner_field(gd.conductor, d):
-        raise ValueError(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
+    if d is not None:
+        check_heegner_field(gd.conductor, d)
 
     cert = AuditCertificate(
         curve=gd.minimal_model,

@@ -21,7 +21,7 @@ from . import verify as verify_mod
 from .arith import is_prime
 from .audit import OutOfScopeTorsion, main_theorem_audit
 from .cremona import ingest_cremona, render_allcurves_line
-from .descent2 import kramer_sha2_bound
+from .descent2 import InadmissibleField, kramer_sha2_bound
 from .descent3 import HypothesisFailure, sha3_criterion
 from .families import (
     FAMILIES,
@@ -152,8 +152,7 @@ def cmd_descent(args):
     try:
         cert = kramer_sha2_bound(w, args.disc)
     except ValueError as exc:
-        _emit({"curve": args.curve, "d": args.disc, "refused": str(exc)})
-        return 1
+        raise Refusal(str(exc)) from None
     _emit(cert.as_dict())
     return 0
 
@@ -162,8 +161,7 @@ def cmd_descent3(args):
     try:
         cert = sha3_criterion(args.a, args.disc)
     except HypothesisFailure as exc:
-        _emit({"a": args.a, "d": args.disc, "refused": str(exc)})
-        return 1
+        raise Refusal(str(exc)) from None
     _emit(cert.as_dict())
     return 0
 
@@ -237,6 +235,8 @@ def cmd_audit(args):
     w = _parse_curve(args.curve)
     try:
         cert = main_theorem_audit(w, args.disc)
+    except InadmissibleField as exc:
+        raise Refusal(str(exc)) from None
     except OutOfScopeTorsion as exc:
         _emit({"curve": args.curve, "out_of_scope": str(exc)})
         return 1

@@ -323,9 +323,13 @@ def _check_z2_two_torsion(w: WeierstrassModel):
         raise FullTwoTorsionError("curve has full rational 2-torsion")
 
 
+class InadmissibleField(ValueError):
+    """Q(sqrt(d)) is not an imaginary quadratic Heegner field of the curve."""
+
+
 def field_discriminant(d: int) -> int:
     if d >= 0 or squarefree_part(d) != d:
-        raise ValueError("d must be a negative squarefree integer")
+        raise InadmissibleField("d must be a negative squarefree integer")
     return d if d % 4 == 1 else 4 * d
 
 
@@ -353,6 +357,11 @@ def splits_in_oracle(d: int, p: int) -> bool:
 
 def is_heegner_field(N: int, d: int) -> bool:
     return all(splits_in(d, p) for p in prime_divisors(N))
+
+
+def check_heegner_field(N: int, d: int):
+    if not is_heegner_field(N, d):
+        raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {N}")
 
 
 def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -> list[int]:
@@ -436,8 +445,7 @@ def kramer_sha2_bound(w: WeierstrassModel, d: int) -> DescentCertificate:
     """
     _check_z2_two_torsion(w)
     gd = global_data(w)
-    if not is_heegner_field(gd.conductor, d):
-        raise ValueError(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
+    check_heegner_field(gd.conductor, d)
     total, i_map = sum_local_norm_indices(w, d, gd)
     dim_phi = everywhere_local_norm_dim(w, d)
     lower = total + dim_phi - 3

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
 from .polyutil import fp_root_multiplicities
-from .weierstrass import SingularModelError, WeierstrassModel, curve_invariants, integral_model
+from .weierstrass import InvariantViolation, SingularModelError, WeierstrassModel, curve_invariants, integral_model
 
 GOOD = "good"
 SPLIT = "split-multiplicative"
@@ -200,7 +200,8 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
         # Step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6.
         if p == 2:
             a = _shift_s(a, a[1] % 2)
-            assert a[2] % p**2 == 0
+            if a[2] % 4:
+                raise InvariantViolation(f"{a} at 2: a3 not divisible by 4 in step 6")
             tau = 1 if (a[4] % 8) == 4 else 0
             a = _translate(a, 0, 2 * tau)
         else:
@@ -209,8 +210,10 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
             t = (-a[2] * pow(2, -1, p * p)) % (p * p)
             a = _translate(a, 0, t)
         a1, a2, a3, a4, a6 = a
-        assert a1 % p == 0 and a2 % p == 0
-        assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0
+        if a1 % p or a2 % p:
+            raise InvariantViolation(f"{a} at {p}: p does not divide a1, a2 in step 6")
+        if a3 % p**2 or a4 % p**2 or a6 % p**3:
+            raise InvariantViolation(f"{a} at {p}: p^2 does not divide a3, a4 or p^3 a6 in step 6")
 
         P = [(a6 // p**3) % p, (a4 // p**2) % p, (a2 // p) % p, 1]
         mults = fp_root_multiplicities(P, p)
@@ -226,7 +229,8 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
             r1 = next(r for r, m in mults.items() if m == 2)
             a = _translate(a, p * r1, 0)
             a1, a2, a3, a4, a6 = a
-            assert a2 % p == 0 and a2 % p**2 != 0 and a3 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+            if a2 % p or not a2 % p**2 or a3 % p**2 or a4 % p**3 or a6 % p**4:
+                raise InvariantViolation(f"{a} at {p}: valuations off at the start of step 7")
             j = 1
             while True:
                 # odd sub-step m = 2j-1: Y^2 + (a3/p^{j+1}) Y - a6/p^{2j+2}
@@ -258,7 +262,8 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
         r1 = next(r for r, m in mults.items() if m == 3)
         a = _translate(a, p * r1, 0)
         a1, a2, a3, a4, a6 = a
-        assert a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+        if a2 % p**2 or a4 % p**3 or a6 % p**4:
+            raise InvariantViolation(f"{a} at {p}: valuations off at the start of step 8")
         c3 = a3 // p**2
         c6_ = a6 // p**4
         if _quad_distinct_mod_p(1, c3, -c6_, p):
@@ -273,7 +278,8 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
             return LocalReduction(p, KodairaType("II*"), 1, n - 8, n, ADDITIVE, u_exp)
 
         # Step 11: not minimal; scale down and restart.
-        assert a1 % p == 0 and a2 % p**2 == 0 and a3 % p**3 == 0
+        if a1 % p or a2 % p**2 or a3 % p**3:
+            raise InvariantViolation(f"{a} at {p}: model does not scale down in step 11")
         a = (a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
         u_exp += 1
 
@@ -349,10 +355,10 @@ def model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     a3 = b6 % 2
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
-    m = WeierstrassModel.from_ainvs([a1, a2, a3, a4, a6])
-    if int(m.c4) != c4 or int(m.c6) != c6:
+    a = (a1, a2, a3, a4, a6)
+    if curve_invariants(a)[4:6] != (c4, c6):
         raise ValueError("invalid (c4, c6) pair")
-    return m
+    return WeierstrassModel.from_ainvs(a)
 
 
 def split_multiplicative_divisibility(lr: LocalReduction, ell: int) -> bool:
@@ -363,6 +369,6 @@ def split_multiplicative_divisibility(lr: LocalReduction, ell: int) -> bool:
     if lr.kind != SPLIT:
         raise ValueError("reduction is not split multiplicative")
     ok = lr.v_min % ell == 0
-    if ok:
-        assert lr.tamagawa % ell == 0
+    if ok and lr.tamagawa % ell:
+        raise InvariantViolation(f"split I{lr.v_min} at {lr.prime} has c_p = {lr.tamagawa}")
     return ok

@@ -37,6 +37,8 @@ class WeierstrassModel:
 
     @cached_property
     def _invariants(self) -> tuple[Fraction, ...]:
+        if self.is_integral:
+            return tuple(map(Fraction, curve_invariants(tuple(a.numerator for a in self.ainvs))))
         return curve_invariants(self.ainvs)
 
     @property
@@ -126,6 +128,14 @@ class SingularModelError(ValueError):
     """Raised when an operation needs a nonsingular model."""
 
 
+class InvariantViolation(ArithmeticError):
+    """An internal arithmetic invariant failed.
+
+    Raised explicitly rather than asserted, so the check also runs under
+    `python -O`.
+    """
+
+
 def parse_model(text: str) -> WeierstrassModel:
     """Inverse of str(): "[a1,a2,a3,a4,a6]" with rational entries."""
     inner = text.strip().lstrip("[").rstrip("]")
@@ -207,7 +217,8 @@ def integral_model(w: WeierstrassModel) -> tuple[WeierstrassModel, CoordinateCha
         m *= p**k
     c = CoordinateChange.of(Fraction(1, m))
     out = change_variables(w, c)
-    assert out.is_integral
+    if not out.is_integral:
+        raise InvariantViolation(f"{w}: scaling by {m} left {out} non-integral")
     return out, c
 
 

@@ -208,6 +208,28 @@ def test_cli_sweep_refuses_a_malformed_params_range(capsys):
     assert "lo:hi" in _refusal(capsys, ["sweep", "--family", "z4", "--params-range=a"])
 
 
+def test_cli_audit_refuses_a_field_that_fails_the_heegner_condition(capsys):
+    assert "Heegner condition" in _refusal(capsys, ["audit", "--curve", "0,5,0,-1,0", "--disc", "-2"])
+
+
+def test_cli_audit_refuses_a_disc_that_is_not_negative_squarefree(capsys):
+    assert "negative squarefree" in _refusal(capsys, ["audit", "--curve", "0,5,0,-1,0", "--disc", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["descent", "--curve", "5,-1", "--disc", "-2"], "Heegner condition"),
+        (["descent", "--curve", "5,-1", "--disc", "-4"], "negative squarefree"),
+        (["descent3", "--a", "10", "--disc", "-2"], "Heegner condition"),
+        (["descent3", "--a", "10", "--disc", "7"], "negative squarefree"),
+    ],
+    ids=["descent-heegner", "descent-squarefree", "descent3-heegner", "descent3-squarefree"],
+)
+def test_cli_descent_commands_refuse_a_bad_disc(capsys, argv, reason):
+    assert reason in _refusal(capsys, argv)
+
+
 def test_sections_3_and_9_reports_do_not_depend_on_jobs():
     from ecdescent.verify import Report, chain_bound, exception_scan
 

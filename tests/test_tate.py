@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ecdescent
+from ecdescent.fixtures import FIXTURES
 from ecdescent.tate import (
     GOOD,
     NONSPLIT,
@@ -217,6 +222,44 @@ def test_model_from_c4c6_roundtrip():
         w = W(*ainvs)
         m = model_from_c4c6(int(w.c4), int(w.c6))
         assert m.c4 == w.c4 and m.c6 == w.c6
+    for label, entry in FIXTURES.items():
+        m = global_data(entry.model).minimal_model
+        assert m == entry.model, label
+        assert model_from_c4c6(int(m.c4), int(m.c6)) == m, label
+
+
+def test_model_from_c4c6_refuses_a_pair_that_fails_only_the_round_trip():
+    # b2 = 0, and both divisions are exact (b4 = 2, b6 = -1), but then
+    # a3 = 1 and 4 does not divide b6 - a3 = -2, so a6 is not integral
+    c4, c6 = -48, 216
+    assert (0 - c4) % 24 == 0 and (-c6) % 216 == 0
+    with pytest.raises(ValueError, match="invalid"):
+        model_from_c4c6(c4, c6)
+
+
+def test_checks_hold_under_optimize():
+    script = (
+        "import dataclasses\n"
+        "from ecdescent import tate\n"
+        "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
+        "lr = tate.local_reduction(WeierstrassModel.from_ainvs([0, -1, 1, -10, -20]), 11)\n"
+        "real = tate._shift_s\n"
+        "tate._shift_s = lambda a, s: (lambda b: (b[0] + 1,) + b[1:])(real(a, s))\n"
+        "for ainvs, p in [([0, 0, 0, -4, 0], 2), ([0, 0, 0, -9, 0], 3)]:\n"
+        "    try:\n"
+        "        tate.local_reduction(WeierstrassModel.from_ainvs(ainvs), p)\n"
+        "    except InvariantViolation:\n"
+        "        print('raised')\n"
+        "try:\n"
+        "    tate.split_multiplicative_divisibility(dataclasses.replace(lr, tamagawa=4), 5)\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(ecdescent.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 3
 
 
 def test_split_multiplicative_divisibility():

@@ -158,10 +158,14 @@ def test_curve_invariants_match_model(ints, fracs):
         w = WeierstrassModel.from_ainvs(ainvs)
         inv = curve_invariants(tuple(ainvs))
         assert inv == (w.b2, w.b4, w.b6, w.b8, w.c4, w.c6, w.discriminant)
+        # integral models compute on int, and still hand out Fractions
+        assert all(type(x) is Fraction for x in w._invariants)
+        assert w._invariants == curve_invariants(w.ainvs)
         b2, b4, b6, b8, c4, c6, disc = inv
         # the classical identities, independent of how the formulas are written
         assert 4 * b8 == b2 * b6 - b4 * b4
         assert 1728 * disc == c4**3 - c6**2
+    assert WeierstrassModel.from_ainvs(ints).is_integral
     # integer tuples stay integers, as Tate's algorithm needs
     assert all(type(x) is int for x in curve_invariants(tuple(ints)))
 
