@@ -272,7 +272,6 @@ def _transfer_route(cert: AuditCertificate, gd, d: int) -> AuditCertificate:
 def _z3_params(w: WeierstrassModel) -> tuple[int, int]:
     """(a, b) with w isomorphic to y^2 + axy + by = x^3."""
     from .families import points_of_order_n
-    from .weierstrass import find_isomorphism
 
     pts = points_of_order_n(w, 3)
     if not pts:

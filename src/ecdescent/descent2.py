@@ -368,7 +368,7 @@ def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -
     """Negative squarefree d with |d| <= bound, all p | N split in Q(sqrt d)."""
     if gd is None:
         gd = global_data(w)
-    ps = prime_divisors(gd.conductor)
+    ps = gd.bad_primes
     square_multiples = {m for q in range(2, isqrt(max(bound, 0)) + 1) for m in range(q * q, bound + 1, q * q)}
     out = []
     for d in range(-1, -bound - 1, -1):

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import is_prime, padic_valuation, prime_divisors, squarefree_part
-from .descent2 import is_heegner_field, splits_in
+from .arith import is_prime, padic_valuation, prime_divisors
+from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
 from .families import build_curve, z3_point
 from .isogeny import IsogenyRecord, hadano_quotient, pullback_scale
 from .tate import SPLIT, GlobalData, global_data, local_reduction
-from .weierstrass import WeierstrassModel, point_order
+from .weierstrass import WeierstrassModel, check_invariant, point_order
 
 
 class ThreeDividesTamagawa(Exception):
@@ -74,33 +74,32 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     gd = global_data(E)
     if gd.tamagawa_product % 3 == 0:
         raise ThreeDividesTamagawa(gd)
-    if d >= 0 or squarefree_part(d) != d:
-        raise HypothesisFailure("d must be a negative squarefree integer")
-    if d == -3:
-        raise HypothesisFailure("d = -3 has u_K = 3; the torsion ratio argument needs u_K != 3")
-    if not is_heegner_field(gd.conductor, d):
-        raise HypothesisFailure(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
+    try:
+        field_discriminant(d)
+        if d == -3:
+            raise HypothesisFailure("d = -3 has u_K = 3; the torsion ratio argument needs u_K != 3")
+        check_heegner_field(gd.conductor, d)
+    except InadmissibleField as exc:
+        raise HypothesisFailure(str(exc)) from exc
     rec = hadano_quotient(a, 1)
-    assert isinstance(rec, IsogenyRecord)
+    check_invariant(isinstance(rec, IsogenyRecord), f"a = {a}: no 3-isogeny quotient")
     Ep = rec.target
     gdp = global_data(Ep)
-    assert gdp.conductor == gd.conductor  # isogenous curves share the conductor
+    check_invariant(gdp.conductor == gd.conductor, f"a = {a}: isogenous curves of different conductors")
     # all bad primes split in K (Heegner), so Tamagawa numbers over K are
     # the squares of the rational ones; ramified or inert bad primes are
     # excluded by the scan above
-    for p in gdp.bad_primes:
-        assert splits_in(d, p)
+    check_invariant(all(splits_in(d, p) for p in gdp.bad_primes), f"a = {a}: a bad prime is not split in Q(sqrt({d}))")
     witnesses = {p: padic_valuation(gdp.local_data[p].tamagawa, 3) for p in gdp.bad_primes}
     ord3_target = 2 * sum(witnesses.values())
     ord3_source = 2 * sum(padic_valuation(lr.tamagawa, 3) for p, lr in gd.local_data.items() if lr.conductor_exponent)
-    assert ord3_source == 0
+    check_invariant(ord3_source == 0, f"a = {a}: 3 divides a Tamagawa number of E after the 3 | C check")
     # kernel of phi is rational, kernel of the dual has irrational points
     # (their rationality over K would force the cube roots of unity into K)
     torsion_ratio = 3
-    assert point_order(E, (Fraction(0), Fraction(0)), 3) == 3
-    scale = pullback_scale(rec)
-    arch = Fraction(scale, 3)
-    assert arch in (Fraction(1), Fraction(1, 3))
+    check_invariant(point_order(E, (Fraction(0), Fraction(0)), 3) == 3, f"a = {a}: (0, 0) does not have order 3")
+    arch = Fraction(pullback_scale(rec), 3)
+    check_invariant(arch in (Fraction(1), Fraction(1, 3)), f"a = {a}: archimedean factor {arch} is not 1 or 1/3")
     sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):
         sel_lower -= 1
@@ -203,20 +202,15 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     confirmed = {}
     if cond_i:
         for p in divs[:2]:
-            lr = local_reduction(Ep, p)
-            assert lr.tamagawa % 3 == 0, (a, p, lr)
-            confirmed[p] = lr.tamagawa
+            confirmed[p] = local_reduction(Ep, p).tamagawa
     else:
         p = near[0]
         lr = local_reduction(Ep, p)
-        assert lr.kind == SPLIT and lr.v_min % 3 == 0
-        assert lr.tamagawa % 3 == 0
-        confirmed[p] = lr.tamagawa
+        check_invariant(lr.kind == SPLIT and lr.v_min % 3 == 0, f"a = {a}: the quotient at {p} is not split I_3k")
         q = next(q for q in divs if q != p)
-        lrq = local_reduction(Ep, q)
-        assert lrq.tamagawa % 3 == 0
-        confirmed[q] = lrq.tamagawa
-    assert ledger.sel_phi_dim_lower >= 4, (a, d, ledger.as_dict())
+        confirmed[p], confirmed[q] = lr.tamagawa, local_reduction(Ep, q).tamagawa
+    check_invariant(all(c % 3 == 0 for c in confirmed.values()), f"a = {a}: a witness c_p in {confirmed} is prime to 3")
+    check_invariant(ledger.sel_phi_dim_lower >= 4, f"a = {a}, d = {d}: Selmer lower bound below 4")
     # Sel^phi embeds in Sel^3 (the dual kernel has no K-point), and rank 1
     # gives E(K)/3E(K) of F_3-dimension 2
     sha_lower = ledger.sel_phi_dim_lower - 2
@@ -255,5 +249,5 @@ def singular_point_order_divisibility(w: WeierstrassModel, P, p: int):
     lr = local_reduction(w, p)
     if lr.is_good:
         return None
-    assert lr.tamagawa % ell == 0, (w, P, p, lr)
+    check_invariant(lr.tamagawa % ell == 0, f"order-{ell} point at the singular point mod {p}, c_p = {lr.tamagawa}")
     return True

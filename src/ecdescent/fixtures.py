@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .weierstrass import WeierstrassModel, find_isomorphism
+from .weierstrass import WeierstrassModel
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,10 @@ def fixture_for_model(w: WeierstrassModel):
     return fixture_for_minimal_model(global_data(w).minimal_model)
 
 
+_BY_MODEL = {entry.model: entry for entry in FIXTURES.values()}
+
+
 def fixture_for_minimal_model(m: WeierstrassModel):
-    """`fixture_for_model` for a reduced minimal model, which it skips recomputing."""
-    for entry in FIXTURES.values():
-        if entry.model == m or find_isomorphism(entry.model, m) is not None:
-            return entry
-    return None
+    """`fixture_for_model` for a reduced minimal model, which it skips
+    recomputing; that model is unique in its class, so it keys the table."""
+    return _BY_MODEL.get(m)

@@ -246,23 +246,6 @@ def _fp_sqrt(a: int, p: int) -> int:
     return r
 
 
-def fp_root_multiplicities(f: list[int], p: int) -> dict[int, int]:
-    """Roots in F_p with multiplicities, via exact deflation."""
-    f = fp_trim(f[:], p)
-    out: dict[int, int] = {}
-    for r in fp_roots(f, p):
-        m = 0
-        g = f
-        while True:
-            q, rem = fp_divmod(g, [-r, 1], p)
-            if rem:
-                break
-            m += 1
-            g = q
-        out[r] = m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact rational roots of integer polynomials
 

@@ -4,9 +4,12 @@ The full step 1-11 loop is implemented, including the I_n* sub-loop and
 the non-minimal restart, over exact integer 5-tuples; each step's
 valuation condition is a divisibility test on the coefficients, as in
 Cremona, Algorithms for Modular Elliptic Curves (1997), section 3.2.
-Split vs nonsplit multiplicative reduction is decided from the tangent
-quadratic T^2 + a1*T - a2 after the singular point has been moved to
-the origin, which handles p = 2 and p = 3 without completing the square.
+Each step is a closed form from there, with no search over residues:
+the singular point of step 2 from a3, a4 at p = 2, from b2, b4, b6 at
+p = 3 and from b2, c4, c6 above; split or nonsplit from the tangent
+quadratic T^2 + a1 T - a2 at the node; steps 5, 7 and 8 from quadratic
+discriminants (parity at p = 2); and step 6 from the discriminant of
+its cubic, whose repeated root, when there is one, is written down.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
-from .polyutil import fp_root_multiplicities
+from .polyutil import fp_roots
 from .weierstrass import InvariantViolation, SingularModelError, WeierstrassModel, curve_invariants, integral_model
 
 GOOD = "good"
@@ -108,27 +111,39 @@ def _shift_s(a, s):
     return (a1 + 2 * s, a2 - s * a1 - s * s, a3, a4 - s * a3, a6)
 
 
-def _singular_point(a, p):
-    """The unique singular point of the reduction mod p, as residues."""
+def _singular_point(a, p, invariants):
+    """The singular point of the reduction of a mod p, as residues, given the
+    curve_invariants of a. At p > 3, x is the double root -3 c6/c4 (0 when
+    p | c4) of X^3 - 27 c4 X - 54 c6, X = 36x + 3 b2 (Cremona 1997, 3.2)."""
     a1, a2, a3, a4, a6 = a
-    if p <= 3:
-        for x in range(p):
-            for y in range(p):
-                f = y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)
-                fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
-                fy = 2 * y + a1 * x + a3
-                if f % p == 0 and fx % p == 0 and fy % p == 0:
-                    return x, y
-        raise ArithmeticError("no singular point found")
-    # the double root of X^3 - 27 c4 X - 54 c6 (X = 36x + 3 b2) is -3 c6/c4,
-    # or 0 when p | c4 (Cremona 1997, section 3.2)
-    b2, _, _, _, c4, c6, _ = curve_invariants(a)
-    if c4 % p:
-        x0 = -(b2 * c4 + c6) * pow(12 * c4, -1, p) % p
+    b2, b4, b6, _, c4, c6, _ = invariants
+    if p == 2:
+        x0, y0 = (a3, a3 + a4) if b2 % 2 else (a4, a4 * (1 + a2 + a4) + a6)
+    elif p == 3:
+        x0 = -b2 * b4 if b2 % 3 else -b6
+        y0 = a1 * x0 + a3
     else:
-        x0 = -b2 * pow(12, -1, p) % p
-    y0 = -(a1 * x0 + a3) * pow(2, -1, p) % p
-    return x0, y0
+        x0 = -(b2 * c4 + c6) * pow(12 * c4, -1, p) % p if c4 % p else -b2 * pow(12, -1, p) % p
+        y0 = -(a1 * x0 + a3) * pow(2, -1, p)
+    return x0 % p, y0 % p
+
+
+def _cubic_repeated_root(P, p):
+    """(root, multiplicity) of the repeated root of T^3 + b T^2 + c T + d,
+    given as P = [d, c, b, 1], mod p, or None when the cubic is separable.
+    A repeated root is rational: double when p does not divide 3c - b^2,
+    else triple (Cremona 1997, section 3.2)."""
+    d, c, b, _ = P
+    if (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p:
+        return None
+    x = 3 * c - b * b
+    if x % p:
+        if p == 2:
+            return c % 2, 2
+        if p == 3:
+            return b * c % 3, 2
+        return (b * c - 9 * d) * pow(2 * x, -1, p) % p, 2
+    return (-d if p == 3 else -b * pow(3, -1, p)) % p, 3
 
 
 def _quad_distinct_mod_p(A, B, C, p):
@@ -152,12 +167,21 @@ def _quad_double_root(A, B, C, p):
     return (-B * pow(2 * A, -1, p)) % p
 
 
+def _integral_tuple(w: WeierstrassModel) -> tuple:
+    """Integer 5-tuple of an integral model of w (its numerators when w is
+    integral) and the curve invariants of that tuple."""
+    if not w.is_integral:
+        w, _ = integral_model(w)
+    a = tuple(x.numerator for x in w.ainvs)
+    invariants = curve_invariants(a)
+    if invariants[6] == 0:
+        raise SingularModelError("Tate's algorithm needs a nonsingular curve")
+    return a, invariants
+
+
 def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, conductor exponent and v(disc_min) at p."""
-    if w.is_singular:
-        raise SingularModelError("Tate's algorithm needs a nonsingular curve")
-    wi, _ = integral_model(w)
-    return tate_algorithm(tuple(int(x) for x in wi.ainvs), p)
+    return tate_algorithm(_integral_tuple(w)[0], p)
 
 
 def tate_algorithm(a: tuple, p: int) -> LocalReduction:
@@ -165,13 +189,14 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
     nonsingular model."""
     u_exp = 0
     while True:
-        _, _, _, _, c4, _, disc = curve_invariants(a)
+        invariants = curve_invariants(a)
+        c4, disc = invariants[4], invariants[6]
         n = padic_valuation(disc, p)
         if n == 0:
             return LocalReduction(p, I0, 1, 0, 0, GOOD, u_exp)
 
         # Step 2: move the singular point of the reduction to (0,0).
-        x0, y0 = _singular_point(a, p)
+        x0, y0 = _singular_point(a, p, invariants)
         a = _translate(a, x0, y0)
         a1, a2, a3, a4, a6 = a
 
@@ -216,19 +241,17 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
             raise InvariantViolation(f"{a} at {p}: p^2 does not divide a3, a4 or p^3 a6 in step 6")
 
         P = [(a6 // p**3) % p, (a4 // p**2) % p, (a2 // p) % p, 1]
-        mults = fp_root_multiplicities(P, p)
-        max_mult = max(mults.values(), default=1)
-
-        if max_mult == 1:
-            # separable cubic (any repeated root would be rational)
-            c = 1 + len(mults)
+        rep = _cubic_repeated_root(P, p)
+        if rep is None:
+            # separable cubic: one component per rational root, plus one
+            c = 1 + len(fp_roots(P, p))
             return LocalReduction(p, KodairaType("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
+        r1, mult = rep
+        a = _translate(a, p * r1, 0)
+        a1, a2, a3, a4, a6 = a
 
-        if max_mult == 2:
+        if mult == 2:
             # Step 7: I_m* sub-loop
-            r1 = next(r for r, m in mults.items() if m == 2)
-            a = _translate(a, p * r1, 0)
-            a1, a2, a3, a4, a6 = a
             if a2 % p or not a2 % p**2 or a3 % p**2 or a4 % p**3 or a6 % p**4:
                 raise InvariantViolation(f"{a} at {p}: valuations off at the start of step 7")
             j = 1
@@ -259,9 +282,6 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
                     raise ArithmeticError("runaway I_n* loop")
 
         # Step 8: triple root
-        r1 = next(r for r, m in mults.items() if m == 3)
-        a = _translate(a, p * r1, 0)
-        a1, a2, a3, a4, a6 = a
         if a2 % p**2 or a4 % p**3 or a6 % p**4:
             raise InvariantViolation(f"{a} at {p}: valuations off at the start of step 8")
         c3 = a3 // p**2
@@ -304,10 +324,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
     integral model (family sweeps know them without factoring); it is
     verified cheaply, so a wrong hint fails loudly.
     """
-    if w.is_singular:
-        raise SingularModelError("singular input")
-    wi, _ = integral_model(w)
-    disc = int(wi.discriminant)
+    a, (_, _, _, _, c4, c6, disc) = _integral_tuple(w)
     if bad_prime_hint is not None:
         primes = sorted(set(int(p) for p in bad_prime_hint))
         rem = abs(disc)
@@ -318,7 +335,6 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
             raise ValueError("bad_prime_hint does not cover the discriminant")
     else:
         primes = prime_divisors(disc)
-    a = tuple(int(x) for x in wi.ainvs)
     local = {p: tate_algorithm(a, p) for p in primes}
     u = 1
     for p, lr in local.items():
@@ -330,9 +346,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
         conductor *= p**lr.conductor_exponent
         if lr.conductor_exponent > 0:
             tamagawa *= lr.tamagawa
-    c4 = int(wi.c4) // u**4
-    c6 = int(wi.c6) // u**6
-    return GlobalData(model_from_c4c6(c4, c6), delta_min, conductor, tamagawa, local)
+    return GlobalData(model_from_c4c6(c4 // u**4, c6 // u**6), delta_min, conductor, tamagawa, local)
 
 
 def minimal_model(w: WeierstrassModel) -> WeierstrassModel:

@@ -136,6 +136,12 @@ class InvariantViolation(ArithmeticError):
     """
 
 
+def check_invariant(ok: bool, why: str) -> None:
+    """`assert ok, why` that `python -O` keeps: raises InvariantViolation."""
+    if not ok:
+        raise InvariantViolation(why)
+
+
 def parse_model(text: str) -> WeierstrassModel:
     """Inverse of str(): "[a1,a2,a3,a4,a6]" with rational entries."""
     inner = text.strip().lstrip("[").rstrip("]")

@@ -1,13 +1,10 @@
 import dataclasses
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-import ecdescent
 from ecdescent import descent2
 from ecdescent.arith import OO, SquareClass, prime_divisors, smallest_nonresidue, square_class, squarefree_part
 from ecdescent.descent2 import (
@@ -251,7 +248,7 @@ def test_wrong_tamagawa_number_raises_at_2(monkeypatch):
         local_image(w, 2)
 
 
-def test_tamagawa_mismatch_raises_under_optimize():
+def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
     script = (
         "import dataclasses\n"
         "from ecdescent import descent2\n"
@@ -264,11 +261,7 @@ def test_tamagawa_mismatch_raises_under_optimize():
         "    except ArithmeticError:\n"
         "        print('raised')\n"
     )
-    src = os.path.dirname(os.path.dirname(ecdescent.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised"]
+    assert run_optimized(script) == ["raised", "raised"]
 
 
 def test_phi_selmer_contains_kernel_class():

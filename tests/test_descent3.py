@@ -185,3 +185,27 @@ def test_singular_point_not_applicable():
     # wrong reduced shape (a6 not 0 mod p)
     w2 = W(0, 0, 1, -1, 0)
     assert singular_point_order_divisibility(w2, (Fraction(0), Fraction(0)), 37) is None
+
+
+def test_witness_checks_hold_under_optimize(run_optimized):
+    # a doctored c_p of 1 must still be refused with the asserts compiled out
+    script = (
+        "import dataclasses\n"
+        "from fractions import Fraction\n"
+        "from ecdescent import descent3\n"
+        "from ecdescent.families import build_curve, z3_point\n"
+        "from ecdescent.weierstrass import InvariantViolation\n"
+        "real = descent3.local_reduction\n"
+        "descent3.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
+        "w, origin = build_curve(z3_point(2, 5)), (Fraction(0), Fraction(0))\n"
+        "calls = [\n"
+        "    lambda: descent3.sha3_criterion(10, -10),\n"
+        "    lambda: descent3.singular_point_order_divisibility(w, origin, 5),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantViolation:\n"
+        "        print('raised')\n"
+    )
+    assert run_optimized(script) == ["raised", "raised"]

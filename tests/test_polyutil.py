@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecdescent.polyutil import (
-    fp_root_multiplicities,
     fp_roots,
     integer_roots,
     poly_eval,
@@ -59,11 +58,6 @@ def test_fp_roots_small_and_large():
     p = 10007
     f = poly_from_roots([5, 17, p - 3])
     assert fp_roots(f, p) == sorted([5, 17, p - 3])
-
-
-def test_fp_root_multiplicities():
-    f = poly_mul(poly_from_roots([4, 4]), poly_from_roots([1]))
-    assert fp_root_multiplicities(f, 13) == {4: 2, 1: 1}
 
 
 def test_squarefree_part_poly():

@@ -1,18 +1,17 @@
-import os
+import itertools
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import ecdescent
 from ecdescent.fixtures import FIXTURES
+from ecdescent.polyutil import fp_divmod
 from ecdescent.tate import (
     GOOD,
     NONSPLIT,
     SPLIT,
     KodairaType,
+    _cubic_repeated_root,
     _singular_point,
     global_data,
     local_reduction,
@@ -237,7 +236,7 @@ def test_model_from_c4c6_refuses_a_pair_that_fails_only_the_round_trip():
         model_from_c4c6(c4, c6)
 
 
-def test_checks_hold_under_optimize():
+def test_checks_hold_under_optimize(run_optimized):
     script = (
         "import dataclasses\n"
         "from ecdescent import tate\n"
@@ -255,11 +254,7 @@ def test_checks_hold_under_optimize():
         "except InvariantViolation:\n"
         "    print('raised')\n"
     )
-    src = os.path.dirname(os.path.dirname(ecdescent.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 3
+    assert run_optimized(script) == ["raised"] * 3
 
 
 def test_split_multiplicative_divisibility():
@@ -316,6 +311,15 @@ def _singular_residue(a, p):
 
 
 def test_singular_point_closed_form_matches_residue_search():
+    # the closed forms at 2 and 3 depend only on the residues of the
+    # coefficients, so every residue tuple with singular reduction covers them
+    singular = 0
+    for p in (2, 3):
+        for a in itertools.product(range(p), repeat=5):
+            if curve_invariants(a)[6] % p == 0:
+                assert _singular_point(a, p, curve_invariants(a)) == _singular_residue(a, p), (a, p)
+                singular += 1
+    assert singular == 97
     rng = random.Random(1997)
     primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
     seen = {"p | c4": 0, "p !| c4": 0}
@@ -326,6 +330,36 @@ def test_singular_point_closed_form_matches_residue_search():
             continue
         for p in primes:
             if disc % p == 0:
-                assert _singular_point(a, p) == _singular_residue(a, p), (a, p)
+                assert _singular_point(a, p, curve_invariants(a)) == _singular_residue(a, p), (a, p)
                 seen["p | c4" if c4 % p == 0 else "p !| c4"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _root_multiplicities(f, roots, p):
+    # oracle: divide f by T - r while the division is exact
+    out = {}
+    for r in roots:
+        g, m = f, 0
+        while True:
+            q, rem = fp_divmod(g, [-r, 1], p)
+            if rem:
+                break
+            g, m = q, m + 1
+        out[r] = m
+    return out
+
+
+def test_step6_cubic_matches_deflation_oracle():
+    assert _root_multiplicities([-16, 24, -9, 1], [1, 4], 13) == {4: 2, 1: 1}  # (T-4)^2 (T-1)
+    cubics = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 61, 67):
+        for b, c in itertools.product(range(p), repeat=2):
+            roots = {}  # d -> the roots of T^3 + b T^2 + c T + d in F_p
+            for x in range(p):
+                roots.setdefault(-(x**3 + b * x * x + c * x) % p, []).append(x)
+            for d in range(p):
+                mults = _root_multiplicities([d, c, b, 1], roots.get(d, []), p)
+                repeated = [(r, m) for r, m in mults.items() if m > 1]
+                assert _cubic_repeated_root([d, c, b, 1], p) == (repeated[0] if repeated else None), (p, b, c, d)
+                cubics += 1
+    assert cubics == 536_688
