@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import padic_valuation, prime_divisors
-from .descent2 import (
-    FullTwoTorsionError,
-    check_heegner_field,
-    heegner_field_scan,
-    kramer_sha2_bound,
-)
+from .descent2 import check_heegner_field, heegner_field_scan, kramer_sha2_bound
 from .descent3 import HypothesisFailure, NoWitnessPrimes, sha3_criterion
-from .families import TorsionGroup, torsion_subgroup, torsion_growth, two_torsion_points
+from .families import TorsionGroup, torsion_growth, torsion_subgroup, z3_normalize
 from .fixtures import fixture_for_minimal_model
 from .isogeny import DivisibilityClaim, TransferRefused, transfer_certificate, velu_2_isogeny
 from .tate import GlobalData, global_data
@@ -29,8 +24,9 @@ from .weierstrass import (
     CoordinateChange,
     WeierstrassModel,
     change_variables,
+    check_invariant,
     integral_model,
-    two_torsion_form,
+    point_mul,
 )
 
 
@@ -64,15 +60,13 @@ class OutOfScopeTorsion(ValueError):
     """Torsion handled by the published component-group divisibility results."""
 
 
-def shape_with_two_torsion(w: WeierstrassModel) -> WeierstrassModel:
-    """An integral model y^2 = x^3 + Ax^2 + Bx with (0,0) of order 2."""
-    w1 = change_variables(w, CoordinateChange.of(1, 0, -w.a1 / 2, -w.a3 / 2))
-    pts = two_torsion_points(w1)
-    if not pts:
-        raise ValueError("no rational 2-torsion point")
-    w2 = change_variables(w1, CoordinateChange.of(1, pts[0][0], 0, 0))
-    w3, _ = integral_model(w2)
-    return w3
+def shape_with_two_torsion(tg: TorsionGroup) -> WeierstrassModel:
+    """An integral model y^2 = x^3 + Ax^2 + Bx of tg.model, with (0,0) the
+    2-torsion point (n/2) gen of its cyclic generator gen of order n."""
+    gen, n = tg.generators[-1]
+    x0, y0 = point_mul(tg.model, n // 2, gen)
+    w = change_variables(tg.model, CoordinateChange.of(1, x0, -tg.model.a1 / 2, y0))
+    return integral_model(w)[0]
 
 
 #: Heegner fields are searched up to this |d| when no field is given.
@@ -111,7 +105,7 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
     order = tg.order
     hyp = [f"rank E(K) = 1 over K = Q(sqrt({d}))"] if d is not None else []
     if d is not None:
-        check_heegner_field(gd.conductor, d)
+        check_heegner_field(gd, d)
 
     cert = AuditCertificate(
         curve=gd.minimal_model,
@@ -165,36 +159,27 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
     missing = order // have
 
     if (n1, n2) in ((1, 4), (1, 2)) and missing in (2, 4):
+        shape = shape_with_two_torsion(tg)
         # Sha[2] route: one factor of 2 can come from sqrt(#Sha)
         if missing == 2:
-            try:
-                shape = shape_with_two_torsion(gd.minimal_model)
-                kcert = kramer_sha2_bound(shape, d)
-                cert.evidence.append({"step": "sha2-bound", **kcert.as_dict()})
-                if kcert.two_divides_sha_sqrt:
-                    cert.route, cert.holds = "kramer", True
-                    cert.hypotheses += kcert.hypotheses
-                    cert.evidence.append(
-                        {"step": "conclusion", "why": f"{order} | C * sqrt(#Sha) * u_K"}
-                    )
-                    return cert
-            except FullTwoTorsionError:
-                pass
+            # cyclic 2-part, so kramer_sha2_bound has the Z/2 it needs
+            kcert = kramer_sha2_bound(shape, d)
+            cert.evidence.append({"step": "sha2-bound", **kcert.as_dict()})
+            if kcert.two_divides_sha_sqrt:
+                cert.route, cert.holds = "kramer", True
+                cert.hypotheses += kcert.hypotheses
+                cert.evidence.append({"step": "conclusion", "why": f"{order} | C * sqrt(#Sha) * u_K"})
+                return cert
         # transfer route through the 2-isogeny quotient
         try:
-            return _transfer_route(cert, gd, d)
+            return _transfer_route(cert, shape, d)
         except (TransferRefused, ValueError) as exc:
             cert.route = "unresolved"
             cert.evidence.append({"step": "transfer-refused", "why": str(exc)})
             return cert
 
     if (n1, n2) == (1, 3):
-        try:
-            a3, b3 = _z3_params(gd.minimal_model)
-        except ValueError as exc:
-            cert.route = "unresolved"
-            cert.evidence.append({"step": "note", "why": str(exc)})
-            return cert
+        a3, b3 = _z3_params(tg)
         if b3 != 1:
             # some p | b already gives 3 | C; covered by the Tamagawa branch
             cert.route = "unresolved"
@@ -224,9 +209,8 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
     return cert
 
 
-def _transfer_route(cert: AuditCertificate, gd, d: int) -> AuditCertificate:
-    """Carry the claim across the quotient by the rational 2-torsion point."""
-    shape = shape_with_two_torsion(gd.minimal_model)
+def _transfer_route(cert: AuditCertificate, shape: WeierstrassModel, d: int) -> AuditCertificate:
+    """Carry the claim across the quotient by the 2-torsion point (0,0) of `shape`."""
     rec = velu_2_isogeny(shape, (Fraction(0), Fraction(0)))
     target_gd = global_data(rec.target)
     ttors = torsion_subgroup(target_gd.minimal_model)
@@ -269,27 +253,21 @@ def _transfer_route(cert: AuditCertificate, gd, d: int) -> AuditCertificate:
     return cert
 
 
-def _z3_params(w: WeierstrassModel) -> tuple[int, int]:
-    """(a, b) with w isomorphic to y^2 + axy + by = x^3."""
-    from .families import points_of_order_n
-
-    pts = points_of_order_n(w, 3)
-    if not pts:
-        raise ValueError("no rational 3-torsion point")
-    x0, y0 = pts[0]
-    w1 = change_variables(w, CoordinateChange.of(1, x0, 0, y0))
+def _z3_params(tg: TorsionGroup) -> tuple[int, int]:
+    """(a, b) with tg.model isomorphic to y^2 + axy + by = x^3, the
+    generator of order 3 going to (0,0)."""
+    x0, y0 = tg.generators[-1][0]
+    w1 = change_variables(tg.model, CoordinateChange.of(1, x0, 0, y0))
     # now (0,0) has order 3; normalize the tangent at (0,0) to y = 0
     # (0,0) of order 3 on a2=a4=a6=0 shape means the model is y^2+axy+by=x^3
     # after an s-shear killing a2 and a4
     a1, a2, a3, a4, a6 = w1.ainvs
-    assert a6 == 0
+    check_invariant(a6 == 0, f"{w1}: the order-3 generator is not at (0,0)")
     s = a4 / a3
     w2 = change_variables(w1, CoordinateChange.of(1, 0, s, 0))
     a1, a2, a3, a4, a6 = w2.ainvs
-    assert a4 == 0 and a6 == 0 and a2 == 0, w2
+    check_invariant(a4 == 0 and a6 == 0 and a2 == 0, f"{w2}: (0,0) is not a flex of order 3")
     wi, _ = integral_model(w2)
-    from .families import z3_normalize
-
     a, b = int(wi.a1), int(wi.a3)
     if b < 0:
         a, b = -a, -b

@@ -263,9 +263,9 @@ def descent_places(w: WeierstrassModel) -> list:
     return sorted({2, *_descent_primes(w)}) + [OO]
 
 
-def candidate_classes(w: WeierstrassModel) -> list:
-    """Square classes supported on -1 and the primes of 2*B*disc."""
-    gens = [-1, 2] + [p for p in _descent_primes(w) if p != 2]
+def candidate_classes(places: list) -> list:
+    """Square classes supported on -1 and the finite places of `descent_places`."""
+    gens = [-1] + [p for p in places if p != OO]
     if len(gens) > 14:
         raise ArithmeticError("too many bad primes for a desk-scale descent")
     classes = [1]
@@ -277,9 +277,10 @@ def candidate_classes(w: WeierstrassModel) -> list:
 
 def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
     """Classes whose restriction lies in the local image at every place."""
-    images = {pl: local_image(w, pl) for pl in descent_places(w)}
+    places = descent_places(w)
+    images = {pl: local_image(w, pl) for pl in places}
     sel = []
-    for b in candidate_classes(w):
+    for b in candidate_classes(places):
         if all(b in images[pl] for pl in images):
             sel.append(SquareClass(b))
     elements = frozenset(sel)
@@ -359,9 +360,9 @@ def is_heegner_field(N: int, d: int) -> bool:
     return all(splits_in(d, p) for p in prime_divisors(N))
 
 
-def check_heegner_field(N: int, d: int):
-    if not is_heegner_field(N, d):
-        raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {N}")
+def check_heegner_field(gd: GlobalData, d: int):
+    if not all(splits_in(d, p) for p in gd.bad_primes):
+        raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
 
 
 def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -> list[int]:
@@ -445,7 +446,7 @@ def kramer_sha2_bound(w: WeierstrassModel, d: int) -> DescentCertificate:
     """
     _check_z2_two_torsion(w)
     gd = global_data(w)
-    check_heegner_field(gd.conductor, d)
+    check_heegner_field(gd, d)
     total, i_map = sum_local_norm_indices(w, d, gd)
     dim_phi = everywhere_local_norm_dim(w, d)
     lower = total + dim_phi - 3

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import is_prime, padic_valuation, prime_divisors
 from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
 from .families import build_curve, z3_point
-from .isogeny import IsogenyRecord, hadano_quotient, pullback_scale
+from .isogeny import IsogenyRecord, hadano_quotient
 from .tate import SPLIT, GlobalData, global_data, local_reduction
 from .weierstrass import WeierstrassModel, check_invariant, point_order
 
@@ -78,7 +78,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
         field_discriminant(d)
         if d == -3:
             raise HypothesisFailure("d = -3 has u_K = 3; the torsion ratio argument needs u_K != 3")
-        check_heegner_field(gd.conductor, d)
+        check_heegner_field(gd, d)
     except InadmissibleField as exc:
         raise HypothesisFailure(str(exc)) from exc
     rec = hadano_quotient(a, 1)
@@ -98,7 +98,8 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     # (their rationality over K would force the cube roots of unity into K)
     torsion_ratio = 3
     check_invariant(point_order(E, (Fraction(0), Fraction(0)), 3) == 3, f"a = {a}: (0, 0) does not have order 3")
-    arch = Fraction(pullback_scale(rec), 3)
+    # pullback_scale(rec) / 3, read off the scales of both sides
+    arch = gdp.scale(Ep) / (3 * gd.scale(E))
     check_invariant(arch in (Fraction(1), Fraction(1, 3)), f"a = {a}: archimedean factor {arch} is not 1 or 1/3")
     sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):

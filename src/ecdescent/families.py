@@ -41,6 +41,7 @@ from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
     change_variables,
+    check_invariant,
     integral_model,
     point_add,
     point_mul,
@@ -410,11 +411,11 @@ def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
         T_other = next(T for T in t2 if T != inside)
         gens.append((T_other, 2))
     if gen is not None:
-        assert point_order(wi, gen, n2) == n2
+        check_invariant(point_order(wi, gen, n2) == n2, f"{wi}: the generator {gen} does not have order {n2}")
         gens.append((gen, n2))
     back = [(chg.apply_point(*P), k) for P, k in gens]
     for P, k in back:
-        assert point_order(w, P, k) == k
+        check_invariant(point_order(w, P, k) == k, f"{w}: the generator {P} does not have order {k}")
     return TorsionGroup((n1, n2), back, w)
 
 
@@ -422,7 +423,7 @@ def _merge(w, P, n, Q, m):
     if P is None:
         return Q, m
     R = point_add(w, P, Q)
-    assert point_order(w, R, n * m) == n * m
+    check_invariant(point_order(w, R, n * m) == n * m, f"{w}: the sum {R} does not have order {n * m}")
     return R, n * m
 
 
@@ -538,7 +539,7 @@ def halving_quadratic(w: WeierstrassModel, T) -> list[Fraction]:
     The preimages pair up, so the halving quartic is the square of q."""
     quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -T[0]))
     q = poly_sqrt_monic_quartic([Fraction(c) for c in quartic])
-    assert q is not None
+    check_invariant(q is not None, f"{w}: the halving quartic of {T} is not a square")
     return q
 
 

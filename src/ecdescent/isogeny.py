@@ -17,11 +17,12 @@ from typing import Union
 
 from .arith import integer_root
 from .families import FamilyPoint, GrowthReport, build_curve, z3_normalize, z3_point
-from .tate import minimal_model
+from .tate import global_data
 from .weierstrass import (
     WeierstrassModel,
+    check_invariant,
     find_isomorphism,
-    point_mul,
+    point_neg,
     point_order,
 )
 
@@ -36,7 +37,7 @@ class IsogenyRecord:
 
     def __post_init__(self):
         for P in self.kernel:
-            assert self.source.contains(*P)
+            check_invariant(self.source.contains(*P), f"kernel point ({P[0]}, {P[1]}) is not on {self.source}")
 
 
 def _velu_quotient(w: WeierstrassModel, kernel_xs) -> WeierstrassModel:
@@ -74,8 +75,8 @@ def velu_3_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
     if point_order(w, P, 3) != 3:
         raise ValueError("kernel point is not 3-torsion")
     target = _velu_quotient(w, [P[0]])
-    Q = point_mul(w, 2, P)
-    return IsogenyRecord(w, target, 3, (P, Q))
+    # 2P = -P for a point of order 3
+    return IsogenyRecord(w, target, 3, (P, point_neg(w, P)))
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,14 @@ def hadano_quotient(a: int, b: int) -> Union[IsogenyRecord, CubeFailure]:
     if t is None:
         return CubeFailure(a, b)
     src = build_curve(fp)
-    tgt = WeierstrassModel.from_ainvs([a + 6 * t, 0, (a * a + 3 * a * t + 9 * t * t) * t, 0, 0])
-    assert tgt.discriminant == t**3 * (a * a + 3 * a * t + 9 * t * t) ** 3 * (a - 3 * t) ** 3
+    q = a * a + 3 * a * t + 9 * t * t
+    tgt = WeierstrassModel.from_ainvs([a + 6 * t, 0, q * t, 0, 0])
+    check_invariant(tgt.discriminant == (t * q * (a - 3 * t)) ** 3, f"a = {a}, b = {b}: wrong quotient discriminant")
     P = (Fraction(0), Fraction(0))
-    rec = IsogenyRecord(src, tgt, 3, (P, point_mul(src, 2, P)), via="hadano")
+    rec = IsogenyRecord(src, tgt, 3, (P, point_neg(src, P)), via="hadano")
     # the closed form agrees with Velu's construction up to isomorphism
-    assert find_isomorphism(_velu_quotient(src, [Fraction(0)]), tgt) is not None
+    velu = _velu_quotient(src, [Fraction(0)])
+    check_invariant(find_isomorphism(velu, tgt) is not None, f"a = {a}, b = {b}: the quotient is not Velu's")
     return rec
 
 
@@ -164,18 +167,13 @@ def pullback_scale(rec: IsogenyRecord) -> int:
     """|n| where phi^*(omega'_min) = n * omega_min; 1 or deg(phi).
 
     Velu's formulas preserve the invariant differential of the working
-    models, so the scale is read off from the scalings u that carry each
+    models, so the scale is the ratio of the scalings u that carry each
     side to its minimal model.
     """
-    cs = find_isomorphism(rec.source, minimal_model(rec.source))
-    ct = find_isomorphism(rec.target, minimal_model(rec.target))
-    assert cs is not None and ct is not None
-    n = Fraction(abs(ct.u)) / Fraction(abs(cs.u))
-    if n == 1:
-        return 1
-    if n == rec.degree:
-        return rec.degree
-    raise ArithmeticError(f"pullback scale {n} is not 1 or {rec.degree}")
+    n = global_data(rec.target).scale(rec.target) / global_data(rec.source).scale(rec.source)
+    if n not in (1, rec.degree):
+        raise ArithmeticError(f"pullback scale {n} is not 1 or {rec.degree}")
+    return int(n)
 
 
 def etale_side(rec: IsogenyRecord) -> str:

@@ -110,7 +110,8 @@ def squarefree_part_poly(f: Sequence[int]) -> list[int]:
     if len(g) == 1:
         return poly_primitive(f)
     q, r = poly_divmod_q(f, g)
-    assert not r
+    if r:
+        raise ArithmeticError(f"gcd(f, f') does not divide f = {f}")
     return poly_primitive(q)
 
 

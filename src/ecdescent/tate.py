@@ -15,10 +15,19 @@ its cubic, whose repeated root, when there is one, is written down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
 from .polyutil import fp_roots
-from .weierstrass import InvariantViolation, SingularModelError, WeierstrassModel, curve_invariants, integral_model
+from .weierstrass import (
+    InvariantViolation,
+    SingularModelError,
+    WeierstrassModel,
+    _rational_twelfth_roots,
+    check_invariant,
+    curve_invariants,
+    integral_model,
+)
 
 GOOD = "good"
 SPLIT = "split-multiplicative"
@@ -315,6 +324,12 @@ class GlobalData:
     @property
     def bad_primes(self) -> list[int]:
         return sorted(p for p, lr in self.local_data.items() if lr.conductor_exponent > 0)
+
+    def scale(self, w: WeierstrassModel) -> Fraction:
+        """|u| with disc(w) = u^12 disc_min: the scaling from w, a model of this curve, to the minimal model."""
+        roots = _rational_twelfth_roots(w.discriminant / self.delta_min)
+        check_invariant(bool(roots), f"{w}: disc / disc_min is not a twelfth power")
+        return roots[0]
 
 
 def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:

@@ -288,8 +288,9 @@ def point_mul(w: WeierstrassModel, n: int, P: Point) -> Point:
     while n:
         if n & 1:
             R = point_add(w, R, Q)
-        Q = point_add(w, Q, Q)
         n >>= 1
+        if n:
+            Q = point_add(w, Q, Q)
     return R
 
 

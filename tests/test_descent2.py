@@ -10,7 +10,10 @@ from ecdescent.arith import OO, SquareClass, prime_divisors, smallest_nonresidue
 from ecdescent.descent2 import (
     DescentCertificate,
     FullTwoTorsionError,
+    InadmissibleField,
     candidate_classes,
+    check_heegner_field,
+    descent_places,
     dual_params,
     everywhere_local_norm_dim,
     field_discriminant,
@@ -284,7 +287,7 @@ def test_phi_selmer_beta_family_example():
 
 def test_candidate_classes_support():
     w = W(0, 5, 0, -1, 0)
-    cands = candidate_classes(w)
+    cands = candidate_classes(descent_places(w))
     assert 1 in cands and -1 in cands and 2 in cands
     assert all(abs(c) <= 2 * 29 * 2 for c in cands)
 
@@ -315,13 +318,24 @@ def test_heegner_scan():
 
 def test_heegner_scan_matches_splits_in_oracle():
     for w in [W(-1, 1, -1, 0, 0), W(0, 5, 0, -1, 0), W(0, 3, 0, -1, 0), beta_even_curve(17, 1)]:
-        ps = prime_divisors(global_data(w).conductor)
+        gd = global_data(w)
+        ps = prime_divisors(gd.conductor)
         expect = [
             d
             for d in range(-1, -151, -1)
             if squarefree_part(d) == d and all(splits_in_oracle(d, p) for p in ps)
         ]
         assert heegner_field_scan(w, 150) == expect, w
+        # check_heegner_field reads gd.bad_primes; is_heegner_field factors N
+        for d in range(-1, -151, -1):
+            if squarefree_part(d) != d:
+                continue
+            assert is_heegner_field(gd.conductor, d) == (d in expect), (w, d)
+            if d in expect:
+                check_heegner_field(gd, d)
+            else:
+                with pytest.raises(InadmissibleField, match=f"fails the Heegner condition for N = {gd.conductor}"):
+                    check_heegner_field(gd, d)
 
 
 def test_local_norm_index_infinity():

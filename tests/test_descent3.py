@@ -14,6 +14,7 @@ from ecdescent.descent3 import (
     singular_point_order_divisibility,
 )
 from ecdescent.families import build_curve, z2z6_point, z3_point
+from ecdescent.isogeny import hadano_quotient, pullback_scale
 from ecdescent.tate import global_data, local_reduction
 from ecdescent.weierstrass import WeierstrassModel, point_mul
 
@@ -39,6 +40,18 @@ def test_ledger_torsion_ratio_and_arch():
     led = cassels_ledger(a, d)
     assert led.torsion_ratio == 3
     assert led.archimedean_factor in (Fraction(1), Fraction(1, 3))
+    # the factor read off the two global data is pullback_scale / 3
+    seen = set()
+    for a in range(-60, 61):
+        if a == 3 or global_data(build_curve(z3_point(a, 1))).tamagawa_product % 3 == 0:
+            continue
+        d = find_heegner_d(a, 300)
+        if d is None:
+            continue
+        arch = cassels_ledger(a, d).archimedean_factor
+        assert arch == Fraction(pullback_scale(hadano_quotient(a, 1)), 3), a
+        seen.add(arch)
+    assert seen == {Fraction(1), Fraction(1, 3)}
 
 
 def test_ledger_two_witness_bound():

@@ -221,6 +221,33 @@ def test_halving_quadratics_on_full_two_torsion():
         assert len(q) == 3
 
 
+def test_checks_hold_under_optimize(run_optimized):
+    # a wrong merge, a doctored order test on the integral model, a doctored
+    # change back to the input model and a doctored square root trip the
+    # four checks in turn
+    script = (
+        "from ecdescent import families\n"
+        "from ecdescent.weierstrass import CoordinateChange, InvariantViolation, WeierstrassModel, change_variables\n"
+        "def attempt(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantViolation:\n"
+        "        print('raised')\n"
+        "w = families.build_curve(families.z3_point(1, 1))\n"
+        "P = families.points_of_order_n(w, 3)[0]\n"
+        "attempt(lambda: families._merge(w, P, 3, P, 3))\n"
+        "real = families.point_order\n"
+        "families.point_order = lambda v, P, bound=17: 0 if bound == 3 and v.is_integral else real(v, P, bound)\n"
+        "attempt(lambda: families.torsion_subgroup(change_variables(w, CoordinateChange.of(2))))\n"
+        "families.point_order = real\n"
+        "families.integral_model = lambda v: (v, CoordinateChange.of(1, 1))\n"
+        "attempt(lambda: families.torsion_subgroup(w))\n"
+        "families.poly_sqrt_monic_quartic = lambda f: None\n"
+        "attempt(lambda: families.halving_quadratic(WeierstrassModel.from_ainvs([0, 0, 0, -1, 0]), (0, 0)))\n"
+    )
+    assert run_optimized(script) == ["raised"] * 4
+
+
 def test_torsion_growth_classes():
     # quotient curve in the A^2+4 family: 2-torsion polynomial
     # 4(x^2+4)(x+A): splits fully only over Q(i)

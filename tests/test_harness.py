@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ecdescent.audit import OutOfScopeTorsion, main_theorem_audit
+from ecdescent.audit import OutOfScopeTorsion, _z3_params, main_theorem_audit, shape_with_two_torsion
 from ecdescent.cli import main as cli_main
 from ecdescent.cremona import (
     MalformedLineError,
@@ -13,11 +13,21 @@ from ecdescent.cremona import (
     parse_allcurves_line,
     render_allcurves_line,
 )
-from ecdescent.families import build_curve, z2z6_point, z3_point, z4_point
+from ecdescent.families import (
+    build_curve,
+    points_of_order_n,
+    torsion_subgroup,
+    two_torsion_points,
+    z2_point,
+    z2z6_point,
+    z3_normalize,
+    z3_point,
+    z4_point,
+)
 from ecdescent.fixtures import FIXTURES, fixture_for_model
 from ecdescent.tate import global_data
 from ecdescent.verify import verify_section
-from ecdescent.weierstrass import WeierstrassModel
+from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables, find_isomorphism, integral_model
 
 
 def data_path():
@@ -142,6 +152,78 @@ def test_audit_transfer_route():
 def test_audit_cassels_route():
     cert = main_theorem_audit(build_curve(z3_point(10, 1)))
     assert cert.holds and cert.route == "cassels"
+
+
+def _audited_torsion(fp):
+    """The torsion group the audit routes on: that of the minimal model."""
+    return torsion_subgroup(global_data(build_curve(fp)).minimal_model)
+
+
+def _shape_by_search(w):
+    """The 2-torsion shape through a root search of the 2-division
+    polynomial: the old derivation, kept as an oracle."""
+    w1 = change_variables(w, CoordinateChange.of(1, 0, -w.a1 / 2, -w.a3 / 2))
+    (x0, _), *_ = two_torsion_points(w1)
+    return integral_model(change_variables(w1, CoordinateChange.of(1, x0, 0, 0)))[0]
+
+
+def test_shape_with_two_torsion_matches_the_root_search():
+    members = [z2_point(A, B) for A in range(-6, 7) for B in range(-6, 7) if B and A * A != 4 * B]
+    members += [z4_point(beta) for beta in range(-30, 31) if beta not in (0, -16)]
+    seen = set()
+    for fp in members:
+        tg = _audited_torsion(fp)
+        if tg.structure not in ((1, 2), (1, 4)):
+            continue
+        seen.add(tg.structure)
+        shape = shape_with_two_torsion(tg)
+        assert shape == _shape_by_search(tg.model), fp
+        assert shape.a1 == shape.a3 == shape.a6 == 0 and find_isomorphism(shape, tg.model) is not None
+    assert seen == {(1, 2), (1, 4)}
+
+
+def _z3_params_by_search(w):
+    """(a, b) through the first root of the 3-division polynomial: the old
+    derivation, kept as an oracle."""
+    x0, y0 = points_of_order_n(w, 3)[0]
+    w1 = change_variables(w, CoordinateChange.of(1, x0, 0, y0))
+    w2 = change_variables(w1, CoordinateChange.of(1, 0, w1.a4 / w1.a3, 0))
+    wi, _ = integral_model(w2)
+    a, b = int(wi.a1), int(wi.a3)
+    return z3_normalize(*((-a, -b) if b < 0 else (a, b))).params
+
+
+def test_z3_params_match_the_division_polynomial_search():
+    count = 0
+    for a in range(-12, 13):
+        for b in range(1, 9):
+            try:
+                fp = z3_point(a, b)
+            except ValueError:
+                continue
+            tg = _audited_torsion(fp)
+            if tg.structure != (1, 3):
+                continue
+            assert _z3_params(tg) == _z3_params_by_search(tg.model), fp
+            count += 1
+    assert count >= 100
+
+
+def test_z3_params_checks_hold_under_optimize(run_optimized):
+    # a doctored torsion group on 37a1, whose generator is first a point
+    # off the curve and then (0,0) of infinite order, trips the two checks
+    script = (
+        "from ecdescent import audit\n"
+        "from ecdescent.families import TorsionGroup\n"
+        "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
+        "w = WeierstrassModel.from_ainvs([0, 0, 1, -1, 0])\n"
+        "for P in [(1, 1), (0, 0)]:\n"
+        "    try:\n"
+        "        audit._z3_params(TorsionGroup((1, 3), [(P, 3)], w))\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(str(exc).split(': ')[-1].split()[0])\n"
+    )
+    assert run_optimized(script) == ["the", "(0,0)"]
 
 
 def test_audit_out_of_scope():

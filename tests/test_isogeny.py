@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ecdescent.arith import integer_root
-from ecdescent.families import torsion_growth, z3_point
+from ecdescent.families import build_curve, points_of_order_n, torsion_growth, z3_point
 from ecdescent.isogeny import (
     CubeFailure,
     DivisibilityClaim,
@@ -19,7 +19,7 @@ from ecdescent.isogeny import (
     velu_3_isogeny,
 )
 from ecdescent.polyutil import rational_roots
-from ecdescent.tate import global_data
+from ecdescent.tate import global_data, minimal_model
 from ecdescent.weierstrass import (
     WeierstrassModel,
     find_isomorphism,
@@ -167,6 +167,84 @@ def test_hadano_chain_steps_are_etale():
     chain = three_isogeny_chain(-6)
     assert [etale_side(r) for r in chain.records] == ["dual", "forward", "forward"]
     assert all(pullback_scale(r) in (1, 3) for r in chain.records)
+
+
+def _pullback_scale_by_isomorphism(rec):
+    """|u_target| / |u_source| for the isomorphisms to the minimal models:
+    the isomorphism-search derivation of the scale, kept as an oracle."""
+    cs = find_isomorphism(rec.source, minimal_model(rec.source))
+    ct = find_isomorphism(rec.target, minimal_model(rec.target))
+    return abs(ct.u) / abs(cs.u)
+
+
+def test_pullback_scale_matches_isomorphism_oracle():
+    scales = set()
+    for a in range(-200, 201):
+        if a == 3:  # y^2 + 3xy + y = x^3 is singular
+            continue
+        for rec in three_isogeny_chain(a).records:
+            n = pullback_scale(rec)
+            assert n == _pullback_scale_by_isomorphism(rec), (a, rec.source)
+            scales.add(n)
+    box = [(A, B) for A in range(-4, 5) for B in range(-3, 4) if B and A * A != 4 * B][:40]
+    assert len(box) == 40
+    for A, B in box:
+        rec = velu_2_isogeny(W(0, A, 0, B, 0), (0, 0))
+        n = pullback_scale(rec)
+        assert n == _pullback_scale_by_isomorphism(rec), (A, B)
+        scales.add(n)
+    assert scales == {1, 2, 3}
+
+
+def test_three_isogeny_kernel_is_p_and_2p():
+    rng = random.Random(10)
+    members = set()
+    while len(members) < 200:
+        a, b = rng.randint(-30, 30), rng.randint(1, 30)
+        try:
+            members.add(z3_point(a, b))
+        except ValueError:
+            continue
+    points = 0
+    for fp in sorted(members, key=str):
+        w = build_curve(fp)
+        for P in points_of_order_n(w, 3):
+            assert velu_3_isogeny(w, P).kernel == (P, point_mul(w, 2, P))
+            points += 1
+        rec = hadano_quotient(*fp.params)
+        if isinstance(rec, IsogenyRecord):
+            P = rec.kernel[0]
+            assert rec.kernel == (P, point_mul(rec.source, 2, P))
+    assert points >= 400  # (0,0) and its negative on every member
+
+
+def test_checks_hold_under_optimize(run_optimized):
+    # a doctored negation, target model and isomorphism test trip the
+    # kernel check, the discriminant identity and the Velu cross-check
+    script = (
+        "import types\n"
+        "from ecdescent import isogeny\n"
+        "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
+        "def attempt(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantViolation as exc:\n"
+        "        print('raised:', str(exc).split(': ')[-1].split()[-1])\n"
+        "w = WeierstrassModel.from_ainvs([1, 0, 1, 0, 0])\n"
+        "real = isogeny.point_neg\n"
+        "isogeny.point_neg = lambda w, P: (P[0], P[1] + 1)\n"
+        "attempt(lambda: isogeny.velu_3_isogeny(w, (0, 0)))\n"
+        "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
+        "isogeny.point_neg = real\n"
+        "isogeny.WeierstrassModel = types.SimpleNamespace(\n"
+        "    from_ainvs=lambda a: WeierstrassModel.from_ainvs([a[0], 1, *a[2:]]))\n"
+        "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
+        "isogeny.WeierstrassModel = WeierstrassModel\n"
+        "isogeny.find_isomorphism = lambda w1, w2: None\n"
+        "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
+    )
+    expected = ["[1,0,1,0,0]", "[5,0,8,0,0]", "discriminant", "Velu's"]
+    assert run_optimized(script) == [word for tail in expected for word in ("raised:", tail)]
 
 
 def test_etale_side_dichotomy_on_two_isogenies():

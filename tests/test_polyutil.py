@@ -67,6 +67,18 @@ def test_squarefree_part_poly():
     assert len(g) == 3
 
 
+def test_squarefree_part_check_holds_under_optimize(run_optimized):
+    script = (
+        "from ecdescent import polyutil\n"
+        "polyutil.poly_gcd_q = lambda f, g: [1, 1]  # x + 1 does not divide x^2\n"
+        "try:\n"
+        "    polyutil.squarefree_part_poly([0, 0, 1])\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    assert run_optimized(script) == ["raised"]
+
+
 def test_poly_gcd():
     f = poly_from_roots([1, 2, 3])
     g = poly_from_roots([2, 3, 5])

@@ -21,6 +21,7 @@ from ecdescent.tate import (
 )
 from ecdescent.weierstrass import (
     CoordinateChange,
+    InvariantViolation,
     SingularModelError,
     WeierstrassModel,
     change_variables,
@@ -207,6 +208,19 @@ def test_scaling_is_unwound():
     assert gd.local_data[2].kind == GOOD
     assert gd.local_data[2].minimal_scale_exp == 1
     assert gd.local_data[3].minimal_scale_exp == 1
+
+
+def test_scale_reads_u_off_the_discriminant():
+    w = W(0, -1, 1, -10, -20)
+    gd = global_data(w)
+    assert gd.scale(w) == 1
+    for u in (Fraction(1, 6), Fraction(5), Fraction(-2, 3)):
+        assert gd.scale(change_variables(w, CoordinateChange.of(u, 1, 2, 3))) == abs(1 / u)
+    # the twist by 2 (disc ratio 2^6) and a different curve of the same sign
+    with pytest.raises(InvariantViolation, match="twelfth power"):
+        global_data(W(0, 0, 0, -1, 0)).scale(W(0, 0, 0, -4, 0))
+    with pytest.raises(InvariantViolation, match="twelfth power"):
+        gd.scale(W(0, 0, 1, -1, 0))
 
 
 def test_minimal_model_reduced_form():

@@ -16,6 +16,7 @@ from ecdescent.weierstrass import (
     parse_model,
     point_add,
     point_mul,
+    point_neg,
     point_order,
     quadratic_twist,
     two_torsion_form,
@@ -196,6 +197,16 @@ def test_point_order_of_generic_point():
     assert point_order(w, P) == 0
     Q = point_mul(w, 5, P)
     assert w.contains(*Q)
+    # point_mul against repeated addition, here and on y^2 + xy + y = x^3
+    # where (0,0) has order 3
+    for ainvs in [(0, 0, 1, -1, 0), (1, 0, 1, 0, 0)]:
+        w = WeierstrassModel.from_ainvs(ainvs)
+        P = (Fraction(0), Fraction(0))
+        R = None
+        for n in range(21):
+            assert point_mul(w, n, P) == R, (ainvs, n)
+            assert point_mul(w, -n, P) == point_neg(w, R), (ainvs, n)
+            R = point_add(w, R, P)
 
 
 def test_point_add_associativity():
