@@ -14,6 +14,7 @@ from ecdescent import (
     etale_side,
     global_data,
     hadano_quotient,
+    pullback_scale,
     three_isogeny_chain,
     velu_2_isogeny,
 )
@@ -23,7 +24,7 @@ E = WeierstrassModel.from_ainvs([0, 5, 0, -1, 0])
 rec = velu_2_isogeny(E, (0, 0))
 print("E  =", rec.source)
 print("E' =", rec.target, " disc' =", rec.target.discriminant)
-print("etale side:", etale_side(rec))
+print("etale side:", etale_side(pullback_scale(rec)))
 
 # degree-3 quotient with the cube criterion
 rec = hadano_quotient(5, 8)  # b = 2^3

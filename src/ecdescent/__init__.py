@@ -36,6 +36,7 @@ from .isogeny import (
     IsogenyRecord,
     etale_side,
     hadano_quotient,
+    pullback_scale,
     three_isogeny_chain,
     transfer_certificate,
     velu_2_isogeny,

@@ -121,14 +121,15 @@ def cmd_isogeny(args):
     rec = velu_2_isogeny(w, (x, y)) if order == 2 else velu_3_isogeny(w, (x, y))
     from .isogeny import etale_side, pullback_scale
 
+    scale = pullback_scale(rec)
     _emit(
         {
             "source": str(rec.source),
             "target": str(rec.target),
             "degree": rec.degree,
             "kernel": [[str(p[0]), str(p[1])] for p in rec.kernel],
-            "pullback_scale": pullback_scale(rec),
-            "etale_side": etale_side(rec),
+            "pullback_scale": scale,
+            "etale_side": etale_side(scale),
         }
     )
     return 0

@@ -20,13 +20,19 @@ The scan is integer arithmetic throughout: X = w l^m is an integer for
 m >= 0, and the disc v(X) = -2 that l = 2 needs is cleared of denominators
 by evaluating 2^6 F(X) and 2^4 F'(X), whose valuations are shifted back by 6
 and 4.  A brute-force torsor enumeration is provided as an oracle.
+
+phi_selmer reads the curve's data once (the 2-torsion form, the integral
+dual, the integral tuple of E and disc) for the images at all places, and
+finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
+the finite places, so the work grows with their number, not 2 to its power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, prod
 
 from .arith import (
     OO,
@@ -42,7 +48,7 @@ from .arith import (
     square_class,
     squarefree_part,
 )
-from .tate import GlobalData, global_data, local_reduction, tate_algorithm
+from .tate import GlobalData, _integral_tuple, global_data, tate_algorithm
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
@@ -68,17 +74,32 @@ def _int_pair(A, B) -> tuple[int, int]:
 def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
     """Image of delta: E'(Q_l)/phi(E(Q_l)) -> Q_l*/Q_l*^2 for the descent
     through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx."""
+    return _local_images(w, [place])[place]
+
+
+def _local_images(w: WeierstrassModel, places: list) -> dict:
+    """Local images at each of `places`, from the curve's data read once:
+    (A, B), the integral dual (A', B'), the integral tuple of E and disc(w)."""
     A, B = two_torsion_form(w)
     if w.is_singular:
         raise SingularModelError("descent needs a nonsingular curve")
     Ap, Bp = dual_params(A, B)
-    if place == OO or place is None:
-        return LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B)))
-    ell = int(place)
-    Ai, Bi = _int_pair(Ap, Bp)
+    images, a = {}, None
+    for place in places:
+        if place == OO or place is None:
+            images[place] = LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B)))
+            continue
+        if a is None:  # the image at infinity alone needs no integral data
+            Ai, Bi = _int_pair(Ap, Bp)
+            a = _integral_tuple(w)[0]
+        images[place] = _finite_image(w, a, Ai, Bi, int(place))
+    return images
+
+
+def _finite_image(w: WeierstrassModel, a: tuple, Ai: int, Bi: int, ell: int) -> LocalSquareClassGroup:
     # size 2 c_l(E')/c_l(E) l^(s'-s); [0, A', 0, B', 0] is integral, so s' is
     # its count of restarts, while w may not be, so s is read off disc(w)
-    lr = local_reduction(w, ell)
+    lr = tate_algorithm(a, ell)
     lrp = tate_algorithm((0, Ai, 0, Bi, 0), ell)
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
@@ -208,19 +229,32 @@ def _infty_oracle(Ap, Bp) -> set:
 
 def _torsor_solvable(b: int, Ap: int, Bi: int, ell: int, k: int) -> bool:
     # each accepted candidate is an exact rational point, so hits are sound;
-    # the precision k controls completeness only
+    # the precision k controls completeness only.  val / b = val b / b^2, so
+    # the square test runs on the integer val b
     mod = ell**k
     for t in range(mod):
         # chart z = 1: b w^2 = b^2 t^4 + A'b t^2 + B'
         val = b * b * t**4 + Ap * b * t * t + Bi
-        if val == 0 or is_local_square(Fraction(val, b), ell):
+        if val == 0 or _is_ell_adic_square(val * b, ell):
             return True
     for z in range(0, mod, ell):
         # chart t = 1: b w^2 = b^2 + A'b z^2 + B' z^4 with z = 0 mod ell
         val = b * b + Ap * b * z * z + Bi * z**4
-        if val == 0 or is_local_square(Fraction(val, b), ell):
+        if val == 0 or _is_ell_adic_square(val * b, ell):
             return True
     return False
+
+
+def _is_ell_adic_square(n: int, ell: int) -> bool:
+    # the oracle's own test for nonzero n: even valuation, then a unit that
+    # is 1 mod 8 at 2 or a residue by Euler's criterion at odd ell
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    if v % 2:
+        return False
+    return n % 8 == 1 if ell == 2 else pow(n, (ell - 1) // 2, ell) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +297,61 @@ def descent_places(w: WeierstrassModel) -> list:
     return sorted({2, *_descent_primes(w)}) + [OO]
 
 
-def candidate_classes(places: list) -> list:
-    """Square classes supported on -1 and the finite places of `descent_places`."""
-    gens = [-1] + [p for p in places if p != OO]
-    if len(gens) > 14:
-        raise ArithmeticError("too many bad primes for a desk-scale descent")
-    classes = [1]
-    for g in gens:
-        # distinct primes and -1, so every product is already squarefree
-        classes += [c * g for c in classes]
-    return sorted(set(classes), key=abs)
+def _coords(n: int, place) -> int:
+    """F_2 coordinates of the squarefree integer n in Q_place*/Q_place*^2, as
+    a bitmask: at infinity the sign; at a prime, bit 0 is the parity of v(n)
+    and the higher bits the unit u: its Legendre symbol at odd p, and at 2
+    its residue mod 8 on the basis -1, 5."""
+    if place == OO:
+        return int(n < 0)
+    p = int(place)
+    odd_v = n % p == 0
+    u = n // p if odd_v else n
+    if p == 2:
+        return odd_v | (u % 4 == 3) << 1 | (u % 8 in (3, 5)) << 2
+    return odd_v | (kronecker_symbol(u, p) == -1) << 1
+
+
+def _f2_kernel(rows: list, k: int) -> list:
+    """Basis of {e in F_2^k : r.e = 0 for every row r}, all as bitmasks."""
+    pivots = {}  # pivot bit -> row, reduced so no other row has that bit
+    for r in rows:
+        for bit, pr in pivots.items():
+            if r >> bit & 1:
+                r ^= pr
+        if r:
+            bit = (r & -r).bit_length() - 1
+            for b, pr in pivots.items():
+                if pr >> bit & 1:
+                    pivots[b] = pr ^ r
+            pivots[bit] = r
+    return [
+        1 << j | sum(1 << bit for bit, pr in pivots.items() if pr >> j & 1) for j in range(k) if j not in pivots
+    ]
 
 
 def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
-    """Classes whose restriction lies in the local image at every place."""
+    """Sel^phi(E/Q): the classes supported on -1 and the finite descent places
+    whose restriction lies in the local image at every place.
+
+    It is the kernel of F_2^k -> sum_v (Q_v*/Q_v*^2)/im delta_v on the k
+    generators (Cremona 1997, 3.6): each functional vanishing on a local
+    image gives one row, and Gaussian elimination gives the kernel."""
     places = descent_places(w)
-    images = {pl: local_image(w, pl) for pl in places}
-    sel = []
-    for b in candidate_classes(places):
-        if all(b in images[pl] for pl in images):
-            sel.append(SquareClass(b))
-    elements = frozenset(sel)
+    gens = [-1] + [p for p in places if p != OO]
+    rows = []
+    for place, img in _local_images(w, places).items():
+        image = [_coords(x, place) for x in img.elements]  # canonical reps are squarefree
+        cols = [_coords(g, place) for g in gens]
+        dim = 1 if place == OO else 3 if place == 2 else 2
+        for f in range(1, 1 << dim):
+            if not any((f & x).bit_count() & 1 for x in image):
+                rows.append(sum(1 << j for j, c in enumerate(cols) if (f & c).bit_count() & 1))
+    span = [0]
+    for e in _f2_kernel(rows, len(gens)):
+        span += [e ^ x for x in span]
+    # -1 and distinct primes, so every product is already squarefree
+    elements = frozenset(SquareClass(prod(g for j, g in enumerate(gens) if e >> j & 1)) for e in span)
     basis = _f2_basis(elements)
     if len(elements) != 2 ** len(basis):
         raise ArithmeticError(f"{w}: the {len(elements)} Selmer classes are not a group")
@@ -336,11 +404,7 @@ def field_discriminant(d: int) -> int:
 
 def splits_in(d: int, p: int) -> bool:
     """Does the prime p split in Q(sqrt(d))?"""
-    return _splits(field_discriminant(d), p)
-
-
-def _splits(disc: int, p: int) -> bool:
-    """Does p split in the quadratic field of discriminant disc?"""
+    disc = field_discriminant(d)
     if p == 2:
         return disc % 8 == 1
     return kronecker_symbol(disc % p, p) == 1
@@ -365,18 +429,26 @@ def check_heegner_field(gd: GlobalData, d: int):
         raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
 
 
+@lru_cache(maxsize=8)
+def _squarefree_upto(bound: int) -> tuple:
+    """The squarefree n with 1 <= n <= bound, ascending."""
+    square_multiples = {m for q in range(2, isqrt(max(bound, 0)) + 1) for m in range(q * q, bound + 1, q * q)}
+    return tuple(n for n in range(1, bound + 1) if n not in square_multiples)
+
+
 def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -> list[int]:
     """Negative squarefree d with |d| <= bound, all p | N split in Q(sqrt d)."""
     if gd is None:
         gd = global_data(w)
-    ps = gd.bad_primes
-    square_multiples = {m for q in range(2, isqrt(max(bound, 0)) + 1) for m in range(q * q, bound + 1, q * q)}
-    out = []
-    for d in range(-1, -bound - 1, -1):
-        disc = d if d % 4 == 1 else 4 * d  # field_discriminant(d), squarefreeness sieved
-        if -d not in square_multiples and all(_splits(disc, p) for p in ps):
-            out.append(d)
-    return out
+    ds = [-n for n in _squarefree_upto(bound)]
+    for p in gd.bad_primes:
+        if p == 2:
+            # 2 splits iff the field discriminant is d itself and d = 1 mod 8
+            ds = [d for d in ds if d % 8 == 1]
+        else:
+            # (4d|p) = (d|p), whatever d mod 4 is
+            ds = [d for d in ds if kronecker_symbol(d % p, p) == 1]
+    return ds
 
 
 def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData = None) -> int:

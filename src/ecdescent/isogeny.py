@@ -176,9 +176,10 @@ def pullback_scale(rec: IsogenyRecord) -> int:
     return int(n)
 
 
-def etale_side(rec: IsogenyRecord) -> str:
-    """Which of the isogeny and its dual is etale: "forward" or "dual"."""
-    return "forward" if pullback_scale(rec) == 1 else "dual"
+def etale_side(scale: int) -> str:
+    """Which of an isogeny and its dual is etale, "forward" or "dual", from
+    the isogeny's `pullback_scale`."""
+    return "forward" if scale == 1 else "dual"
 
 
 # ---------------------------------------------------------------------------

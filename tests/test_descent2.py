@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,7 +12,6 @@ from ecdescent.descent2 import (
     DescentCertificate,
     FullTwoTorsionError,
     InadmissibleField,
-    candidate_classes,
     check_heegner_field,
     descent_places,
     dual_params,
@@ -204,61 +204,70 @@ def test_heegner_scan_takes_global_data():
 
 
 def _miscount(real, curve, ell, tamagawa):
-    # Tate's algorithm with one wrong Tamagawa number
-    def local_reduction(w, p):
-        lr = real(w, p)
-        return dataclasses.replace(lr, tamagawa=tamagawa) if (w, p) == (curve, ell) else lr
+    # Tate's algorithm with one wrong Tamagawa number: c_ell of the integral
+    # tuple of E, not of its dual [0, A', 0, B', 0]
+    ainvs = tuple(int(a) for a in curve.ainvs)
 
-    return local_reduction
+    def tate_algorithm(a, p):
+        lr = real(a, p)
+        return dataclasses.replace(lr, tamagawa=tamagawa) if (tuple(a), p) == (ainvs, ell) else lr
+
+    return tate_algorithm
 
 
 def test_wrong_tamagawa_number_raises(monkeypatch):
-    real = descent2.local_reduction
+    real = descent2.tate_algorithm
     w = W(0, 1, 0, 3, 0)  # image {1} at 3: c_3(E) = 2, c_3(E') = 1
     assert local_image(w, 3).elements == {1}
     # ratio 2 * 1 / 3 is no image size
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 3, 3))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 3, 3))
     with pytest.raises(ArithmeticError):
         local_image(w, 3)
     # ratio 2 * 1 / 1 = 2, but the scan finds a single class
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 3, 1))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 3, 1))
     with pytest.raises(ArithmeticError):
         local_image(w, 3)
     # ratio 2 * 2 / 4 = 1 at 11, but the class of B' = -11 is nontrivial there
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 11, 4))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 11, 4))
     with pytest.raises(ArithmeticError):
         local_image(w, 11)
+    # phi_selmer reads the same images
+    with pytest.raises(ArithmeticError):
+        phi_selmer(w)
 
 
 def test_wrong_tamagawa_number_raises_at_2(monkeypatch):
-    real = descent2.local_reduction
+    real = descent2.tate_algorithm
     w = W(0, 1, 0, 3, 0)  # image {1, 5} at 2: c_2(E) = c_2(E') = 1
     assert local_image(w, 2).elements == {1, 5}
     # ratio 2 * 1 / 3 is no image size
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 3))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 3))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
     # ratio 2 * 1 / 2 = 1, but the class of B' = -11 is 5 at 2
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 2))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 2))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
     # image {1} at 2 with c_2(E) = 4, c_2(E') = 2; ratio 2 * 2 / 2 = 2, but the
     # scan finds a single class
     w = W(0, 5, 0, 4, 0)
     assert local_image(w, 2).elements == {1}
-    monkeypatch.setattr(descent2, "local_reduction", _miscount(real, w, 2, 2))
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 2))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
 
 
 def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
+    # c_ell(E) forced to 1 on the integral tuple of E, as _miscount does
     script = (
         "import dataclasses\n"
         "from ecdescent import descent2\n"
         "from ecdescent.weierstrass import WeierstrassModel\n"
-        "real = descent2.local_reduction\n"
-        "descent2.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
+        "real = descent2.tate_algorithm\n"
         "for ainvs, ell in [([0, 1, 0, 3, 0], 3), ([0, 5, 0, 4, 0], 2)]:\n"
+        "    descent2.tate_algorithm = lambda a, p: (\n"
+        "        dataclasses.replace(real(a, p), tamagawa=1) if list(a) == ainvs else real(a, p)\n"
+        "    )\n"
         "    try:\n"
         "        descent2.local_image(WeierstrassModel.from_ainvs(ainvs), ell)\n"
         "    except ArithmeticError:\n"
@@ -285,11 +294,60 @@ def test_phi_selmer_beta_family_example():
         assert cls.rep > 0  # image at infinity is trivial, no negative classes
 
 
+def candidate_classes(places: list) -> list:
+    """Square classes supported on -1 and the finite places of `descent_places`."""
+    gens = [-1] + [p for p in places if p != OO]
+    classes = [1]
+    for g in gens:
+        # distinct primes and -1, so every product is already squarefree
+        classes += [c * g for c in classes]
+    return sorted(set(classes), key=abs)
+
+
+def phi_selmer_by_enumeration(w):
+    """Oracle: Sel^phi by testing all 2^k candidate classes at every place."""
+    places = descent_places(w)
+    images = {pl: local_image(w, pl) for pl in places}
+    elements = frozenset(
+        SquareClass(b) for b in candidate_classes(places) if all(b in images[pl] for pl in places)
+    )
+    return elements, descent2._f2_basis(elements)
+
+
 def test_candidate_classes_support():
     w = W(0, 5, 0, -1, 0)
     cands = candidate_classes(descent_places(w))
     assert 1 in cands and -1 in cands and 2 in cands
     assert all(abs(c) <= 2 * 29 * 2 for c in cands)
+
+
+def test_phi_selmer_matches_enumeration_oracle():
+    # the F_2 kernel against the 2^k enumeration on every curve of the box
+    dims = set()
+    for A in range(-40, 41):
+        for B in range(-40, 41):
+            if B == 0 or A * A == 4 * B:
+                continue
+            w = W(0, A, 0, B, 0)
+            sel = phi_selmer(w)
+            assert (sel.elements, sel.basis) == phi_selmer_by_enumeration(w), (A, B)
+            dims.add(sel.dim)
+    assert len(dims) >= 4, dims
+
+
+def test_phi_selmer_beyond_fourteen_generators():
+    # B = 2*3*5*...*43 puts 16 finite places and -1 among the generators
+    B = prod(p for p in range(2, 44) if prime_divisors(p) == [p])
+    w = W(0, 1, 0, B, 0)
+    places = descent_places(w)
+    assert len(places) == 17
+    sel = phi_selmer(w)
+    assert len(sel.elements) == 2**sel.dim
+    assert all(x * y in sel for x in sel.elements for y in sel.elements)
+    assert selmer_kernel_class(w) in sel
+    for pl in places:
+        img = local_image(w, pl)
+        assert all(cls.rep in img for cls in sel.elements), pl
 
 
 def test_field_discriminant_and_splitting():
@@ -317,15 +375,18 @@ def test_heegner_scan():
 
 
 def test_heegner_scan_matches_splits_in_oracle():
-    for w in [W(-1, 1, -1, 0, 0), W(0, 5, 0, -1, 0), W(0, 3, 0, -1, 0), beta_even_curve(17, 1)]:
+    parities = set()
+    for w in [W(-1, 1, -1, 0, 0), W(0, 5, 0, -1, 0), W(0, 3, 0, -1, 0), beta_even_curve(17, 1), W(0, 1, 0, 3, 0)]:
         gd = global_data(w)
         ps = prime_divisors(gd.conductor)
+        parities.add(gd.conductor % 2)
         expect = [
             d
-            for d in range(-1, -151, -1)
+            for d in range(-1, -301, -1)
             if squarefree_part(d) == d and all(splits_in_oracle(d, p) for p in ps)
         ]
-        assert heegner_field_scan(w, 150) == expect, w
+        for bound in (0, 1, 7, 150, 300):
+            assert heegner_field_scan(w, bound) == [d for d in expect if -d <= bound], (w, bound)
         # check_heegner_field reads gd.bad_primes; is_heegner_field factors N
         for d in range(-1, -151, -1):
             if squarefree_part(d) != d:
@@ -336,6 +397,7 @@ def test_heegner_scan_matches_splits_in_oracle():
             else:
                 with pytest.raises(InadmissibleField, match=f"fails the Heegner condition for N = {gd.conductor}"):
                     check_heegner_field(gd, d)
+    assert parities == {0, 1}  # curves with and without 2 | N
 
 
 def test_local_norm_index_infinity():

@@ -286,6 +286,25 @@ def test_cli_isogeny_refuses_a_malformed_kernel(capsys):
     assert "rational coordinates" in _refusal(capsys, ["isogeny", "--curve", "0,5,0,-1,0", "--kernel", "0,x"])
 
 
+def test_cli_isogeny_computes_each_side_once(capsys, monkeypatch):
+    # one global_data per side: the etale side is read off the one pullback scale
+    from ecdescent import isogeny
+
+    calls = []
+
+    def counted(w, *args):
+        calls.append(str(w))
+        return global_data(w, *args)
+
+    monkeypatch.setattr(isogeny, "global_data", counted)
+    for curve, scale, side in [("0,5,0,-1,0", 1, "forward"), ("0,0,0,4,0", 2, "dual")]:
+        calls.clear()
+        assert cli_main(["isogeny", "--curve", curve, "--kernel", "0,0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["pullback_scale"], out["etale_side"]) == (scale, side)
+        assert sorted(calls) == sorted([out["source"], out["target"]])
+
+
 def test_cli_sweep_refuses_a_malformed_params_range(capsys):
     assert "lo:hi" in _refusal(capsys, ["sweep", "--family", "z4", "--params-range=a"])
 
