@@ -366,8 +366,9 @@ def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
     wi, chg = integral_model(w)
     bound = torsion_order_bound(wi)
 
-    # 2-primary part; cyclic 2-power order is at most 8 over Q
-    t2 = two_torsion_points(wi)
+    # 2-primary part; cyclic 2-power order is at most 8 over Q.  E(Q)[2]
+    # embeds in E(F_p) at every good odd p, so an odd bound rules it out
+    t2 = two_torsion_points(wi) if bound % 2 == 0 else []
     full2 = len(t2) == 3
     best2: Point = None
     best2_order = 1
@@ -381,23 +382,20 @@ def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
         if k > best2_order:
             best2, best2_order = P, k
 
-    # odd parts
+    # odd part; by Mazur it has prime-power order, so the first prime found ends the search
     odd_point: Point = None
     odd_order = 1
     for ell in (3, 5, 7):
         if bound % ell:
             continue
         pts = points_of_order_n(wi, ell)
-        if not pts:
-            continue
-        P = pts[0]
-        if ell == 3 and bound % 9 == 0:
-            nine = _nine_torsion_over(wi, P)
-            if nine is not None:
-                P = nine
-                odd_point, odd_order = _merge(wi, odd_point, odd_order, P, 9)
-                continue
-        odd_point, odd_order = _merge(wi, odd_point, odd_order, P, ell)
+        if pts:
+            odd_point, odd_order = pts[0], ell
+            if ell == 3 and bound % 9 == 0:
+                nine = _nine_torsion_over(wi, odd_point)
+                if nine is not None:
+                    odd_point, odd_order = nine, 9
+            break
 
     gen = point_add(wi, best2, odd_point) if best2 or odd_point else None
     n2 = best2_order * odd_order
@@ -417,14 +415,6 @@ def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
     for P, k in back:
         check_invariant(point_order(w, P, k) == k, f"{w}: the generator {P} does not have order {k}")
     return TorsionGroup((n1, n2), back, w)
-
-
-def _merge(w, P, n, Q, m):
-    if P is None:
-        return Q, m
-    R = point_add(w, P, Q)
-    check_invariant(point_order(w, R, n * m) == n * m, f"{w}: the sum {R} does not have order {n * m}")
-    return R, n * m
 
 
 def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:

@@ -4,7 +4,14 @@ Polynomials are lists of coefficients, lowest degree first.  Rational
 root extraction works on integer polynomials of modest degree (division
 polynomials up to order 12) whose coefficients may be hundreds of digits;
 it lifts roots modulo an auxiliary prime and reconstructs u/w exactly,
-so no divisor enumeration of the constant term is ever needed.
+so no divisor enumeration of the constant term is ever needed.  The
+auxiliary prime q is the first of a fixed list, starting with small
+primes, that leaves the polynomial squarefree with a unit leading
+coefficient mod q; that already proves it squarefree over Q, and its
+roots mod a small q are found by evaluation at every residue.  The gcd
+with the derivative over Q runs only when no listed prime passes, which
+needs a repeated factor or a discriminant that every listed prime
+divides.
 """
 
 from __future__ import annotations
@@ -265,6 +272,22 @@ def _rational_reconstruct(r: int, m: int, ubound: int, wbound: int):
     return Fraction(u, w)
 
 
+#: Auxiliary primes of `rational_roots`, in the order tried: small primes,
+#: whose roots are found by evaluation, then large ones for polynomials
+#: whose discriminant every small prime divides.
+AUX_PRIMES = (31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+LARGE_AUX_PRIMES = (30011, 30013, 30029, 30047, 30059, 30071, 30089, 30091, 30097, 30103)
+
+
+def _auxiliary_prime(g: list[int]) -> int | None:
+    """The first listed prime q with q not dividing lead(g) and gcd(g, g') = 1 mod q."""
+    dg = poly_deriv(g)
+    for q in AUX_PRIMES + LARGE_AUX_PRIMES:
+        if g[-1] % q and len(fp_gcd(g, dg, q)) == 1:
+            return q
+    return None
+
+
 def rational_roots(f: Sequence) -> list[Fraction]:
     """All rational roots of a nonzero polynomial with rational coefficients."""
     f = poly_primitive(list(f))
@@ -280,32 +303,32 @@ def rational_roots(f: Sequence) -> list[Fraction]:
         return roots
     if len(f) == 2:
         return sorted(roots + [Fraction(-f[0], f[1])])
-    g = squarefree_part_poly(f)
-    if len(g) == 2:
-        return sorted(roots + [Fraction(-g[0], g[1])])
-    lead, const = g[-1], g[0]
-    if const == 0:  # pragma: no cover - zero root removed above
-        raise AssertionError
-    ubound, wbound = abs(const), abs(lead)
-    # pick a prime where g stays squarefree with unit leading coefficient
-    for q in [30011, 30013, 30029, 30047, 30059, 30071, 30089, 30091, 30097, 30103]:
-        if lead % q != 0 and len(fp_gcd(g, poly_deriv(g), q)) == 1:
-            break
-    else:  # pragma: no cover - ten bad primes in a row
-        raise ArithmeticError("no good auxiliary prime found")
+    g, q = f, _auxiliary_prime(f)
+    if q is None:
+        # no listed prime shows f squarefree: strip its repeated factors over Q
+        g = squarefree_part_poly(f)
+        q = _auxiliary_prime(g)
+        if q is None:  # pragma: no cover - 25 bad primes for a squarefree g
+            raise ArithmeticError("no good auxiliary prime found")
+    if q in AUX_PRIMES:
+        gq = [c % q for c in g]
+        residues = [x for x in range(q) if poly_eval(gq, x) % q == 0]
+    else:
+        residues = fp_roots(g, q)
+    ubound, wbound = abs(g[0]), abs(g[-1])
     target = 2 * ubound * wbound + 1
     prec = 1
     while q**prec < target:
         prec *= 2
-    for r0 in fp_roots(g, q):
+    dg = poly_deriv(g)
+    for r0 in residues:
         # Newton lift the simple root r0 to Z/q^prec
         r, k, qk = r0, 1, q
         while k < prec:
             k = min(2 * k, prec)
             qk = q**k
             fr = poly_eval(g, r) % qk
-            dfr = poly_eval(poly_deriv(g), r)
-            r = (r - fr * pow(dfr, -1, qk)) % qk
+            r = (r - fr * pow(poly_eval(dg, r), -1, qk)) % qk
         cand = _rational_reconstruct(r, qk, ubound, wbound)
         if cand is not None and poly_eval(g, cand) == 0:
             roots.append(cand)

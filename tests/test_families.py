@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ecdescent import polyutil
 from ecdescent.arith import square_class
 from ecdescent.families import (
     ADVERTISED,
@@ -172,19 +173,85 @@ def test_generators_have_exact_orders():
     assert len(tg.all_points()) == tg.order
 
 
+def _kubert(b, c):
+    # Tate normal form y^2 + (1-c)xy - by = x^3 - bx^2
+    return W(1 - c, -b, -b, 0, 0)
+
+
+def _draw(make, count):
+    out = []
+    while len(out) < count:
+        try:
+            out.append(build_curve(make()))
+        except (ValueError, SingularParameterError):
+            pass
+    return out
+
+
+def _odd_bound_curves(rng, count):
+    out = []
+    while len(out) < count:
+        w = W(*(rng.randint(-9, 9) for _ in range(5)))
+        if not w.is_singular and torsion_order_bound(w) % 2:
+            out.append(w)
+    return out
+
+
 def test_lutz_nagell_oracle_agreement():
-    models = [
-        W(0, -1, 1, -10, -20),
-        W(1, 1, 1, -10, -10),
-        W(0, 0, 1, 0, 0),
-        W(-1, 1, 1, 0, 0),
-        W(0, 1, 0, -1, 0),
-        W(0, 0, 0, -1, 0),
-        W(1, 0, 0, -1, 0),
-    ]
-    for w in models:
-        if abs(int(w.discriminant)) < 10**6:
-            assert torsion_points_lutz_nagell(w).structure == torsion_subgroup(w).structure
+    # a seeded sample of every torsion shape the audit routes, plus curves
+    # whose order bound is odd (no 2-torsion search runs on those)
+    rng = random.Random(20260118)
+    samples = {
+        "z2z4": _draw(lambda: z2z4_point(rng.randint(1, 6), rng.randint(1, 6)), 3),
+        "z4": _draw(lambda: z4_point(rng.choice([-1, 1]) * rng.randint(1, 20)), 3),
+        "z2z2": _draw(lambda: z2z2_point(rng.randint(-12, 12), rng.randint(-12, 12)), 3),
+        "z2": _draw(lambda: z2_point(rng.randint(-12, 12), rng.randint(-12, 12)), 3),
+        "z2z6": _draw(lambda: z2z6_point(rng.randint(1, 4), rng.randint(-6, 6)), 3),
+        "z3": _draw(lambda: z3_point(rng.randint(-30, 30), 1), 3),
+        "z3b": _draw(lambda: z3_point(rng.randint(-10, 10), rng.randint(2, 10)), 3),
+        "kubert5": [_kubert(t, t) for t in rng.sample([2, 3, 4, 5, 6, -2, -3, -4, -5], 3)],
+        "kubert6": [_kubert(t + t * t, t) for t in rng.sample([2, 3, 4, 5, -2, -3, -4, -5], 3)],
+        "z7": [W(1, -1, 1, -3, 3)],  # 26b1
+        "z9": [W(1, -1, 1, -14, 29)],  # 54b3
+        "odd bound": _odd_bound_curves(rng, 6),
+        "known": [
+            W(0, -1, 1, -10, -20),
+            W(1, 1, 1, -10, -10),
+            W(0, 0, 1, 0, 0),
+            W(-1, 1, 1, 0, 0),
+            W(0, 1, 0, -1, 0),
+            W(0, 0, 0, -1, 0),
+            W(1, 0, 0, -1, 0),
+        ],
+    }
+    structures = set()
+    for shape, models in samples.items():
+        for w in models:
+            tg = torsion_subgroup(w)
+            assert torsion_points_lutz_nagell(w).structure == tg.structure, (shape, w)
+            structures.add(tg.structure)
+    for expected in [(2, 4), (1, 4), (2, 2), (1, 2), (2, 6), (1, 3), (1, 5), (1, 6), (1, 7), (1, 9), (1, 1)]:
+        assert expected in structures
+
+
+def test_torsion_needs_no_gcd_over_q(monkeypatch):
+    # the division polynomials of these curves are squarefree mod a small
+    # auxiliary prime, so rational_roots never falls back to the Q-gcd
+    calls = []
+    real = polyutil.poly_gcd_q
+    monkeypatch.setattr(polyutil, "poly_gcd_q", lambda f, g: calls.append(1) or real(f, g))
+    cases = {
+        (0, -1, 1, -10, -20): (1, 5),  # 11a1
+        (1, 1, 1, -10, -10): (2, 4),  # 15a1
+        (1, -1, 1, -3, 3): (1, 7),  # 26b1
+        (1, -1, 1, -14, 29): (1, 9),  # 54b3
+    }
+    for ainvs, structure in cases.items():
+        assert torsion_subgroup(W(*ainvs)).structure == structure
+    assert calls == []
+    # a repeated factor does reach it: (x - 7)^3 (x + 2)
+    assert polyutil.rational_roots([-686, -49, 105, -19, 1]) == [-2, 7]
+    assert calls
 
 
 def test_random_family_sweep_contains_advertised():
@@ -222,9 +289,9 @@ def test_halving_quadratics_on_full_two_torsion():
 
 
 def test_checks_hold_under_optimize(run_optimized):
-    # a wrong merge, a doctored order test on the integral model, a doctored
-    # change back to the input model and a doctored square root trip the
-    # four checks in turn
+    # a doctored order test on the integral model, a doctored change back
+    # to the input model and a doctored square root trip the three checks
+    # in turn
     script = (
         "from ecdescent import families\n"
         "from ecdescent.weierstrass import CoordinateChange, InvariantViolation, WeierstrassModel, change_variables\n"
@@ -234,8 +301,6 @@ def test_checks_hold_under_optimize(run_optimized):
         "    except InvariantViolation:\n"
         "        print('raised')\n"
         "w = families.build_curve(families.z3_point(1, 1))\n"
-        "P = families.points_of_order_n(w, 3)[0]\n"
-        "attempt(lambda: families._merge(w, P, 3, P, 3))\n"
         "real = families.point_order\n"
         "families.point_order = lambda v, P, bound=17: 0 if bound == 3 and v.is_integral else real(v, P, bound)\n"
         "attempt(lambda: families.torsion_subgroup(change_variables(w, CoordinateChange.of(2))))\n"
@@ -245,7 +310,7 @@ def test_checks_hold_under_optimize(run_optimized):
         "families.poly_sqrt_monic_quartic = lambda f: None\n"
         "attempt(lambda: families.halving_quadratic(WeierstrassModel.from_ainvs([0, 0, 0, -1, 0]), (0, 0)))\n"
     )
-    assert run_optimized(script) == ["raised"] * 4
+    assert run_optimized(script) == ["raised"] * 3
 
 
 def test_torsion_growth_classes():

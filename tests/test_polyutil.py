@@ -1,9 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ecdescent import polyutil
 from ecdescent.polyutil import (
+    AUX_PRIMES,
     fp_roots,
     integer_roots,
     poly_eval,
@@ -23,10 +27,20 @@ def poly_from_roots(roots, lead=1):
     return f
 
 
-def test_rational_roots_simple():
-    # (x-2)(x+3)(2x-1)
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(polyutil, name)
+    monkeypatch.setattr(polyutil, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_rational_roots_simple(monkeypatch):
+    # (x-2)(x+3)(2x-1) is squarefree mod 31: no gcd over Q, no x^q mod f
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
+    fp_calls = _count_calls(monkeypatch, "fp_roots")
     f = poly_mul(poly_from_roots([2, -3]), [-1, 2])
     assert rational_roots(f) == [Fraction(-3), Fraction(1, 2), Fraction(2)]
+    assert gcd_calls == [] and fp_calls == []
 
 
 def test_rational_roots_huge_coefficients():
@@ -36,9 +50,12 @@ def test_rational_roots_huge_coefficients():
     assert Fraction(big) in roots and Fraction(-1) in roots and len(roots) == 2
 
 
-def test_rational_roots_multiplicity():
+def test_rational_roots_multiplicity(monkeypatch):
+    # (x-7)^3(x+2) is squarefree mod no prime: it must reach the gcd over Q
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
     f = poly_mul(poly_from_roots([7, 7, 7]), poly_from_roots([-2]))
     assert rational_roots(f) == [Fraction(-2), Fraction(7)]
+    assert gcd_calls
 
 
 def test_integer_roots_zero_root():
@@ -50,6 +67,78 @@ def test_rational_roots_catch_planted(planted):
     f = poly_from_roots([Fraction(r) for r in planted], lead=2)
     got = rational_roots(f)
     assert set(got) == {Fraction(r) for r in planted}
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def rational_roots_oracle(f):
+    """Rational root theorem: every root u/w in lowest terms of an integer
+    polynomial with f(0) != 0 has u | f(0) and w | lead(f)."""
+    f = list(f)
+    while f[-1] == 0:
+        f.pop()
+    roots = set()
+    if f[0] == 0:
+        roots.add(Fraction(0))
+        while f[0] == 0:
+            f = f[1:]
+    n = len(f) - 1
+    for u in _divisors(f[0]):
+        for w in _divisors(f[-1]):
+            if math.gcd(u, w) == 1:
+                for v in (u, -u):
+                    # w^n f(v/w), on integers
+                    if sum(c * v**i * w ** (n - i) for i, c in enumerate(f)) == 0:
+                        roots.add(Fraction(v, w))
+    return sorted(roots)
+
+
+def _random_poly(rng, degree):
+    f = [rng.randint(-200, 200) for _ in range(degree)] + [rng.choice([-1, 1]) * rng.randint(1, 200)]
+    return f if any(f) else [1]
+
+
+def _oracle_cases():
+    rng = random.Random(20260118)
+    cases = [_random_poly(rng, rng.randint(1, 6)) for _ in range(150)]
+    for _ in range(60):
+        # planted roots u/w, integral or not, times a random cofactor
+        f = _random_poly(rng, rng.randint(0, 3))
+        for _ in range(rng.randint(1, 3)):
+            f = poly_mul(f, [rng.randint(-12, 12), rng.randint(1, 9)])
+        cases.append(f)
+    for _ in range(40):
+        # repeated factors
+        h = _random_poly(rng, rng.randint(1, 2))
+        cases.append(poly_mul(poly_mul(h, h), _random_poly(rng, rng.randint(0, 2))))
+    for _ in range(40):
+        # leading coefficient divisible by small auxiliary primes
+        lead = math.prod(rng.sample(AUX_PRIMES, rng.randint(1, 3)))
+        f = poly_mul([rng.randint(-12, 12), lead], _random_poly(rng, rng.randint(1, 3)))
+        cases.append(f)
+    cases.append(poly_mul(poly_from_roots([7, 7, 7]), poly_from_roots([-2])))
+    return cases
+
+
+def test_rational_roots_match_rational_root_theorem_oracle():
+    for f in _oracle_cases():
+        expected = rational_roots_oracle(f)
+        assert rational_roots(f) == expected, f
+        assert rational_roots([Fraction(c, 6) for c in f]) == expected, f
+
+
+def test_rational_roots_falls_back_to_large_prime(monkeypatch):
+    # the discriminant P^2 of (x - 1)(x - 1 - P) rules out every small prime
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
+    fp_calls = _count_calls(monkeypatch, "fp_roots")
+    P = math.prod(AUX_PRIMES)
+    f = poly_from_roots([1, 1 + P])
+    assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
+    assert gcd_calls == [] and fp_calls
 
 
 def test_fp_roots_small_and_large():
