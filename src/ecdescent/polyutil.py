@@ -8,7 +8,7 @@ so no divisor enumeration of the constant term is ever needed.  The
 auxiliary prime q is the first of a fixed list, starting with small
 primes, that leaves the polynomial squarefree with a unit leading
 coefficient mod q; that already proves it squarefree over Q, and its
-roots mod a small q are found by evaluation at every residue.  The gcd
+roots mod a small q need no x^q powering modulo a large prime.  The gcd
 with the derivative over Q runs only when no listed prime passes, which
 needs a repeated factor or a discriminant that every listed prime
 divides.
@@ -273,8 +273,8 @@ def _rational_reconstruct(r: int, m: int, ubound: int, wbound: int):
 
 
 #: Auxiliary primes of `rational_roots`, in the order tried: small primes,
-#: whose roots are found by evaluation, then large ones for polynomials
-#: whose discriminant every small prime divides.
+#: where `fp_roots` is cheap, then large ones for polynomials whose
+#: discriminant every small prime divides.
 AUX_PRIMES = (31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 LARGE_AUX_PRIMES = (30011, 30013, 30029, 30047, 30059, 30071, 30089, 30091, 30097, 30103)
 
@@ -310,11 +310,7 @@ def rational_roots(f: Sequence) -> list[Fraction]:
         q = _auxiliary_prime(g)
         if q is None:  # pragma: no cover - 25 bad primes for a squarefree g
             raise ArithmeticError("no good auxiliary prime found")
-    if q in AUX_PRIMES:
-        gq = [c % q for c in g]
-        residues = [x for x in range(q) if poly_eval(gq, x) % q == 0]
-    else:
-        residues = fp_roots(g, q)
+    residues = fp_roots(g, q)
     ubound, wbound = abs(g[0]), abs(g[-1])
     target = 2 * ubound * wbound + 1
     prec = 1

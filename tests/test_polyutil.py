@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ecdescent import polyutil
 from ecdescent.polyutil import (
     AUX_PRIMES,
+    LARGE_AUX_PRIMES,
     fp_roots,
     integer_roots,
     poly_eval,
@@ -30,17 +31,16 @@ def poly_from_roots(roots, lead=1):
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(polyutil, name)
-    monkeypatch.setattr(polyutil, name, lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(polyutil, name, lambda *a: calls.append(a) or real(*a))
     return calls
 
 
 def test_rational_roots_simple(monkeypatch):
-    # (x-2)(x+3)(2x-1) is squarefree mod 31: no gcd over Q, no x^q mod f
+    # (x-2)(x+3)(2x-1) is squarefree mod 31: no gcd over Q
     gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
-    fp_calls = _count_calls(monkeypatch, "fp_roots")
     f = poly_mul(poly_from_roots([2, -3]), [-1, 2])
     assert rational_roots(f) == [Fraction(-3), Fraction(1, 2), Fraction(2)]
-    assert gcd_calls == [] and fp_calls == []
+    assert gcd_calls == []
 
 
 def test_rational_roots_huge_coefficients():
@@ -138,7 +138,7 @@ def test_rational_roots_falls_back_to_large_prime(monkeypatch):
     P = math.prod(AUX_PRIMES)
     f = poly_from_roots([1, 1 + P])
     assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
-    assert gcd_calls == [] and fp_calls
+    assert gcd_calls == [] and [p for _, p in fp_calls] == [LARGE_AUX_PRIMES[0]]
 
 
 def test_fp_roots_small_and_large():
