@@ -38,7 +38,6 @@ from .isogeny import (
     hadano_quotient,
     pullback_scale,
     three_isogeny_chain,
-    transfer_certificate,
     velu_2_isogeny,
     velu_3_isogeny,
 )

@@ -306,14 +306,6 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     return -1 if e % 2 else 1
 
 
-def hilbert_places(a: Rational, b: Rational) -> list:
-    """Places where the Hilbert symbol of (a, b) could be nontrivial."""
-    a = _as_integer_squareclass(a)
-    b = _as_integer_squareclass(b)
-    ps = {2} | set(prime_divisors(a)) | set(prime_divisors(b))
-    return sorted(ps) + [OO]
-
-
 @dataclass(frozen=True, order=True)
 class SquareClass:
     """An element of Q*/Q*^2, canonically a signed squarefree integer."""

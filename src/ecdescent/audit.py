@@ -3,9 +3,10 @@
 Routes a curve by its rational torsion structure to the argument that
 certifies #E(Q)_tors | u_K * C * M * sqrt(#Sha(E/K)): a pure Tamagawa
 count where that suffices, the Sha[2] lower bound, the 3-isogeny Selmer
-bound, a fixture-backed Manin constant, or a certificate transfer across
-an isogeny.  Every certificate carries its full evidence chain with
-fixture-sourced facts and unverifiable hypotheses flagged as assumptions.
+bound, a fixture-backed Manin constant, or a transfer of the 2-part
+across the 2-isogeny.  Every certificate carries its full evidence chain
+with fixture-sourced facts and unverifiable hypotheses flagged as
+assumptions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .descent2 import check_heegner_field, heegner_field_scan, kramer_sha2_bound
 from .descent3 import HypothesisFailure, NoWitnessPrimes, sha3_criterion
 from .families import TorsionGroup, torsion_growth, torsion_subgroup, z3_normalize
 from .fixtures import fixture_for_minimal_model
-from .isogeny import DivisibilityClaim, TransferRefused, transfer_certificate, velu_2_isogeny
+from .isogeny import velu_2_isogeny
 from .tate import GlobalData, global_data
 from .weierstrass import (
     CoordinateChange,
@@ -58,6 +59,10 @@ class AuditCertificate:
 
 class OutOfScopeTorsion(ValueError):
     """Torsion handled by the published component-group divisibility results."""
+
+
+class TransferRefused(ValueError):
+    """An isogeny-invariance hypothesis failed; the message names it."""
 
 
 def shape_with_two_torsion(tg: TorsionGroup) -> WeierstrassModel:
@@ -210,7 +215,14 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
 
 
 def _transfer_route(cert: AuditCertificate, shape: WeierstrassModel, d: int) -> AuditCertificate:
-    """Carry the claim across the quotient by the 2-torsion point (0,0) of `shape`."""
+    """Carry the 2-part of the claim across the quotient by the 2-torsion
+    point (0,0) of `shape`.
+
+    Needs (i) the quotient's torsion 2-part not to grow from Q to K and
+    (ii) the quotient's own divisibility through C or a fixture.
+    Compatibility of the isogeny with the modular parametrisations is
+    recorded as a hypothesis, not checked.
+    """
     rec = velu_2_isogeny(shape, (Fraction(0), Fraction(0)))
     target_gd = global_data(rec.target)
     ttors = torsion_subgroup(target_gd.minimal_model)
@@ -225,28 +237,24 @@ def _transfer_route(cert: AuditCertificate, shape: WeierstrassModel, d: int) -> 
             assumption = f"M = {fx.manin} for {fx.label} (modular tables)"
     if not ok:
         raise TransferRefused("quotient curve has no Tamagawa or fixture certificate")
-    growth = torsion_growth(rec.target, d)
-    claim = DivisibilityClaim(
-        curve=rec.target,
-        prime=2,
-        d=d,
-        holds=True,
-        hypotheses=["rank E(K) = 1"],
-        trail=[f"quotient satisfies ord_2: tors {ttors.structure}, C = {tC}"],
-    )
-    out = transfer_certificate(claim, rec, 2, growth)
+    if torsion_growth(rec.target, d).gains_2_possible:
+        raise TransferRefused(f"condition (i) fails: torsion may gain 2-power order over Q(sqrt({d}))")
     cert.route = "transfer"
     cert.holds = True
     if assumption:
         cert.assumptions.append(assumption)
-    cert.hypotheses += out.hypotheses
+    cert.hypotheses += ["rank E(K) = 1", "isogeny respects the modular parametrisations (assumed)"]
     cert.evidence.append(
         {
             "step": "transfer",
             "quotient": str(target_gd.minimal_model),
             "quotient_torsion": list(ttors.structure),
             "quotient_C": tC,
-            "trail": out.trail,
+            "trail": [
+                f"quotient satisfies ord_2: tors {ttors.structure}, C = {tC}",
+                "transferred across a degree-2 isogeny",
+                f"torsion 2-part stable over Q(sqrt({d}))",
+            ],
         }
     )
     cert.evidence.append({"step": "conclusion", "why": "divisibility transferred across the 2-isogeny"})

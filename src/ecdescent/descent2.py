@@ -19,7 +19,7 @@ the scan stops at the predicted size, and a mismatch raises ArithmeticError.
 The scan is integer arithmetic throughout: X = w l^m is an integer for
 m >= 0, and the disc v(X) = -2 that l = 2 needs is cleared of denominators
 by evaluating 2^6 F(X) and 2^4 F'(X), whose valuations are shifted back by 6
-and 4.  A brute-force torsor enumeration is provided as an oracle.
+and 4.  The tests judge the scan by a brute-force torsor enumeration.
 
 phi_selmer reads the curve's data once (the 2-torsion form, the integral
 dual, the integral tuple of E and disc) for the images at all places, and
@@ -184,79 +184,6 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
     return members
 
 
-def local_image_bruteforce(w: WeierstrassModel, place, cap: int = 500_000) -> LocalSquareClassGroup:
-    """Independent oracle: enumerate torsor points b w^2 = b^2 t^4 + A'b t^2 z^2 + B' z^4
-    on both affine charts at bounded precision.
-
-    The precision is 2 v + 6 digits (four more at 2), but never more than
-    `cap` residues per chart; v is the larger valuation of disc(E) and
-    disc(E'), so a non-integral model of E keeps the precision of its
-    integral dual."""
-    A, B = two_torsion_form(w)
-    Ap, Bp = dual_params(A, B)
-    if place == OO or place is None:
-        return LocalSquareClassGroup(OO, frozenset(_infty_oracle(Ap, Bp)))
-    ell = int(place)
-    Ai, Bi = _int_pair(Ap, Bp)
-    v = max(padic_valuation(w.discriminant, ell), padic_valuation(16 * Bi * Bi * (Ai * Ai - 4 * Bi), ell))
-    k = 2 * v + 6
-    if ell == 2:
-        k += 4
-    while k > 1 and ell**k > cap:
-        k -= 1
-    members = set()
-    for b in sorted(LocalSquareClassGroup.full(ell).elements, key=abs):
-        if _torsor_solvable(b, Ai, Bi, ell, k):
-            members.add(b)
-    grp = LocalSquareClassGroup(ell, frozenset(members))
-    if not grp.is_subgroup():
-        raise ArithmeticError(f"{w} at {ell}: torsor classes {sorted(members)} are not a subgroup")
-    return grp
-
-
-def _infty_oracle(Ap, Bp) -> set:
-    # minimum of b^2 s^2 + A'b s + B' over s >= 0, sign analysis for b < 0
-    members = {1}
-    for b in (-1,):
-        s_vertex = Fraction(-Ap, 2 * b)
-        vals = [Fraction(Bp)]
-        if s_vertex > 0:
-            vals.append(b * b * s_vertex**2 + Ap * b * s_vertex + Bp)
-        if min(vals) <= 0:
-            members.add(-1)
-    return members
-
-
-def _torsor_solvable(b: int, Ap: int, Bi: int, ell: int, k: int) -> bool:
-    # each accepted candidate is an exact rational point, so hits are sound;
-    # the precision k controls completeness only.  val / b = val b / b^2, so
-    # the square test runs on the integer val b
-    mod = ell**k
-    for t in range(mod):
-        # chart z = 1: b w^2 = b^2 t^4 + A'b t^2 + B'
-        val = b * b * t**4 + Ap * b * t * t + Bi
-        if val == 0 or _is_ell_adic_square(val * b, ell):
-            return True
-    for z in range(0, mod, ell):
-        # chart t = 1: b w^2 = b^2 + A'b z^2 + B' z^4 with z = 0 mod ell
-        val = b * b + Ap * b * z * z + Bi * z**4
-        if val == 0 or _is_ell_adic_square(val * b, ell):
-            return True
-    return False
-
-
-def _is_ell_adic_square(n: int, ell: int) -> bool:
-    # the oracle's own test for nonzero n: even valuation, then a unit that
-    # is 1 mod 8 at 2 or a residue by Euler's criterion at odd ell
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    if v % 2:
-        return False
-    return n % 8 == 1 if ell == 2 else pow(n, (ell - 1) // 2, ell) == 1
-
-
 # ---------------------------------------------------------------------------
 # phi-Selmer groups
 
@@ -410,20 +337,6 @@ def splits_in(d: int, p: int) -> bool:
     return kronecker_symbol(disc % p, p) == 1
 
 
-def splits_in_oracle(d: int, p: int) -> bool:
-    """Independent check: p splits iff x^2 = disc (mod 4p) is solvable
-    and p does not divide disc."""
-    disc = field_discriminant(d)
-    if disc % p == 0:
-        return False
-    mod = 4 * p
-    return any((x * x - disc) % mod == 0 for x in range(mod))
-
-
-def is_heegner_field(N: int, d: int) -> bool:
-    return all(splits_in(d, p) for p in prime_divisors(N))
-
-
 def check_heegner_field(gd: GlobalData, d: int):
     if not all(splits_in(d, p) for p in gd.bad_primes):
         raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
@@ -451,11 +364,9 @@ def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -
     return ds
 
 
-def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData = None) -> int:
-    """Kramer's i_l for E(Q)[2] = Z/2 over K = Q(sqrt(d))."""
+def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData) -> int:
+    """Kramer's i_l for E(Q)[2] = Z/2 over K = Q(sqrt(d)); gd is global_data(w)."""
     _check_z2_two_torsion(w)
-    if gd is None:
-        gd = global_data(w)
     if place == OO or place is None:
         return 1 if gd.delta_min > 0 else 0
     p = int(place)
@@ -470,9 +381,7 @@ def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData = None) 
     return 1 + (1 if is_local_square(A * A - 4 * B, p) else 0)
 
 
-def sum_local_norm_indices(w: WeierstrassModel, d: int, gd: GlobalData = None) -> tuple[int, dict]:
-    if gd is None:
-        gd = global_data(w)
+def sum_local_norm_indices(w: WeierstrassModel, d: int, gd: GlobalData) -> tuple[int, dict]:
     i_map = {OO: local_norm_index(w, OO, d, gd)}
     disc = field_discriminant(d)
     for p in prime_divisors(disc):

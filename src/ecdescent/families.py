@@ -5,8 +5,7 @@ Z/2, Z/3, Z/4, Z/2+Z/2, Z/2+Z/4, Z/2+Z/6 torsion) are built here, and
 torsion subgroups of arbitrary curves over Q are computed exactly:
 reduction mod good primes bounds the order, division polynomials and
 point halving locate the points, and every generator is verified by
-scalar multiplication.  A Lutz-Nagell enumeration is provided as an
-independent oracle for small discriminants.
+scalar multiplication.  The tests judge it by a Lutz-Nagell enumeration.
 """
 
 from __future__ import annotations
@@ -23,29 +22,23 @@ from .arith import (
     kronecker_symbol,
     padic_valuation,
     square_class,
-    SquareClass,
 )
 from .polyutil import (
     poly_add,
-    poly_eval,
     poly_mul,
     poly_scale,
     poly_sqrt_monic_quartic,
     quadratic_rational_factors,
     rational_roots,
 )
-from .tate import minimal_model
 from .weierstrass import (
-    CoordinateChange,
     Point,
     SingularModelError,
     WeierstrassModel,
-    change_variables,
     check_invariant,
     integral_model,
     point_add,
     point_mul,
-    point_neg,
     point_order,
 )
 
@@ -254,7 +247,6 @@ MAZUR_STRUCTURES = {(1, n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)} | {
     (2, 6),
     (2, 8),
 }
-MAZUR_ORDERS = sorted({n1 * n2 for n1, n2 in MAZUR_STRUCTURES})
 
 
 @dataclass
@@ -432,79 +424,20 @@ def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Lutz-Nagell oracle
-
-
-def torsion_points_lutz_nagell(w: WeierstrassModel) -> TorsionGroup:
-    """Independent enumeration: integral points with y = 0 or y^2 | disc
-    on the short model Y^2 = X^3 - 27 c4 X - 54 c6 of a minimal model."""
-    m = minimal_model(w)
-    c4, c6 = int(m.c4), int(m.c6)
-    A, B = -27 * c4, -54 * c6
-    disc_sh = abs(-16 * (4 * A**3 + 27 * B * B))
-    divs = [1]
-    for p, e in factorize(disc_sh):
-        divs = [d * p**j for d in divs for j in range(e // 2 + 1)]
-    ys = {0} | set(divs)
-    pts = set()
-    for y in sorted(ys):
-        cube = [B - y * y, A, 0, 1]
-        for x in rational_roots(cube):
-            if x.denominator == 1:
-                for sign in (1, -1):
-                    X, Y = x, sign * y
-                    if Y * Y == X**3 + A * X + B:
-                        pts.add((Fraction(X), Fraction(Y)))
-    # map back: X = 36x + 3b2, Y = 216y + 108(a1 x + a3)
-    b2 = m.b2
-    back = set()
-    for X, Y in pts:
-        x = (X - 3 * b2) / 36
-        y = (Y / 108 - m.a1 * x - m.a3) / 2
-        if m.contains(x, y) and point_order(m, (x, y), 16):
-            back.add((x, y))
-    # group closure and structure
-    group = {None} | back
-    changedflag = True
-    while changedflag:
-        changedflag = False
-        for P in list(group):
-            for Q in list(group):
-                R = point_add(m, P, Q)
-                if R not in group:
-                    group.add(R)
-                    changedflag = True
-    order = len(group)
-    two = [P for P in group if P is not None and point_order(m, P, 2) == 2]
-    n1 = 2 if len(two) == 3 else 1
-    n2 = order // n1
-    gens = []
-    cyc = next((P for P in group if P is not None and point_order(m, P, n2 + 1) == n2), None)
-    if n1 == 2 and cyc is not None:
-        inside = point_mul(m, n2 // 2, cyc) if n2 % 2 == 0 else None
-        gens.append((next(T for T in two if T != inside), 2))
-    if cyc is not None:
-        gens.append((cyc, n2))
-    return TorsionGroup((n1, n2), gens, m)
-
-
-# ---------------------------------------------------------------------------
 # torsion growth over quadratic fields
 
 
 @dataclass
 class GrowthReport:
-    """Square classes of quadratic fields where 2- or 3-power torsion can grow.
+    """Square classes of quadratic fields where 2-power torsion can grow.
 
     The classes are a certified superset: if class(d) avoids them, the
-    torsion cannot grow at that prime over Q(sqrt(d)).
+    2-power torsion cannot grow over Q(sqrt(d)).
     """
 
     two_power_classes: set
-    three_power_classes: set
     d: int
     gains_2_possible: bool
-    gains_3_possible: bool
 
 
 def _quadratic_growth_classes(w: WeierstrassModel, polys) -> set:
@@ -534,9 +467,9 @@ def halving_quadratic(w: WeierstrassModel, T) -> list[Fraction]:
 
 
 def torsion_growth(w: WeierstrassModel, d: int) -> GrowthReport:
-    """Can E(K)_tors gain 2- or 3-power order over K = Q(sqrt(d))?
+    """Can E(K)_tors gain 2-power order over K = Q(sqrt(d))?
 
-    Tests whether the quadratic factors of the 2-, 3- and 4-division
+    Tests whether the quadratic factors of the 2- and 4-division
     polynomials (and the y-coordinate quadratics over their rational
     roots) split over K, by square-class comparison of discriminants.
     The 4-division polynomial is handled through the per-torsion-point
@@ -550,17 +483,8 @@ def torsion_growth(w: WeierstrassModel, d: int) -> GrowthReport:
     two_polys = [w.two_division_poly(), division_poly(w, 4)]
     for T in two_torsion_points(w):
         two_polys.append(halving_quadratic(w, T))
-    three_polys = [division_poly(w, 3)]
     two_classes = _quadratic_growth_classes(w, two_polys)
-    three_classes = _quadratic_growth_classes(w, three_polys)
-    cls = square_class(d)
-    return GrowthReport(
-        two_power_classes=two_classes,
-        three_power_classes=three_classes,
-        d=d,
-        gains_2_possible=cls in two_classes,
-        gains_3_possible=cls in three_classes,
-    )
+    return GrowthReport(two_power_classes=two_classes, d=d, gains_2_possible=square_class(d) in two_classes)
 
 
 def z3_normalize(a: int, b: int) -> FamilyPoint:

@@ -54,8 +54,9 @@ FIXTURES: dict[str, FixtureEntry] = {
             "272b2",
             _W(0, 0, 0, -91, 330),
             None,
-            "A=15, B=-16: A^2+64 = 17^2 gives full 2-torsion, 4 | C = 8; "
-            "published tables list C_2 = 2 for the label, computed C_2 here is 4",
+            "A=15, B=-16: A^2+64 = 17^2 gives full 2-torsion, 4 | C = 8 "
+            "(I4*, c = 4 at 2; I2, c = 2 at 17); c_2 = 4 is Tate's I4* at 2, and the "
+            "published C_2 = 2 belongs to another curve of its isogeny class",
         ),
         # Z/2+Z/4 counting-condition exceptions (Tamagawa still suffices,
         # 8 | C, for all but 15a3 above)
@@ -75,21 +76,10 @@ FIXTURES: dict[str, FixtureEntry] = {
     ]
 }
 
-#: Family-level fixture: B = -16 with A^2 + 64 prime has M = 2 throughout.
-NEUMANN_SETZER_MANIN = 2
-
-
-def fixture_for_model(w: WeierstrassModel):
-    """The fixture entry whose curve is isomorphic to w, if any."""
-    from .tate import global_data
-
-    return fixture_for_minimal_model(global_data(w).minimal_model)
-
-
 _BY_MODEL = {entry.model: entry for entry in FIXTURES.values()}
 
 
 def fixture_for_minimal_model(m: WeierstrassModel):
-    """`fixture_for_model` for a reduced minimal model, which it skips
-    recomputing; that model is unique in its class, so it keys the table."""
+    """The fixture entry of the curve whose reduced minimal model is m, if
+    any; that model is unique in its isomorphism class, so it keys the table."""
     return _BY_MODEL.get(m)

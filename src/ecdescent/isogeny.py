@@ -4,19 +4,17 @@ Degree-2 quotients by a rational 2-torsion point and degree-3 quotients
 by a rational order-3 subgroup, both via Velu's formulas; the cube
 criterion for when a 3-quotient again carries rational 3-torsion, with
 its closed-form target model; quotient chains; which side of an isogeny
-is etale (pullback scale of minimal invariant differentials); and the
-bookkeeping that transports a divisibility certificate across an
-isogeny.
+is etale (pullback scale of minimal invariant differentials).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .arith import integer_root
-from .families import FamilyPoint, GrowthReport, build_curve, z3_normalize, z3_point
+from .families import FamilyPoint, build_curve, z3_normalize, z3_point
 from .tate import global_data
 from .weierstrass import (
     WeierstrassModel,
@@ -180,73 +178,3 @@ def etale_side(scale: int) -> str:
     """Which of an isogeny and its dual is etale, "forward" or "dual", from
     the isogeny's `pullback_scale`."""
     return "forward" if scale == 1 else "dual"
-
-
-# ---------------------------------------------------------------------------
-# certificate transfer
-
-
-@dataclass
-class DivisibilityClaim:
-    """ord_p(#E(Q)_tors) <= ord_p(u_K * C * M * sqrt(#Sha(E/K))) for one curve.
-
-    `hypotheses` lists everything the claim is conditional on (rank,
-    Heegner condition, fixture-sourced Manin constants, ...).
-    """
-
-    curve: WeierstrassModel
-    prime: int
-    d: int
-    holds: bool
-    hypotheses: list = field(default_factory=list)
-    trail: list = field(default_factory=list)
-
-
-class TransferRefused(ValueError):
-    """An isogeny-invariance hypothesis failed; the message names it."""
-
-
-def transfer_certificate(
-    cert: DivisibilityClaim,
-    rec: IsogenyRecord,
-    p: int,
-    source_growth: GrowthReport,
-) -> DivisibilityClaim:
-    """Transport a divisibility claim across an isogeny.
-
-    Needs (i) the source torsion p-part not to grow from Q to K, checked
-    through `source_growth`, and (ii) the claim itself to hold for the
-    source.  Compatibility of the isogeny with modular parametrisations
-    is recorded as an assumption, not checked.
-    """
-    if cert.curve == rec.source:
-        other = rec.target
-    elif cert.curve == rec.target:
-        other = rec.source
-    else:
-        raise TransferRefused("certificate curve is neither side of the isogeny")
-    if not cert.holds:
-        raise TransferRefused("condition (ii) fails: the source divisibility is not established")
-    if cert.prime != p:
-        raise TransferRefused(f"certificate is at p = {cert.prime}, not {p}")
-    if rec.source == rec.target:
-        return cert
-    gains = source_growth.gains_2_possible if p == 2 else source_growth.gains_3_possible if p == 3 else None
-    if gains is None:
-        raise TransferRefused(f"no torsion-growth data at p = {p}")
-    if gains:
-        raise TransferRefused(
-            f"condition (i) fails: torsion may gain {p}-power order over Q(sqrt({source_growth.d}))"
-        )
-    return DivisibilityClaim(
-        curve=other,
-        prime=p,
-        d=cert.d,
-        holds=True,
-        hypotheses=cert.hypotheses + ["isogeny respects the modular parametrisations (assumed)"],
-        trail=cert.trail
-        + [
-            f"transferred across a degree-{rec.degree} isogeny",
-            f"torsion {p}-part stable over Q(sqrt({source_growth.d}))",
-        ],
-    )

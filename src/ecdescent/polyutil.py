@@ -331,10 +331,6 @@ def rational_roots(f: Sequence) -> list[Fraction]:
     return sorted(set(roots))
 
 
-def integer_roots(f: Sequence) -> list[int]:
-    return [int(r) for r in rational_roots(f) if r.denominator == 1]
-
-
 def poly_sqrt_monic_quartic(f: Sequence) -> list[Fraction] | None:
     """Exact square root of a monic quartic, i.e. q with q^2 = f, or None."""
     if len(poly_trim([Fraction(c) for c in f])) != 5 or f[4] != 1:

@@ -388,16 +388,3 @@ def model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     if curve_invariants(a)[4:6] != (c4, c6):
         raise ValueError("invalid (c4, c6) pair")
     return WeierstrassModel.from_ainvs(a)
-
-
-def split_multiplicative_divisibility(lr: LocalReduction, ell: int) -> bool:
-    """Does ell divide c_p for this split multiplicative fiber?
-
-    For split I_n one has c_p = n = v(disc_min), so this is just ell | n.
-    """
-    if lr.kind != SPLIT:
-        raise ValueError("reduction is not split multiplicative")
-    ok = lr.v_min % ell == 0
-    if ok and lr.tamagawa % ell:
-        raise InvariantViolation(f"split I{lr.v_min} at {lr.prime} has c_p = {lr.tamagawa}")
-    return ok

@@ -15,12 +15,13 @@ from fractions import Fraction
 
 
 from ecdescent import verify
-from ecdescent.arith import OO, factorize, hilbert_places, hilbert_symbol, is_prime, prime_divisors
-from ecdescent.descent2 import is_heegner_field, kramer_sha2_bound, local_image, local_image_bruteforce
+from ecdescent.arith import OO, factorize, hilbert_symbol, is_prime, prime_divisors
+from ecdescent.descent2 import kramer_sha2_bound, local_image, splits_in
 from ecdescent.families import SingularParameterError
 from ecdescent.fixtures import FIXTURES
 from ecdescent.isogeny import hadano_quotient, velu_2_isogeny, velu_3_isogeny
 from ecdescent.weierstrass import WeierstrassModel, find_isomorphism
+from oracles import hilbert_places, local_image_bruteforce
 
 
 def W(*a):
@@ -121,7 +122,7 @@ def _criterion6_pool():
                 continue
             if any(e % 2 == 0 for _, e in fac):
                 continue
-            if not is_heegner_field(p * q, -2):
+            if not all(splits_in(-2, r) for r in prime_divisors(p * q)):
                 continue
             pool.append((p, z))
     return pool

@@ -10,7 +10,6 @@ from ecdescent.arith import (
     LocalSquareClassGroup,
     SquareClass,
     factorize,
-    hilbert_places,
     hilbert_symbol,
     integer_root,
     is_local_square,
@@ -21,6 +20,7 @@ from ecdescent.arith import (
     square_class,
     squarefree_part,
 )
+from oracles import hilbert_places
 
 nonzero_ints = st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0)
 

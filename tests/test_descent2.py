@@ -18,20 +18,18 @@ from ecdescent.descent2 import (
     everywhere_local_norm_dim,
     field_discriminant,
     heegner_field_scan,
-    is_heegner_field,
     kramer_sha2_bound,
     local_image,
-    local_image_bruteforce,
     local_norm_index,
     phi_intersection,
     phi_selmer,
     selmer_kernel_class,
     splits_in,
-    splits_in_oracle,
     sum_local_norm_indices,
 )
 from ecdescent.tate import global_data
 from ecdescent.weierstrass import WeierstrassModel, quadratic_twist
+from oracles import local_image_bruteforce, splits_in_oracle
 
 
 def W(*a):
@@ -387,11 +385,11 @@ def test_heegner_scan_matches_splits_in_oracle():
         ]
         for bound in (0, 1, 7, 150, 300):
             assert heegner_field_scan(w, bound) == [d for d in expect if -d <= bound], (w, bound)
-        # check_heegner_field reads gd.bad_primes; is_heegner_field factors N
+        # check_heegner_field reads gd.bad_primes; ps are the factors of N
         for d in range(-1, -151, -1):
             if squarefree_part(d) != d:
                 continue
-            assert is_heegner_field(gd.conductor, d) == (d in expect), (w, d)
+            assert all(splits_in(d, p) for p in ps) == (d in expect), (w, d)
             if d in expect:
                 check_heegner_field(gd, d)
             else:
@@ -402,19 +400,20 @@ def test_heegner_scan_matches_splits_in_oracle():
 
 def test_local_norm_index_infinity():
     w = W(0, 5, 0, -1, 0)  # disc_min = 16(A^2+4) > 0
-    assert local_norm_index(w, OO, -7) == 1
+    assert local_norm_index(w, OO, -7, global_data(w)) == 1
 
 
 def test_local_norm_index_rejects_full_two_torsion():
+    w = W(0, 0, 0, -1, 0)
     with pytest.raises(FullTwoTorsionError):
-        local_norm_index(W(0, 0, 0, -1, 0), OO, -7)
+        local_norm_index(w, OO, -7, global_data(w))
 
 
 def test_sum_indices_beta_family_d_minus_2():
     # d = -2: (disc_min, -2)_2 = 1 gives i_2 = 2, i_infty = 1: total 3
     for p, z in [(17, 1), (41, 1), (73, 1)]:
         w = beta_even_curve(p, z)
-        total, i_map = sum_local_norm_indices(w, -2)
+        total, i_map = sum_local_norm_indices(w, -2, global_data(w))
         assert i_map[OO] == 1
         assert i_map[2] == 2
         assert total == 3, (p, z, i_map)
@@ -425,8 +424,7 @@ def test_kramer_certificate_beta_family():
     done = 0
     for p in [17, 41, 73, 89, 97]:
         w = beta_even_curve(p, 1)
-        N = global_data(w).conductor
-        if not is_heegner_field(N, -2):
+        if not all(splits_in(-2, q) for q in global_data(w).bad_primes):
             continue
         cert = kramer_sha2_bound(w, -2)
         assert cert.sum_i == 3

@@ -16,7 +16,6 @@ from ecdescent.families import (
     points_of_order_n,
     torsion_growth,
     torsion_order_bound,
-    torsion_points_lutz_nagell,
     torsion_subgroup,
     two_torsion_points,
     z2_point,
@@ -30,6 +29,7 @@ from ecdescent.families import (
 )
 from ecdescent.tate import global_data
 from ecdescent.weierstrass import WeierstrassModel
+from oracles import torsion_points_lutz_nagell
 
 
 def W(*a):

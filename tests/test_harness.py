@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from ecdescent import audit
 from ecdescent.audit import OutOfScopeTorsion, _z3_params, main_theorem_audit, shape_with_two_torsion
 from ecdescent.cli import main as cli_main
 from ecdescent.cremona import (
@@ -14,6 +15,7 @@ from ecdescent.cremona import (
     render_allcurves_line,
 )
 from ecdescent.families import (
+    GrowthReport,
     build_curve,
     points_of_order_n,
     torsion_subgroup,
@@ -24,7 +26,7 @@ from ecdescent.families import (
     z3_point,
     z4_point,
 )
-from ecdescent.fixtures import FIXTURES, fixture_for_model
+from ecdescent.fixtures import FIXTURES
 from ecdescent.tate import global_data
 from ecdescent.verify import verify_section
 from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables, find_isomorphism, integral_model
@@ -47,12 +49,6 @@ def test_fixture_conductors_match_labels():
             num += ch
         gd = global_data(e.model)
         assert gd.conductor == int(num), (label, gd.conductor)
-
-
-def test_fixture_lookup_by_model():
-    e = fixture_for_model(W(3, -1, -3, 0, 0))
-    assert e is not None and e.label == "15a3"
-    assert fixture_for_model(W(0, -1, 1, -10, -20)) is None  # 11a1 not a fixture
 
 
 def test_parse_and_render_roundtrip():
@@ -143,10 +139,30 @@ def test_audit_kramer_route():
     assert any(step.get("step") == "sha2-bound" for step in cert.evidence)
 
 
-def test_audit_transfer_route():
-    cert = main_theorem_audit(W(0, 5, 0, -1, 0))
+def test_audit_transfer_route(monkeypatch):
+    E = W(0, 5, 0, -1, 0)
+    cert = main_theorem_audit(E)
     assert cert.holds and cert.route == "transfer"
     assert cert.hypotheses  # rank and parametrisation-compatibility recorded
+
+    cert = main_theorem_audit(E, -7)
+    assert cert.holds and cert.route == "transfer"
+    (step,) = [e for e in cert.evidence if e["step"] == "transfer"]
+    assert step["trail"] == [
+        "quotient satisfies ord_2: tors (1, 2), C = 2",
+        "transferred across a degree-2 isogeny",
+        "torsion 2-part stable over Q(sqrt(-7))",
+    ]
+    assert "isogeny respects the modular parametrisations (assumed)" in cert.hypotheses
+
+    # condition (i): if the quotient's 2-power torsion could grow over K, the route refuses
+    monkeypatch.setattr(audit, "torsion_growth", lambda w, d: GrowthReport(set(), d, True))
+    cert = main_theorem_audit(E, -7)
+    assert not cert.holds and cert.route == "unresolved"
+    assert cert.evidence[-1] == {
+        "step": "transfer-refused",
+        "why": "condition (i) fails: torsion may gain 2-power order over Q(sqrt(-7))",
+    }
 
 
 def test_audit_cassels_route():

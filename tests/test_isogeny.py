@@ -4,17 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ecdescent.arith import integer_root
-from ecdescent.families import build_curve, points_of_order_n, torsion_growth, z3_point
+from ecdescent.families import build_curve, points_of_order_n, z3_point
 from ecdescent.isogeny import (
     CubeFailure,
-    DivisibilityClaim,
     IsogenyRecord,
-    TransferRefused,
     etale_side,
     hadano_quotient,
     pullback_scale,
     three_isogeny_chain,
-    transfer_certificate,
     velu_2_isogeny,
     velu_3_isogeny,
 )
@@ -254,33 +251,3 @@ def test_etale_side_dichotomy_on_two_isogenies():
         n = pullback_scale(rec)
         assert n in (1, 2)
         assert etale_side(n) == ("forward" if n == 1 else "dual")
-
-
-def test_transfer_certificate_flow():
-    # the A^2+4 = p prime family: quotient curve E' has 2-torsion polynomial
-    # 4(x^2+4)(x+A), so torsion cannot gain 2-power order except over Q(i)
-    A = 5
-    E = W(0, A, 0, -1, 0)
-    rec = velu_2_isogeny(E, (0, 0))
-    Ep = rec.target
-    growth = torsion_growth(Ep, -7)
-    cert = DivisibilityClaim(curve=Ep, prime=2, d=-7, holds=True, hypotheses=["rank E(K) = 1"])
-    out = transfer_certificate(cert, rec, 2, growth)
-    assert out.curve == E
-    assert out.holds
-    assert any("transferred" in s for s in out.trail)
-
-    # over Q(i) the 2-torsion may grow: refusal names condition (i)
-    growth_i = torsion_growth(Ep, -1)
-    with pytest.raises(TransferRefused, match="condition \\(i\\)"):
-        transfer_certificate(DivisibilityClaim(Ep, 2, -1, True), rec, 2, growth_i)
-
-    with pytest.raises(TransferRefused, match="condition \\(ii\\)"):
-        transfer_certificate(DivisibilityClaim(Ep, 2, -7, False), rec, 2, growth)
-
-
-def test_transfer_identity():
-    E = W(0, 5, 0, -1, 0)
-    rec = IsogenyRecord(E, E, 2, ((Fraction(0), Fraction(0)),))
-    cert = DivisibilityClaim(E, 2, -7, True)
-    assert transfer_certificate(cert, rec, 2, torsion_growth(E, -7)) is cert

@@ -10,7 +10,6 @@ from ecdescent.polyutil import (
     AUX_PRIMES,
     LARGE_AUX_PRIMES,
     fp_roots,
-    integer_roots,
     poly_eval,
     poly_gcd_q,
     poly_mul,
@@ -56,10 +55,7 @@ def test_rational_roots_multiplicity(monkeypatch):
     f = poly_mul(poly_from_roots([7, 7, 7]), poly_from_roots([-2]))
     assert rational_roots(f) == [Fraction(-2), Fraction(7)]
     assert gcd_calls
-
-
-def test_integer_roots_zero_root():
-    assert integer_roots([0, 0, 1, 1]) == [-1, 0]  # x^2(x+1)
+    assert rational_roots([0, 0, 1, 1]) == [Fraction(-1), Fraction(0)]  # x^2(x+1)
 
 
 @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=4))

@@ -17,7 +17,6 @@ from ecdescent.tate import (
     local_reduction,
     minimal_model,
     model_from_c4c6,
-    split_multiplicative_divisibility,
 )
 from ecdescent.weierstrass import (
     CoordinateChange,
@@ -252,10 +251,8 @@ def test_model_from_c4c6_refuses_a_pair_that_fails_only_the_round_trip():
 
 def test_checks_hold_under_optimize(run_optimized):
     script = (
-        "import dataclasses\n"
         "from ecdescent import tate\n"
         "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
-        "lr = tate.local_reduction(WeierstrassModel.from_ainvs([0, -1, 1, -10, -20]), 11)\n"
         "real = tate._shift_s\n"
         "tate._shift_s = lambda a, s: (lambda b: (b[0] + 1,) + b[1:])(real(a, s))\n"
         "for ainvs, p in [([0, 0, 0, -4, 0], 2), ([0, 0, 0, -9, 0], 3)]:\n"
@@ -263,22 +260,8 @@ def test_checks_hold_under_optimize(run_optimized):
         "        tate.local_reduction(WeierstrassModel.from_ainvs(ainvs), p)\n"
         "    except InvariantViolation:\n"
         "        print('raised')\n"
-        "try:\n"
-        "    tate.split_multiplicative_divisibility(dataclasses.replace(lr, tamagawa=4), 5)\n"
-        "except InvariantViolation:\n"
-        "    print('raised')\n"
     )
-    assert run_optimized(script) == ["raised"] * 3
-
-
-def test_split_multiplicative_divisibility():
-    w = W(0, -1, 1, -10, -20)  # split I5 at 11
-    lr = local_reduction(w, 11)
-    assert not split_multiplicative_divisibility(lr, 3)
-    assert split_multiplicative_divisibility(lr, 5)
-    lr2 = local_reduction(W(0, 0, 0, -1, 0), 2)
-    with pytest.raises(ValueError):
-        split_multiplicative_divisibility(lr2, 2)
+    assert run_optimized(script) == ["raised"] * 2
 
 
 def test_singular_rejected():
