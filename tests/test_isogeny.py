@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ecdescent.arith import integer_root
-from ecdescent.families import build_curve, points_of_order_n, z3_point
+from ecdescent.audit import main_theorem_audit
+from ecdescent.families import build_curve, points_of_order_n, torsion_growth, z3_point
 from ecdescent.isogeny import (
     CubeFailure,
     IsogenyRecord,
@@ -251,3 +252,36 @@ def test_etale_side_dichotomy_on_two_isogenies():
         n = pullback_scale(rec)
         assert n in (1, 2)
         assert etale_side(n) == ("forward" if n == 1 else "dual")
+
+
+def test_transfer_certificate_flow():
+    # the audit carries the 2-part of its claim from E' = E/<(0,0)> back to E.
+    # In the A^2+4 = p prime family E' has 2-torsion polynomial 4(x^2+4)(x+A),
+    # so its torsion cannot gain 2-power order except over Q(i): condition (i)
+    # holds over Q(sqrt(-7)) and fails over Q(i)
+    A = 5
+    E = W(0, A, 0, -1, 0)
+    Ep = velu_2_isogeny(E, (0, 0)).target
+    assert Ep == W(0, A, 0, 4, 4 * A)
+    assert not torsion_growth(Ep, -7).gains_2_possible
+    assert torsion_growth(Ep, -1).gains_2_possible
+
+    cert = main_theorem_audit(E, -7)
+    assert cert.holds and cert.route == "transfer"
+    (step,) = [e for e in cert.evidence if e["step"] == "transfer"]
+    assert step["quotient"] == str(global_data(Ep).minimal_model)
+    assert "rank E(K) = 1" in cert.hypotheses
+
+
+def test_transfer_identity():
+    # the transfer always crosses a genuine isogeny: no 2-quotient is
+    # isomorphic over Q to its source, since E -> E/<T> ~ E would be an
+    # endomorphism of degree 2 defined over Q
+    for A in range(-6, 7):
+        for B in range(-6, 7):
+            w = W(0, A, 0, B, 0)
+            if w.is_singular:
+                continue
+            rec = velu_2_isogeny(w, (0, 0))
+            assert rec.target != rec.source
+            assert find_isomorphism(rec.source, rec.target) is None
