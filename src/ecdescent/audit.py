@@ -270,11 +270,11 @@ def _z3_params(tg: TorsionGroup) -> tuple[int, int]:
     # (0,0) of order 3 on a2=a4=a6=0 shape means the model is y^2+axy+by=x^3
     # after an s-shear killing a2 and a4
     a1, a2, a3, a4, a6 = w1.ainvs
-    check_invariant(a6 == 0, f"{w1}: the order-3 generator is not at (0,0)")
+    check_invariant(a6 == 0, "{}: the order-3 generator is not at (0,0)", w1)
     s = a4 / a3
     w2 = change_variables(w1, CoordinateChange.of(1, 0, s, 0))
     a1, a2, a3, a4, a6 = w2.ainvs
-    check_invariant(a4 == 0 and a6 == 0 and a2 == 0, f"{w2}: (0,0) is not a flex of order 3")
+    check_invariant(a4 == 0 and a6 == 0 and a2 == 0, "{}: (0,0) is not a flex of order 3", w2)
     wi, _ = integral_model(w2)
     a, b = int(wi.a1), int(wi.a3)
     if b < 0:

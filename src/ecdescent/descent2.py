@@ -52,6 +52,7 @@ from .tate import GlobalData, _integral_tuple, global_data, tate_algorithm
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
+    curve_invariants,
     quadratic_twist,
     two_torsion_form,
 )
@@ -79,28 +80,32 @@ def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
 
 def _local_images(w: WeierstrassModel, places: list) -> dict:
     """Local images at each of `places`, from the curve's data read once:
-    (A, B), the integral dual (A', B'), the integral tuple of E and disc(w)."""
+    (A, B), disc(w), and the integral tuples of E and of its dual
+    [0, A', 0, B', 0] with their curve invariants."""
     A, B = two_torsion_form(w)
     if w.is_singular:
         raise SingularModelError("descent needs a nonsingular curve")
     Ap, Bp = dual_params(A, B)
-    images, a = {}, None
+    images, e = {}, None
     for place in places:
         if place == OO or place is None:
             images[place] = LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B)))
             continue
-        if a is None:  # the image at infinity alone needs no integral data
+        if e is None:  # the image at infinity alone needs no integral data
             Ai, Bi = _int_pair(Ap, Bp)
-            a = _integral_tuple(w)[0]
-        images[place] = _finite_image(w, a, Ai, Bi, int(place))
+            ap = (0, Ai, 0, Bi, 0)
+            e, ep = _integral_tuple(w), (ap, curve_invariants(ap))
+        images[place] = _finite_image(w, e, ep, int(place))
     return images
 
 
-def _finite_image(w: WeierstrassModel, a: tuple, Ai: int, Bi: int, ell: int) -> LocalSquareClassGroup:
-    # size 2 c_l(E')/c_l(E) l^(s'-s); [0, A', 0, B', 0] is integral, so s' is
-    # its count of restarts, while w may not be, so s is read off disc(w)
-    lr = tate_algorithm(a, ell)
-    lrp = tate_algorithm((0, Ai, 0, Bi, 0), ell)
+def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSquareClassGroup:
+    # e and ep: the integral tuples of E and E' = [0, A', 0, B', 0] with their
+    # curve invariants. Size 2 c_l(E')/c_l(E) l^(s'-s); E' is integral, so s'
+    # is its count of restarts, while w may not be, so s is read off disc(w)
+    lr = tate_algorithm(*e, ell)
+    lrp = tate_algorithm(*ep, ell)
+    _, Ai, _, Bi, _ = ep[0]
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
     full = LocalSquareClassGroup.full(ell)

@@ -82,25 +82,25 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     except InadmissibleField as exc:
         raise HypothesisFailure(str(exc)) from exc
     rec = hadano_quotient(a, 1)
-    check_invariant(isinstance(rec, IsogenyRecord), f"a = {a}: no 3-isogeny quotient")
+    check_invariant(isinstance(rec, IsogenyRecord), "a = {}: no 3-isogeny quotient", a)
     Ep = rec.target
     gdp = global_data(Ep)
-    check_invariant(gdp.conductor == gd.conductor, f"a = {a}: isogenous curves of different conductors")
+    check_invariant(gdp.conductor == gd.conductor, "a = {}: isogenous curves of different conductors", a)
     # all bad primes split in K (Heegner), so Tamagawa numbers over K are
     # the squares of the rational ones; ramified or inert bad primes are
     # excluded by the scan above
-    check_invariant(all(splits_in(d, p) for p in gdp.bad_primes), f"a = {a}: a bad prime is not split in Q(sqrt({d}))")
+    check_invariant(all(splits_in(d, p) for p in gdp.bad_primes), "a = {}: a bad prime is not split in Q(sqrt({}))", a, d)
     witnesses = {p: padic_valuation(gdp.local_data[p].tamagawa, 3) for p in gdp.bad_primes}
     ord3_target = 2 * sum(witnesses.values())
     ord3_source = 2 * sum(padic_valuation(lr.tamagawa, 3) for p, lr in gd.local_data.items() if lr.conductor_exponent)
-    check_invariant(ord3_source == 0, f"a = {a}: 3 divides a Tamagawa number of E after the 3 | C check")
+    check_invariant(ord3_source == 0, "a = {}: 3 divides a Tamagawa number of E after the 3 | C check", a)
     # kernel of phi is rational, kernel of the dual has irrational points
     # (their rationality over K would force the cube roots of unity into K)
     torsion_ratio = 3
-    check_invariant(point_order(E, (Fraction(0), Fraction(0)), 3) == 3, f"a = {a}: (0, 0) does not have order 3")
+    check_invariant(point_order(E, (Fraction(0), Fraction(0)), 3) == 3, "a = {}: (0, 0) does not have order 3", a)
     # pullback_scale(rec) / 3, read off the scales of both sides
     arch = gdp.scale(Ep) / (3 * gd.scale(E))
-    check_invariant(arch in (Fraction(1), Fraction(1, 3)), f"a = {a}: archimedean factor {arch} is not 1 or 1/3")
+    check_invariant(arch in (Fraction(1), Fraction(1, 3)), "a = {}: archimedean factor {} is not 1 or 1/3", a, arch)
     sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):
         sel_lower -= 1
@@ -207,11 +207,11 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     else:
         p = near[0]
         lr = local_reduction(Ep, p)
-        check_invariant(lr.kind == SPLIT and lr.v_min % 3 == 0, f"a = {a}: the quotient at {p} is not split I_3k")
+        check_invariant(lr.kind == SPLIT and lr.v_min % 3 == 0, "a = {}: the quotient at {} is not split I_3k", a, p)
         q = next(q for q in divs if q != p)
         confirmed[p], confirmed[q] = lr.tamagawa, local_reduction(Ep, q).tamagawa
-    check_invariant(all(c % 3 == 0 for c in confirmed.values()), f"a = {a}: a witness c_p in {confirmed} is prime to 3")
-    check_invariant(ledger.sel_phi_dim_lower >= 4, f"a = {a}, d = {d}: Selmer lower bound below 4")
+    check_invariant(all(c % 3 == 0 for c in confirmed.values()), "a = {}: a witness c_p in {} is prime to 3", a, confirmed)
+    check_invariant(ledger.sel_phi_dim_lower >= 4, "a = {}, d = {}: Selmer lower bound below 4", a, d)
     # Sel^phi embeds in Sel^3 (the dual kernel has no K-point), and rank 1
     # gives E(K)/3E(K) of F_3-dimension 2
     sha_lower = ledger.sel_phi_dim_lower - 2
@@ -250,5 +250,5 @@ def singular_point_order_divisibility(w: WeierstrassModel, P, p: int):
     lr = local_reduction(w, p)
     if lr.is_good:
         return None
-    check_invariant(lr.tamagawa % ell == 0, f"order-{ell} point at the singular point mod {p}, c_p = {lr.tamagawa}")
+    check_invariant(lr.tamagawa % ell == 0, "order-{} point at the singular point mod {}, c_p = {}", ell, p, lr.tamagawa)
     return True

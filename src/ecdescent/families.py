@@ -32,10 +32,12 @@ from .polyutil import (
     rational_roots,
 )
 from .weierstrass import (
+    CoordinateChange,
     Point,
     SingularModelError,
     WeierstrassModel,
     check_invariant,
+    curve_invariants,
     integral_model,
     point_add,
     point_mul,
@@ -152,31 +154,32 @@ def build_curve(fp: FamilyPoint) -> WeierstrassModel:
     """Integral model of a family member; raises on singular parameters."""
     fam, par = fp.family, fp.params
     if fam == Z2Z4:
+        # [m, -lam m^2, -lam m^3, 0, 0] with m = 4 beta and
+        # lam = (16 alpha^2 - beta^2) / (16 beta^2), so -lam m^2 = n below
         alpha, beta = par
-        lam = Fraction(16 * alpha**2 - beta**2, 16 * beta**2)
-        m = 4 * beta
-        w = WeierstrassModel.from_ainvs([m, -lam * m**2, -lam * m**3, 0, 0])
+        n = beta**2 - 16 * alpha**2
+        ainvs = (4 * beta, n, 4 * beta * n, 0, 0)
     elif fam == Z4:
         (beta,) = par
-        w = WeierstrassModel.from_ainvs([beta, -beta, -(beta**2), 0, 0])
+        ainvs = (beta, -beta, -(beta**2), 0, 0)
     elif fam == Z2Z2:
         a, b = par
-        w = WeierstrassModel.from_ainvs([0, a + b, 0, a * b, 0])
+        ainvs = (0, a + b, 0, a * b, 0)
     elif fam == Z2:
         A, B = par
-        w = WeierstrassModel.from_ainvs([0, A, 0, B, 0])
+        ainvs = (0, A, 0, B, 0)
     elif fam == Z2Z6:
         S, T = par
         u, v = z2z6_uv(S, T)
-        w = WeierstrassModel.from_ainvs([u - v, -v * (v + u), -u * v * (v + u), 0, 0])
+        ainvs = (u - v, -v * (v + u), -u * v * (v + u), 0, 0)
     elif fam == Z3:
         a, b = par
-        w = WeierstrassModel.from_ainvs([a, 0, b, 0, 0])
+        ainvs = (a, 0, b, 0, 0)
     else:
         raise ValueError(f"unknown family {fam}")
-    if w.is_singular:
+    if curve_invariants(ainvs)[6] == 0:
         raise SingularParameterError(f"{fp} gives a singular curve")
-    return w
+    return WeierstrassModel.from_ainvs(ainvs)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +404,14 @@ def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
         T_other = next(T for T in t2 if T != inside)
         gens.append((T_other, 2))
     if gen is not None:
-        check_invariant(point_order(wi, gen, n2) == n2, f"{wi}: the generator {gen} does not have order {n2}")
+        check_invariant(point_order(wi, gen, n2) == n2, "{}: the generator {} does not have order {}", wi, gen, n2)
         gens.append((gen, n2))
-    back = [(chg.apply_point(*P), k) for P, k in gens]
-    for P, k in back:
-        check_invariant(point_order(w, P, k) == k, f"{w}: the generator {P} does not have order {k}")
-    return TorsionGroup((n1, n2), back, w)
+    if chg != CoordinateChange.identity():
+        # the generators on the input model are checked again after the change back
+        gens = [(chg.apply_point(*P), k) for P, k in gens]
+        for P, k in gens:
+            check_invariant(point_order(w, P, k) == k, "{}: the generator {} does not have order {}", w, P, k)
+    return TorsionGroup((n1, n2), gens, w)
 
 
 def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:
@@ -462,7 +467,7 @@ def halving_quadratic(w: WeierstrassModel, T) -> list[Fraction]:
     The preimages pair up, so the halving quartic is the square of q."""
     quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -T[0]))
     q = poly_sqrt_monic_quartic([Fraction(c) for c in quartic])
-    check_invariant(q is not None, f"{w}: the halving quartic of {T} is not a square")
+    check_invariant(q is not None, "{}: the halving quartic of {} is not a square", w, T)
     return q
 
 

@@ -19,7 +19,9 @@ from .tate import global_data
 from .weierstrass import (
     WeierstrassModel,
     check_invariant,
-    find_isomorphism,
+    curve_invariants,
+    exact_terms,
+    isomorphic_over_q,
     point_neg,
     point_order,
 )
@@ -35,23 +37,30 @@ class IsogenyRecord:
 
     def __post_init__(self):
         for P in self.kernel:
-            check_invariant(self.source.contains(*P), f"kernel point ({P[0]}, {P[1]}) is not on {self.source}")
+            check_invariant(self.source.contains(*P), "kernel point ({}, {}) is not on {}", P[0], P[1], self.source)
 
 
-def _velu_quotient(w: WeierstrassModel, kernel_xs) -> WeierstrassModel:
-    # kernel_xs: one x per +-pair of kernel points; uq vanishes exactly at
-    # 2-torsion, where the t-contribution is halved
-    b2, b4, b6 = w.b2, w.b4, w.b6
-    t = Fraction(0)
-    ww = Fraction(0)
+def _velu_quotient(a: tuple, kernel_xs) -> tuple:
+    """Coefficients of Velu's quotient of the model with coefficients a.
+
+    kernel_xs holds one x per +-pair of kernel points. Like
+    `curve_invariants`, this is a polynomial formula: int coefficients and
+    x's give ints, Fractions give Fractions.
+    """
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6 = curve_invariants(a)[:3]
+    t = ww = 0
     for x in kernel_xs:
         uq = 4 * x**3 + b2 * x * x + 2 * b4 * x + b6
         tq = 6 * x * x + b2 * x + b4
         if uq == 0:
-            tq /= 2
+            # a 2-torsion x, where the t-contribution is halved. On ints tq
+            # is even: uq = (a1 x + a3)^2 + 4 rhs(x) = 0 makes a1 x + a3
+            # even, and tq = a1 (a1 x + a3) mod 2
+            tq = tq // 2 if tq % 2 == 0 else Fraction(tq, 2)
         t += tq
         ww += uq + x * tq
-    return WeierstrassModel(w.a1, w.a2, w.a3, w.a4 - 5 * t, w.a6 - b2 * t - 7 * ww)
+    return (a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * ww)
 
 
 def velu_2_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
@@ -61,7 +70,8 @@ def velu_2_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
         raise ValueError("kernel point is not on the curve")
     if point_order(w, P, 2) != 2:
         raise ValueError("kernel point is not 2-torsion")
-    target = _velu_quotient(w, [P[0]])
+    a, xs = exact_terms(w, P[0])
+    target = WeierstrassModel.from_ainvs(_velu_quotient(a, xs))
     return IsogenyRecord(w, target, 2, (P,))
 
 
@@ -70,9 +80,12 @@ def velu_3_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
     P = (Fraction(P[0]), Fraction(P[1]))
     if not w.contains(*P):
         raise ValueError("kernel point is not on the curve")
-    if point_order(w, P, 3) != 3:
+    a, (x,) = exact_terms(w, P[0])
+    b2, b4, b6, b8 = curve_invariants(a)[:4]
+    # the points of order 3 are the affine points where psi_3 vanishes
+    if 3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8 != 0:
         raise ValueError("kernel point is not 3-torsion")
-    target = _velu_quotient(w, [P[0]])
+    target = WeierstrassModel.from_ainvs(_velu_quotient(a, [x]))
     # 2P = -P for a point of order 3
     return IsogenyRecord(w, target, 3, (P, point_neg(w, P)))
 
@@ -102,13 +115,14 @@ def hadano_quotient(a: int, b: int) -> Union[IsogenyRecord, CubeFailure]:
         return CubeFailure(a, b)
     src = build_curve(fp)
     q = a * a + 3 * a * t + 9 * t * t
-    tgt = WeierstrassModel.from_ainvs([a + 6 * t, 0, q * t, 0, 0])
-    check_invariant(tgt.discriminant == (t * q * (a - 3 * t)) ** 3, f"a = {a}, b = {b}: wrong quotient discriminant")
+    tgt = (a + 6 * t, 0, q * t, 0, 0)
+    inv = curve_invariants(tgt)
+    check_invariant(inv[6] == (t * q * (a - 3 * t)) ** 3, "a = {}, b = {}: wrong quotient discriminant", a, b)
     P = (Fraction(0), Fraction(0))
-    rec = IsogenyRecord(src, tgt, 3, (P, point_neg(src, P)), via="hadano")
+    rec = IsogenyRecord(src, WeierstrassModel.from_ainvs(tgt), 3, (P, point_neg(src, P)), via="hadano")
     # the closed form agrees with Velu's construction up to isomorphism
-    velu = _velu_quotient(src, [Fraction(0)])
-    check_invariant(find_isomorphism(velu, tgt) is not None, f"a = {a}, b = {b}: the quotient is not Velu's")
+    velu = _velu_quotient(exact_terms(src)[0], [0])
+    check_invariant(isomorphic_over_q(curve_invariants(velu), inv), "a = {}, b = {}: the quotient is not Velu's", a, b)
     return rec
 
 

@@ -190,15 +190,14 @@ def _integral_tuple(w: WeierstrassModel) -> tuple:
 
 def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, conductor exponent and v(disc_min) at p."""
-    return tate_algorithm(_integral_tuple(w)[0], p)
+    return tate_algorithm(*_integral_tuple(w), p)
 
 
-def tate_algorithm(a: tuple, p: int) -> LocalReduction:
+def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
     """Tate's algorithm at p on the integral coefficient 5-tuple a of a
-    nonsingular model."""
+    nonsingular model, given its `curve_invariants`."""
     u_exp = 0
     while True:
-        invariants = curve_invariants(a)
         c4, disc = invariants[4], invariants[6]
         n = padic_valuation(disc, p)
         if n == 0:
@@ -310,6 +309,7 @@ def tate_algorithm(a: tuple, p: int) -> LocalReduction:
         if a1 % p or a2 % p**2 or a3 % p**3:
             raise InvariantViolation(f"{a} at {p}: model does not scale down in step 11")
         a = (a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
+        invariants = curve_invariants(a)
         u_exp += 1
 
 
@@ -328,7 +328,7 @@ class GlobalData:
     def scale(self, w: WeierstrassModel) -> Fraction:
         """|u| with disc(w) = u^12 disc_min: the scaling from w, a model of this curve, to the minimal model."""
         roots = _rational_twelfth_roots(w.discriminant / self.delta_min)
-        check_invariant(bool(roots), f"{w}: disc / disc_min is not a twelfth power")
+        check_invariant(bool(roots), "{}: disc / disc_min is not a twelfth power", w)
         return roots[0]
 
 
@@ -339,7 +339,8 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
     integral model (family sweeps know them without factoring); it is
     verified cheaply, so a wrong hint fails loudly.
     """
-    a, (_, _, _, _, c4, c6, disc) = _integral_tuple(w)
+    a, invariants = _integral_tuple(w)
+    _, _, _, _, c4, c6, disc = invariants
     if bad_prime_hint is not None:
         primes = sorted(set(int(p) for p in bad_prime_hint))
         rem = abs(disc)
@@ -350,7 +351,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
             raise ValueError("bad_prime_hint does not cover the discriminant")
     else:
         primes = prime_divisors(disc)
-    local = {p: tate_algorithm(a, p) for p in primes}
+    local = {p: tate_algorithm(a, invariants, p) for p in primes}
     u = 1
     for p, lr in local.items():
         u *= p**lr.minimal_scale_exp

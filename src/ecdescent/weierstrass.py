@@ -2,12 +2,14 @@
 
 Exact rational coefficients, the one set of b/c invariant formulas
 (shared with Tate's algorithm on integer tuples), [u,r,s,t]
-coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, and
-point arithmetic used by the torsion and isogeny machinery.
+coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, point
+arithmetic used by the torsion and isogeny machinery, and isomorphism
+over Q decided on integer invariants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,8 +95,8 @@ class WeierstrassModel:
         return self.a1 * x + self.a3
 
     def contains(self, x: Rational, y: Rational) -> bool:
-        x, y = Fraction(x), Fraction(y)
-        return y * y + self.y_terms(x) * y == self.rhs(x)
+        (a1, a2, a3, a4, a6), (x, y) = exact_terms(self, Fraction(x), Fraction(y))
+        return y * (y + a1 * x + a3) == ((x + a2) * x + a4) * x + a6
 
     def two_division_poly(self) -> list[Fraction]:
         """4x^3 + b2 x^2 + 2 b4 x + b6, whose roots are the 2-torsion x's."""
@@ -124,6 +126,18 @@ def curve_invariants(a: tuple) -> tuple:
     return b2, b4, b6, b8, c4, c6, disc
 
 
+def exact_terms(w: WeierstrassModel, *xs: Fraction) -> tuple:
+    """The coefficients of w and the rationals xs, as ints when every one
+    of them is an integer and as Fractions otherwise.
+
+    Polynomial formulas in them (the curve equation, `curve_invariants`,
+    psi_3, Velu's quotient) are exact on either, and cheaper on ints.
+    """
+    if w.is_integral and all(x.denominator == 1 for x in xs):
+        return tuple(a.numerator for a in w.ainvs), tuple(x.numerator for x in xs)
+    return w.ainvs, xs
+
+
 class SingularModelError(ValueError):
     """Raised when an operation needs a nonsingular model."""
 
@@ -136,10 +150,11 @@ class InvariantViolation(ArithmeticError):
     """
 
 
-def check_invariant(ok: bool, why: str) -> None:
-    """`assert ok, why` that `python -O` keeps: raises InvariantViolation."""
+def check_invariant(ok: bool, why: str, *args) -> None:
+    """`assert ok, why.format(*args)` that `python -O` keeps: raises
+    InvariantViolation. The message is formatted only when ok is false."""
     if not ok:
-        raise InvariantViolation(why)
+        raise InvariantViolation(why.format(*args))
 
 
 def parse_model(text: str) -> WeierstrassModel:
@@ -307,19 +322,21 @@ def point_order(w: WeierstrassModel, P: Point, bound: int = 17) -> int:
 # -- isomorphism testing ----------------------------------------------------
 
 
-def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[CoordinateChange]:
-    """A change c with change_variables(w1, c) == w2, if one exists over Q."""
-    if w1.is_singular or w2.is_singular:
+def isomorphic_over_q(inv1: tuple, inv2: tuple) -> bool:
+    """Are two nonsingular curves isomorphic over Q, given the
+    `curve_invariants` of integral models of them?
+
+    They are when some rational u with u^12 = disc1/disc2 has
+    c4 = u^4 c4' and c6 = u^6 c6' (Cremona 1997, section 3.1): a twelfth
+    root is unique up to sign, which neither equation sees.
+    """
+    _, _, _, _, c4, c6, d = inv1
+    _, _, _, _, c4p, c6p, dp = inv2
+    if d == 0 or dp == 0:
         raise SingularModelError("isomorphism testing needs nonsingular models")
-    ratio = w1.discriminant / w2.discriminant
-    # u^12 = disc1/disc2
-    for u in _rational_twelfth_roots(ratio):
-        s = (w2.a1 * u - w1.a1) / 2
-        r = (w2.a2 * u**2 - w1.a2 + s * w1.a1 + s * s) / 3
-        t = (w2.a3 * u**3 - w1.a3 - r * w1.a1) / 2
-        if change_variables(w1, CoordinateChange(u, r, s, t)) == w2:
-            return CoordinateChange(u, r, s, t)
-    return None
+    g = math.gcd(d, dp) * (1 if dp > 0 else -1)
+    n, m = integer_root(d // g, 12), integer_root(dp // g, 12)  # u = n/m
+    return n is not None and m is not None and c4 * m**4 == c4p * n**4 and c6 * m**6 == c6p * n**6
 
 
 def _rational_twelfth_roots(q: Fraction) -> list[Fraction]:

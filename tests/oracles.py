@@ -7,6 +7,9 @@ method that shares none of the fast path's code:
 - `torsion_points_lutz_nagell` enumerates integral points for
   `families.torsion_subgroup`;
 - `splits_in_oracle` solves x^2 = disc (mod 4p) for `descent2.splits_in`;
+- `find_isomorphism` solves for a change [u,r,s,t] between two models for
+  `weierstrass.isomorphic_over_q`, the test behind the check that the
+  Hadano quotient is Velu's;
 - `hilbert_places` lists the places the Hilbert product formula runs over.
 
 `tests/test_oracle_independence.py` checks that this module names none of
@@ -16,6 +19,7 @@ the functions it judges.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from ecdescent.arith import (
     OO,
@@ -30,7 +34,17 @@ from ecdescent.descent2 import _int_pair, dual_params, field_discriminant
 from ecdescent.families import TorsionGroup
 from ecdescent.polyutil import rational_roots
 from ecdescent.tate import minimal_model
-from ecdescent.weierstrass import WeierstrassModel, point_add, point_mul, point_order, two_torsion_form
+from ecdescent.weierstrass import (
+    CoordinateChange,
+    SingularModelError,
+    WeierstrassModel,
+    _rational_twelfth_roots,
+    change_variables,
+    point_add,
+    point_mul,
+    point_order,
+    two_torsion_form,
+)
 
 # ---------------------------------------------------------------------------
 # Hilbert symbol places
@@ -190,3 +204,22 @@ def splits_in_oracle(d: int, p: int) -> bool:
         return False
     mod = 4 * p
     return any((x * x - disc) % mod == 0 for x in range(mod))
+
+
+# ---------------------------------------------------------------------------
+# isomorphism over Q
+
+
+def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[CoordinateChange]:
+    """A change c with change_variables(w1, c) == w2, if one exists over Q."""
+    if w1.is_singular or w2.is_singular:
+        raise SingularModelError("isomorphism testing needs nonsingular models")
+    ratio = w1.discriminant / w2.discriminant
+    # u^12 = disc1/disc2
+    for u in _rational_twelfth_roots(ratio):
+        s = (w2.a1 * u - w1.a1) / 2
+        r = (w2.a2 * u**2 - w1.a2 + s * w1.a1 + s * s) / 3
+        t = (w2.a3 * u**3 - w1.a3 - r * w1.a1) / 2
+        if change_variables(w1, CoordinateChange(u, r, s, t)) == w2:
+            return CoordinateChange(u, r, s, t)
+    return None

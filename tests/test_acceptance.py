@@ -20,8 +20,8 @@ from ecdescent.descent2 import kramer_sha2_bound, local_image, splits_in
 from ecdescent.families import SingularParameterError
 from ecdescent.fixtures import FIXTURES
 from ecdescent.isogeny import hadano_quotient, velu_2_isogeny, velu_3_isogeny
-from ecdescent.weierstrass import WeierstrassModel, find_isomorphism
-from oracles import hilbert_places, local_image_bruteforce
+from ecdescent.weierstrass import WeierstrassModel
+from oracles import find_isomorphism, hilbert_places, local_image_bruteforce
 
 
 def W(*a):

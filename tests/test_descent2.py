@@ -206,8 +206,8 @@ def _miscount(real, curve, ell, tamagawa):
     # tuple of E, not of its dual [0, A', 0, B', 0]
     ainvs = tuple(int(a) for a in curve.ainvs)
 
-    def tate_algorithm(a, p):
-        lr = real(a, p)
+    def tate_algorithm(a, invariants, p):
+        lr = real(a, invariants, p)
         return dataclasses.replace(lr, tamagawa=tamagawa) if (tuple(a), p) == (ainvs, ell) else lr
 
     return tate_algorithm
@@ -263,8 +263,8 @@ def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
         "from ecdescent.weierstrass import WeierstrassModel\n"
         "real = descent2.tate_algorithm\n"
         "for ainvs, ell in [([0, 1, 0, 3, 0], 3), ([0, 5, 0, 4, 0], 2)]:\n"
-        "    descent2.tate_algorithm = lambda a, p: (\n"
-        "        dataclasses.replace(real(a, p), tamagawa=1) if list(a) == ainvs else real(a, p)\n"
+        "    descent2.tate_algorithm = lambda a, inv, p: (\n"
+        "        dataclasses.replace(real(a, inv, p), tamagawa=1) if list(a) == ainvs else real(a, inv, p)\n"
         "    )\n"
         "    try:\n"
         "        descent2.local_image(WeierstrassModel.from_ainvs(ainvs), ell)\n"

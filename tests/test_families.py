@@ -286,8 +286,9 @@ def test_halving_quadratics_on_full_two_torsion():
 
 
 def test_checks_hold_under_optimize(run_optimized):
-    # a doctored order test on the integral model, a doctored change back
-    # to the input model and a doctored square root trip the three checks
+    # a doctored order test on the integral model, the same on a non-integral
+    # input model (the check after the change back), a doctored change back
+    # to an integral input model and a doctored square root trip the checks
     # in turn
     script = (
         "from ecdescent import families\n"
@@ -301,13 +302,15 @@ def test_checks_hold_under_optimize(run_optimized):
         "real = families.point_order\n"
         "families.point_order = lambda v, P, bound=17: 0 if bound == 3 and v.is_integral else real(v, P, bound)\n"
         "attempt(lambda: families.torsion_subgroup(change_variables(w, CoordinateChange.of(2))))\n"
+        "families.point_order = lambda v, P, bound=17: 0 if bound == 3 and not v.is_integral else real(v, P, bound)\n"
+        "attempt(lambda: families.torsion_subgroup(change_variables(w, CoordinateChange.of(2))))\n"
         "families.point_order = real\n"
         "families.integral_model = lambda v: (v, CoordinateChange.of(1, 1))\n"
         "attempt(lambda: families.torsion_subgroup(w))\n"
         "families.poly_sqrt_monic_quartic = lambda f: None\n"
         "attempt(lambda: families.halving_quadratic(WeierstrassModel.from_ainvs([0, 0, 0, -1, 0]), (0, 0)))\n"
     )
-    assert run_optimized(script) == ["raised"] * 3
+    assert run_optimized(script) == ["raised"] * 4
 
 
 def test_torsion_growth_classes():

@@ -29,7 +29,8 @@ from ecdescent.families import (
 from ecdescent.fixtures import FIXTURES
 from ecdescent.tate import global_data
 from ecdescent.verify import verify_section
-from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables, find_isomorphism, integral_model
+from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables, integral_model
+from oracles import find_isomorphism
 
 
 def data_path():

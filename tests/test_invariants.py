@@ -19,7 +19,8 @@ from ecdescent.families import (
 )
 from ecdescent.isogeny import velu_2_isogeny
 from ecdescent.tate import global_data, local_reduction
-from ecdescent.weierstrass import WeierstrassModel, find_isomorphism
+from ecdescent.weierstrass import WeierstrassModel
+from oracles import find_isomorphism
 
 
 def W(*a):

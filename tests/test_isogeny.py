@@ -1,14 +1,16 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ecdescent.arith import integer_root
 from ecdescent.audit import main_theorem_audit
-from ecdescent.families import build_curve, points_of_order_n, torsion_growth, z3_point
+from ecdescent.families import build_curve, division_poly, points_of_order_n, torsion_growth, z3_point
 from ecdescent.isogeny import (
     CubeFailure,
     IsogenyRecord,
+    _velu_quotient,
     etale_side,
     hadano_quotient,
     pullback_scale,
@@ -20,10 +22,13 @@ from ecdescent.polyutil import rational_roots
 from ecdescent.tate import global_data, minimal_model
 from ecdescent.weierstrass import (
     WeierstrassModel,
-    find_isomorphism,
+    curve_invariants,
+    isomorphic_over_q,
     point_mul,
     two_torsion_form,
 )
+import oracles
+from oracles import find_isomorphism
 
 
 def W(*a):
@@ -217,10 +222,10 @@ def test_three_isogeny_kernel_is_p_and_2p():
 
 
 def test_checks_hold_under_optimize(run_optimized):
-    # a doctored negation, target model and isomorphism test trip the
-    # kernel check, the discriminant identity and the Velu cross-check
+    # a doctored negation, target discriminant and Velu quotient trip the
+    # kernel check, the integer discriminant identity and the integer
+    # isomorphism cross-check
     script = (
-        "import types\n"
         "from ecdescent import isogeny\n"
         "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
         "def attempt(call):\n"
@@ -234,15 +239,82 @@ def test_checks_hold_under_optimize(run_optimized):
         "attempt(lambda: isogeny.velu_3_isogeny(w, (0, 0)))\n"
         "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
         "isogeny.point_neg = real\n"
-        "isogeny.WeierstrassModel = types.SimpleNamespace(\n"
-        "    from_ainvs=lambda a: WeierstrassModel.from_ainvs([a[0], 1, *a[2:]]))\n"
+        "invariants = isogeny.curve_invariants\n"
+        "isogeny.curve_invariants = lambda a: (*invariants(a)[:6], invariants(a)[6] + 1)\n"
         "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
-        "isogeny.WeierstrassModel = WeierstrassModel\n"
-        "isogeny.find_isomorphism = lambda w1, w2: None\n"
+        "isogeny.curve_invariants = invariants\n"
+        "velu = isogeny._velu_quotient\n"
+        "isogeny._velu_quotient = lambda a, xs: (*velu(a, xs)[:4], velu(a, xs)[4] + 1)\n"
         "attempt(lambda: isogeny.hadano_quotient(5, 8))\n"
     )
     expected = ["[1,0,1,0,0]", "[5,0,8,0,0]", "discriminant", "Velu's"]
     assert run_optimized(script) == [word for tail in expected for word in ("raised:", tail)]
+
+
+def _invariants(w):
+    return curve_invariants(tuple(int(c) for c in w.ainvs))
+
+
+def test_hadano_is_velu_by_the_isomorphism_oracle():
+    # every Hadano quotient with |a| <= 300, t <= 5 against Velu's quotient
+    # of the same curve: the integer cross-check and find_isomorphism agree,
+    # and both tell it apart from the quotient of the next member
+    pairs = 0
+    for t in range(1, 6):
+        for a in range(-300, 301):
+            try:
+                fp = z3_point(a, t**3)
+            except ValueError:
+                continue
+            rec = hadano_quotient(a, t**3)
+            velu = velu_3_isogeny(build_curve(fp), (0, 0)).target
+            assert isomorphic_over_q(_invariants(velu), _invariants(rec.target))
+            assert find_isomorphism(velu, rec.target) is not None, (a, t)
+            other = velu_3_isogeny(W(a + 1, 0, t**3, 0, 0), (0, 0)).target
+            if not other.is_singular:
+                assert not isomorphic_over_q(_invariants(other), _invariants(rec.target))
+                assert find_isomorphism(other, rec.target) is None
+            pairs += 1
+    assert pairs >= 2000
+
+
+def test_velu_quotient_on_ints_is_the_rational_one():
+    # one formula on both coefficient types. Each model is built through an
+    # integral 2-torsion point (x0, y0), odd a1 included, where the halved
+    # term must stay an integer; its integral 3-division x's are tried too
+    rng = random.Random(140)
+    done = 0
+    while done < 200:
+        a1, a2, a3, a4, x0 = (rng.randint(-9, 9) for _ in range(5))
+        if (a1 * x0 + a3) % 2:
+            continue
+        y0 = -(a1 * x0 + a3) // 2
+        a = (a1, a2, a3, a4, y0 * y0 + (a1 * x0 + a3) * y0 - ((x0 + a2) * x0 + a4) * x0)
+        w = W(*a)
+        if w.is_singular:
+            continue
+        three = [x for x in rational_roots(division_poly(w, 3)) if x.denominator == 1]
+        for x in [Fraction(x0)] + three:
+            on_ints = _velu_quotient(a, [int(x)])
+            assert all(type(c) is int for c in on_ints)
+            assert on_ints == _velu_quotient(w.ainvs, [x])
+        done += 1
+
+
+def test_chain_runs_without_point_arithmetic(monkeypatch):
+    # the chain's checks are integer identities: no point addition, no
+    # change of variables and no isomorphism search
+    calls = []
+    for name in ("point_add", "change_variables"):
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "ecdescent"]:
+            real = getattr(mod, name, None)
+            if real is not None:
+                monkeypatch.setattr(mod, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args))
+    real_iso = oracles.find_isomorphism
+    monkeypatch.setattr(oracles, "find_isomorphism", lambda *args: calls.append("find_isomorphism") or real_iso(*args))
+    lengths = [three_isogeny_chain(a).length for a in (-6, 1, 5, 9999)]
+    assert lengths == [4, 3, 3, 3]
+    assert calls == []
 
 
 def test_etale_side_dichotomy_on_two_isogenies():

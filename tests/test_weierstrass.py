@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from ecdescent.weierstrass import (
     WeierstrassModel,
     change_variables,
     curve_invariants,
-    find_isomorphism,
     integral_model,
+    isomorphic_over_q,
     parse_model,
     point_add,
     point_mul,
@@ -21,6 +22,7 @@ from ecdescent.weierstrass import (
     quadratic_twist,
     two_torsion_form,
 )
+from oracles import find_isomorphism
 
 units = st.fractions(min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda u: u != 0)
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
@@ -226,6 +228,80 @@ def test_find_isomorphism():
     assert change_variables(w, found) == w2
     other = WeierstrassModel.from_ainvs([0, 0, 1, -10, -19])
     assert find_isomorphism(w, other) is None
+
+
+def _integral_invariants(w):
+    return curve_invariants(tuple(a.numerator for a in integral_model(w)[0].ainvs))
+
+
+def _agrees_with_oracle(w1, w2):
+    fast = isomorphic_over_q(_integral_invariants(w1), _integral_invariants(w2))
+    assert fast == (find_isomorphism(w1, w2) is not None), (str(w1), str(w2))
+    return fast
+
+
+def test_isomorphic_over_q_under_random_changes():
+    # seeded models under random [u,r,s,t], u negative or non-integral too,
+    # and against the same model with one coefficient moved
+    rng = random.Random(1409)
+    us = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 5)]
+    done = 0
+    while done < 300:
+        w = WeierstrassModel.from_ainvs([rng.randint(-9, 9) for _ in range(5)])
+        if w.is_singular:
+            continue
+        r, s, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+        w2 = change_variables(w, CoordinateChange.of(rng.choice(us), r, s, t))
+        assert _agrees_with_oracle(w, w2)
+        moved = list(w2.ainvs)
+        moved[rng.randrange(5)] += rng.choice([-1, 1])
+        moved = WeierstrassModel(*moved)
+        if not moved.is_singular:
+            _agrees_with_oracle(w, moved)
+        done += 1
+
+
+def test_isomorphic_over_q_rejects_quadratic_twists():
+    # a twist by squarefree d != 1 has the same j but is another curve
+    rng = random.Random(1410)
+    done = 0
+    while done < 100:
+        A, B = rng.randint(-20, 20), rng.randint(-20, 20)
+        d = rng.choice([-15, -7, -3, -2, -1, 2, 3, 5, 6, 10])
+        w = WeierstrassModel.from_ainvs([0, A, 0, B, 0])
+        if B == 0 or w.is_singular:
+            continue
+        twist = quadratic_twist(w, d)
+        assert twist.j_invariant == w.j_invariant
+        assert not _agrees_with_oracle(w, twist)
+        done += 1
+
+
+def test_isomorphic_over_q_at_j_0_and_1728():
+    # sextic twists y^2 = x^3 + k and quartic twists y^2 = x^3 + kx: k and
+    # k' give the same curve over Q exactly when k/k' is a sixth (fourth)
+    # power, e.g. x^3 + 1 and x^3 + 64 do, x^3 + 1 and x^3 - 1 do not, and
+    # x^3 + x and x^3 + 16x do, x^3 + x and x^3 - 4x do not
+    ks = [1, -1, 2, -2, 3, 4, -4, 8, 16, 27, 64, -64, 81, 729, 432, -432, 2 * 64, 3**6 * 2]
+    j0 = [WeierstrassModel.from_ainvs([0, 0, 0, 0, k]) for k in ks]
+    j1728 = [WeierstrassModel.from_ainvs([0, 0, 0, k, 0]) for k in ks]
+    j1728.append(change_variables(j1728[0], CoordinateChange.of(Fraction(-1, 2), 3, 1, -5)))
+    found = set()
+    for models in (j0, j1728, j0[:4] + j1728[:4]):
+        for w1 in models:
+            for w2 in models:
+                found.add((str(w1), str(w2), _agrees_with_oracle(w1, w2)))
+    assert ("[0,0,0,0,1]", "[0,0,0,0,64]", True) in found
+    assert ("[0,0,0,0,1]", "[0,0,0,0,-1]", False) in found
+    assert ("[0,0,0,1,0]", "[0,0,0,16,0]", True) in found
+    assert ("[0,0,0,1,0]", "[0,0,0,-4,0]", False) in found
+    assert ("[0,0,0,1,0]", "[0,0,0,4,0]", False) in found
+
+
+def test_isomorphic_over_q_needs_nonsingular_models():
+    good = curve_invariants((0, 0, 1, -1, 0))
+    with pytest.raises(SingularModelError):
+        isomorphic_over_q(good, curve_invariants((0, 0, 0, 0, 0)))
 
 
 def test_j_of_singular():
