@@ -104,8 +104,23 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
+#: Iterations of the rho map `_pollard_rho` may spend on one composite,
+#: over all its restarts. A prime factor p takes about sqrt(p) of them, and
+#: Brent's rounds double in length, so this admits rounds up to 2^20 long:
+#: it splits n = psi_12 = 399165290221 * 798330580441 in its last round, and
+#: runs out on a product of two 20-digit primes after about 2.6 s (one core
+#: of a shared Xeon VM, Python 3.11).
+RHO_BUDGET = 1 << 22
+
+
+class FactoringBudgetExceeded(ArithmeticError):
+    """`factorize` found no factor of a composite within RHO_BUDGET."""
+
+
+def _pollard_rho(n: int, rng: random.Random) -> int | None:
+    """A nontrivial factor of n, or None once RHO_BUDGET is spent."""
     # Brent's variant; n must be odd composite, not a prime power handled upstream.
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -113,6 +128,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # r steps here, at most r more below
+            if steps > RHO_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -140,10 +158,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
     The sign is not part of the result: prod(p**e) * sign(n) == n.
     Trial division by small primes, then Pollard rho on what remains.
 
-    Raises ValueError on n == 0.
+    Raises ValueError on n == 0, and FactoringBudgetExceeded when Pollard
+    rho spends RHO_BUDGET iterations on a composite part of n without
+    splitting it.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
+    n0 = n
     n = abs(n)
     out: dict[int, int] = {}
     for p in SMALL_PRIMES:
@@ -167,6 +188,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
             continue
         rng = rng or random.Random(0x5EED)
         d = _pollard_rho(m, rng)
+        if d is None:
+            raise FactoringBudgetExceeded(f"factoring {n0}: Pollard rho found no factor of {m} in {RHO_BUDGET} iterations")
         stack += [d, m // d]
     return sorted(out.items())
 

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .arith import is_prime
+from .arith import FactoringBudgetExceeded, is_prime
 from .audit import OutOfScopeTorsion, main_theorem_audit
 from .cremona import ingest_cremona, render_allcurves_line
 from .descent2 import InadmissibleField, kramer_sha2_bound
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Refusal as exc:
+    except (Refusal, FactoringBudgetExceeded) as exc:
         _emit({"command": args.command, "refused": str(exc)})
         return 2
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import is_prime, padic_valuation, prime_divisors
 from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
 from .families import build_curve, z3_point
-from .isogeny import IsogenyRecord, hadano_quotient
+from .isogeny import IsogenyRecord, _hadano_quotient
 from .tate import SPLIT, GlobalData, global_data, local_reduction
 from .weierstrass import WeierstrassModel, check_invariant, point_order
 
@@ -24,7 +24,8 @@ from .weierstrass import WeierstrassModel, check_invariant, point_order
 class ThreeDividesTamagawa(Exception):
     """Short-circuit: 3 | C(E), no Selmer work needed."""
 
-    def __init__(self, gd: GlobalData):
+    def __init__(self, curve: WeierstrassModel, gd: GlobalData):
+        self.curve = curve
         self.global_data = gd
         super().__init__("3 divides the Tamagawa product")
 
@@ -70,10 +71,11 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     Raises ThreeDividesTamagawa when 3 | C(E) (nothing to do), and
     HypothesisFailure when d is inadmissible.
     """
-    E = build_curve(z3_point(a, 1))
+    fp = z3_point(a, 1)
+    E = build_curve(fp)
     gd = global_data(E)
     if gd.tamagawa_product % 3 == 0:
-        raise ThreeDividesTamagawa(gd)
+        raise ThreeDividesTamagawa(E, gd)
     try:
         field_discriminant(d)
         if d == -3:
@@ -81,7 +83,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
         check_heegner_field(gd, d)
     except InadmissibleField as exc:
         raise HypothesisFailure(str(exc)) from exc
-    rec = hadano_quotient(a, 1)
+    rec = _hadano_quotient(fp)
     check_invariant(isinstance(rec, IsogenyRecord), "a = {}: no 3-isogeny quotient", a)
     Ep = rec.target
     gdp = global_data(Ep)
@@ -172,12 +174,11 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     infinite order of the Heegner point forces, pins E(K)/3E(K) = (Z/3)^2
     and leaves dim Sha[3] >= 2, hence 3 | sqrt(#Sha(E/K)).
     """
-    E = build_curve(z3_point(a, 1))
     try:
         ledger = cassels_ledger(a, d)
     except ThreeDividesTamagawa as short:
         return Sha3Certificate(
-            curve=E,
+            curve=short.curve,
             d=d,
             route="tamagawa",
             conclusion="3 | C",
@@ -216,7 +217,7 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     # gives E(K)/3E(K) of F_3-dimension 2
     sha_lower = ledger.sel_phi_dim_lower - 2
     return Sha3Certificate(
-        curve=E,
+        curve=ledger.curve,
         d=d,
         route="cassels",
         conclusion="3 | sqrt(#Sha(E/K))",

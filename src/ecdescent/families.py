@@ -19,7 +19,6 @@ from .arith import (
     factorize,
     is_prime,
     is_square,
-    kronecker_symbol,
     padic_valuation,
     square_class,
 )
@@ -38,6 +37,7 @@ from .weierstrass import (
     WeierstrassModel,
     check_invariant,
     curve_invariants,
+    exact_terms,
     integral_model,
     point_add,
     point_mul,
@@ -186,18 +186,22 @@ def build_curve(fp: FamilyPoint) -> WeierstrassModel:
 # division polynomials (univariate parts)
 
 
-def division_poly(w: WeierstrassModel, n: int) -> list[Fraction]:
-    """f_n(x): psi_n for odd n, psi_n / psi_2 for even n."""
+def division_poly(w: WeierstrassModel, n: int) -> list:
+    """f_n(x): psi_n for odd n, psi_n / psi_2 for even n.
+
+    Built from the b-invariants of w's exact terms, so an integral model
+    gives int coefficients.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    b2, b4, b6, b8 = w.b2, w.b4, w.b6, w.b8
-    F = [b6, 2 * b4, b2, Fraction(4)]  # psi_2^2
+    b2, b4, b6, b8 = curve_invariants(exact_terms(w)[0])[:4]
+    F = [b6, 2 * b4, b2, 4]  # psi_2^2
     FF = poly_mul(F, F)
-    cache: dict[int, list[Fraction]] = {
+    cache: dict[int, list] = {
         0: [],
-        1: [Fraction(1)],
-        2: [Fraction(1)],
-        3: [b8, 3 * b6, 3 * b4, b2, Fraction(3)],
+        1: [1],
+        2: [1],
+        3: [b8, 3 * b6, 3 * b4, b2, 3],
         4: [
             b4 * b8 - b6 * b6,
             b2 * b8 - b4 * b6,
@@ -205,28 +209,28 @@ def division_poly(w: WeierstrassModel, n: int) -> list[Fraction]:
             10 * b6,
             5 * b4,
             b2,
-            Fraction(2),
+            2,
         ],
     }
 
-    def f(m: int) -> list[Fraction]:
+    def f(m: int) -> list:
         if m in cache:
             return cache[m]
         if m == -1:
-            return poly_scale(f(1), Fraction(-1))
+            return poly_scale(f(1), -1)
         if m % 2:
             k = (m - 1) // 2
             t1 = poly_mul(f(k + 2), poly_mul(f(k), poly_mul(f(k), f(k))))
             t2 = poly_mul(f(k - 1), poly_mul(f(k + 1), poly_mul(f(k + 1), f(k + 1))))
             if k % 2 == 0:
-                val = poly_add(poly_mul(FF, t1), poly_scale(t2, Fraction(-1)))
+                val = poly_add(poly_mul(FF, t1), poly_scale(t2, -1))
             else:
-                val = poly_add(t1, poly_scale(poly_mul(FF, t2), Fraction(-1)))
+                val = poly_add(t1, poly_scale(poly_mul(FF, t2), -1))
         else:
             k = m // 2
             inner = poly_add(
                 poly_mul(f(k + 2), poly_mul(f(k - 1), f(k - 1))),
-                poly_scale(poly_mul(f(k - 2), poly_mul(f(k + 1), f(k + 1))), Fraction(-1)),
+                poly_scale(poly_mul(f(k - 2), poly_mul(f(k + 1), f(k + 1))), -1),
             )
             val = poly_mul(f(k), inner)
         cache[m] = val
@@ -235,9 +239,16 @@ def division_poly(w: WeierstrassModel, n: int) -> list[Fraction]:
     return f(n)
 
 
-def duplication_numerator(w: WeierstrassModel) -> list[Fraction]:
+def duplication_numerator(w: WeierstrassModel) -> list:
     """phi_2(x) = x^4 - b4 x^2 - 2 b6 x - b8; x(2P) = phi_2 / psi_2^2."""
-    return [-w.b8, -2 * w.b6, -w.b4, Fraction(0), Fraction(1)]
+    _, b4, b6, b8 = curve_invariants(exact_terms(w)[0])[:4]
+    return [-b8, -2 * b6, -b4, 0, 1]
+
+
+def _halving_quartic(w: WeierstrassModel, x0) -> list:
+    """phi_2(x) - x0 psi_2(x)^2, whose roots are the x(Q) with x(2Q) = x0."""
+    _, (x0,) = exact_terms(w, x0)
+    return poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -x0))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +291,15 @@ class TorsionGroup:
 
 
 def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
-    """#E(F_p) for a prime of good reduction, by direct character sums."""
-    a1, a2, a3, a4, a6 = (int(a) % p for a in w.ainvs)
-    total = p + 1
-    for x in range(p):
-        rhs = (((x + a2) * x + a4) * x + a6) % p
-        yterm = (a1 * x + a3) % p
-        disc = (yterm * yterm + 4 * rhs) % p
-        total += kronecker_symbol(disc, p)
-    return total
+    """#E(F_p) for an odd prime of good reduction on an integral model:
+    p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6), the quadratic
+    character read from a table of the squares mod p."""
+    b2, b4, b6 = (int(b) % p for b in (w.b2, w.b4, w.b6))
+    chi = [-1] * p
+    for y in range(1, p // 2 + 1):
+        chi[y * y % p] = 1
+    chi[0] = 0
+    return p + 1 + sum(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
 
 def torsion_order_bound(w: WeierstrassModel) -> int:
@@ -310,9 +321,10 @@ def torsion_order_bound(w: WeierstrassModel) -> int:
 
 
 def _y_on_curve(w: WeierstrassModel, x: Fraction) -> list[Fraction]:
-    """Rational y with (x, y) on w."""
-    yt = w.y_terms(x)
-    disc = yt * yt + 4 * w.rhs(x)
+    """Rational y with (x, y) on w; on ints for an integral model and x."""
+    (a1, a2, a3, a4, a6), (x,) = exact_terms(w, x)
+    yt = a1 * x + a3
+    disc = yt * yt + 4 * (((x + a2) * x + a4) * x + a6)
     if disc < 0 or not is_square(disc):
         return []
     s = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
@@ -334,8 +346,7 @@ def halve_point(w: WeierstrassModel, P) -> list:
     if point_order(w, P, 2) == 2:
         xs = rational_roots(halving_quadratic(w, P))
     else:
-        quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -P[0]))
-        xs = rational_roots(quartic)
+        xs = rational_roots(_halving_quartic(w, P[0]))
     out = []
     for x in xs:
         for y in _y_on_curve(w, x):
@@ -419,8 +430,9 @@ def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:
     f3 = division_poly(w, 3)
     f4 = division_poly(w, 4)
     F = w.two_division_poly()
-    num = poly_add(poly_mul([Fraction(0), Fraction(1)], poly_mul(f3, f3)), poly_scale(poly_mul(F, f4), Fraction(-1)))
-    target = poly_add(num, poly_scale(poly_mul(f3, f3), -P3[0]))
+    _, (x3,) = exact_terms(w, P3[0])
+    num = poly_add(poly_mul([0, 1], poly_mul(f3, f3)), poly_scale(poly_mul(F, f4), -1))
+    target = poly_add(num, poly_scale(poly_mul(f3, f3), -x3))
     for x in rational_roots(target):
         for y in _y_on_curve(w, x):
             if point_order(w, (x, y), 10) == 9:
@@ -461,12 +473,12 @@ def _quadratic_growth_classes(w: WeierstrassModel, polys) -> set:
     return classes
 
 
-def halving_quadratic(w: WeierstrassModel, T) -> list[Fraction]:
+def halving_quadratic(w: WeierstrassModel, T) -> list:
     """For T of order 2: the quadratic q with q(x(Q))=0 iff 2Q = T.
 
     The preimages pair up, so the halving quartic is the square of q."""
-    quartic = poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -T[0]))
-    q = poly_sqrt_monic_quartic([Fraction(c) for c in quartic])
+    quartic = _halving_quartic(w, T[0])
+    q = poly_sqrt_monic_quartic(quartic)
     check_invariant(q is not None, "{}: the halving quartic of {} is not a square", w, T)
     return q
 

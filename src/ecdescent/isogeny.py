@@ -15,6 +15,7 @@ from typing import Union
 
 from .arith import integer_root
 from .families import FamilyPoint, build_curve, z3_normalize, z3_point
+from .polyutil import exact_half
 from .tate import global_data
 from .weierstrass import (
     WeierstrassModel,
@@ -57,7 +58,7 @@ def _velu_quotient(a: tuple, kernel_xs) -> tuple:
             # a 2-torsion x, where the t-contribution is halved. On ints tq
             # is even: uq = (a1 x + a3)^2 + 4 rhs(x) = 0 makes a1 x + a3
             # even, and tq = a1 (a1 x + a3) mod 2
-            tq = tq // 2 if tq % 2 == 0 else Fraction(tq, 2)
+            tq = exact_half(tq)
         t += tq
         ww += uq + x * tq
     return (a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * ww)
@@ -109,7 +110,12 @@ def hadano_quotient(a: int, b: int) -> Union[IsogenyRecord, CubeFailure]:
     rational 3-torsion point (0,0).  Otherwise the quotient has no rational
     3-torsion point and a CubeFailure is returned instead of a model.
     """
-    fp = z3_point(a, b)  # validates parameters, raises on singular input
+    return _hadano_quotient(z3_point(a, b))  # validates, raises on singular input
+
+
+def _hadano_quotient(fp: FamilyPoint) -> Union[IsogenyRecord, CubeFailure]:
+    """`hadano_quotient` of an already validated Z/3 family point."""
+    a, b = fp.params
     t = integer_root(b, 3)
     if t is None:
         return CubeFailure(a, b)
@@ -155,7 +161,7 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
     fps = [cur]
     while True:
         a_, b_ = cur.params
-        res = hadano_quotient(a_, b_)
+        res = _hadano_quotient(cur)
         if isinstance(res, CubeFailure):
             # terminal step: the quotient still exists (kernel is rational)
             # but its target has no rational 3-torsion point

@@ -101,12 +101,15 @@ def poly_content(f: Sequence[int]) -> int:
 
 
 def poly_primitive(f: Sequence) -> list[int]:
-    """Clear denominators and content, preserving the root set."""
-    f = [Fraction(c) for c in f]
+    """Clear denominators and content, preserving the root set.
+
+    The coefficients may be ints, Fractions or both; ints are read as they
+    are, with no Fraction built.
+    """
     den = 1
     for c in f:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    g = [int(c * den) for c in f]
+    g = [c.numerator * (den // c.denominator) for c in f]
     cont = poly_content(g)
     return [c // cont for c in g]
 
@@ -259,7 +262,7 @@ def _fp_sqrt(a: int, p: int) -> int:
 
 
 def _rational_reconstruct(r: int, m: int, ubound: int, wbound: int):
-    """Find u/w = r mod m with |u| <= ubound, 0 < w <= wbound, else None."""
+    """Find (u, w) with u/w = r mod m, |u| <= ubound, 0 < w <= wbound, else None."""
     v0, v1 = (m, 0), (r % m, 1)
     while v1[0] > ubound:
         q = v0[0] // v1[0]
@@ -269,7 +272,16 @@ def _rational_reconstruct(r: int, m: int, ubound: int, wbound: int):
         return None
     if w < 0:
         u, w = -u, -w
-    return Fraction(u, w)
+    return u, w
+
+
+def _vanishes_at(g: Sequence[int], u: int, w: int) -> bool:
+    """Is u/w a root of g, tested on ints as sum c_i u^i w^(n-i) = 0?"""
+    acc, wk = 0, 1
+    for c in reversed(g):
+        acc = acc * u + c * wk
+        wk *= w
+    return acc == 0
 
 
 #: Auxiliary primes of `rational_roots`, in the order tried: small primes,
@@ -326,20 +338,27 @@ def rational_roots(f: Sequence) -> list[Fraction]:
             fr = poly_eval(g, r) % qk
             r = (r - fr * pow(poly_eval(dg, r), -1, qk)) % qk
         cand = _rational_reconstruct(r, qk, ubound, wbound)
-        if cand is not None and poly_eval(g, cand) == 0:
-            roots.append(cand)
+        if cand is not None and _vanishes_at(g, *cand):
+            roots.append(Fraction(*cand))
     return sorted(set(roots))
 
 
-def poly_sqrt_monic_quartic(f: Sequence) -> list[Fraction] | None:
-    """Exact square root of a monic quartic, i.e. q with q^2 = f, or None."""
-    if len(poly_trim([Fraction(c) for c in f])) != 5 or f[4] != 1:
+def exact_half(c):
+    """c / 2 for an int or a Fraction c: an int when c is even."""
+    return c // 2 if c % 2 == 0 else Fraction(c, 2)
+
+
+def poly_sqrt_monic_quartic(f: Sequence) -> list | None:
+    """Exact square root of a monic quartic, i.e. q with q^2 = f, or None.
+
+    Exact on int and Fraction coefficients alike."""
+    if len(poly_trim(list(f))) != 5 or f[4] != 1:
         return None
-    a3, a2, a1, a0 = (Fraction(f[3]), Fraction(f[2]), Fraction(f[1]), Fraction(f[0]))
-    c1 = a3 / 2
-    c0 = (a2 - c1 * c1) / 2
+    a0, a1, a2, a3 = f[:4]
+    c1 = exact_half(a3)
+    c0 = exact_half(a2 - c1 * c1)
     if 2 * c1 * c0 == a1 and c0 * c0 == a0:
-        return [c0, c1, Fraction(1)]
+        return [c0, c1, 1]
     return None
 
 

@@ -98,9 +98,11 @@ class WeierstrassModel:
         (a1, a2, a3, a4, a6), (x, y) = exact_terms(self, Fraction(x), Fraction(y))
         return y * (y + a1 * x + a3) == ((x + a2) * x + a4) * x + a6
 
-    def two_division_poly(self) -> list[Fraction]:
-        """4x^3 + b2 x^2 + 2 b4 x + b6, whose roots are the 2-torsion x's."""
-        return [self.b6, 2 * self.b4, self.b2, Fraction(4)]
+    def two_division_poly(self) -> list:
+        """4x^3 + b2 x^2 + 2 b4 x + b6, whose roots are the 2-torsion x's;
+        int coefficients on an integral model."""
+        b2, b4, b6 = curve_invariants(exact_terms(self)[0])[:3]
+        return [b6, 2 * b4, b2, 4]
 
     def __str__(self) -> str:
         def fmt(a: Fraction) -> str:
@@ -133,8 +135,10 @@ def exact_terms(w: WeierstrassModel, *xs: Fraction) -> tuple:
     Polynomial formulas in them (the curve equation, `curve_invariants`,
     psi_3, Velu's quotient) are exact on either, and cheaper on ints.
     """
-    if w.is_integral and all(x.denominator == 1 for x in xs):
-        return tuple(a.numerator for a in w.ainvs), tuple(x.numerator for x in xs)
+    terms = w.ainvs + xs
+    if all(t.denominator == 1 for t in terms):
+        ints = [t.numerator for t in terms]
+        return tuple(ints[:5]), tuple(ints[5:])
     return w.ainvs, xs
 
 
@@ -276,23 +280,29 @@ def point_neg(w: WeierstrassModel, P: Point) -> Point:
 
 
 def point_add(w: WeierstrassModel, P: Point, Q: Point) -> Point:
+    """P + Q, with Fraction coordinates.
+
+    On an integral model with integral P and Q the slope is an int
+    whenever its denominator divides its numerator, as it does between
+    torsion points away from 2-torsion (Lutz-Nagell), and then the sum is
+    computed on ints; otherwise on Fractions.
+    """
     if P is None:
         return Q
     if Q is None:
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    a1, a2, a3, a4, a6 = w.ainvs
+    (a1, a2, a3, a4, a6), (x1, y1, x2, y2) = exact_terms(w, *P, *Q)
     if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:
         return None
-    if P == Q:
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    if x1 == x2 and y1 == y2:
+        num, den = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1, 2 * y1 + a1 * x1 + a3
     else:
-        lam = (y2 - y1) / (x2 - x1)
+        num, den = y2 - y1, x2 - x1
+    lam = num // den if num % den == 0 else Fraction(num, den)
     nu = y1 - lam * x1
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
     y3 = -(lam + a1) * x3 - nu - a3
-    return (x3, y3)
+    return (Fraction(x3), Fraction(y3))
 
 
 def point_mul(w: WeierstrassModel, n: int, P: Point) -> Point:

@@ -6,6 +6,11 @@ method that shares none of the fast path's code:
 - `local_image_bruteforce` enumerates torsor points for `descent2.local_image`;
 - `torsion_points_lutz_nagell` enumerates integral points for
   `families.torsion_subgroup`;
+- `point_add_reference`, `point_mul_reference` and `point_order_reference`
+  are the chord-and-tangent formulas in Fractions throughout, for the
+  int paths of `weierstrass.point_add`, `point_mul` and `point_order`;
+- `count_points_kronecker` sums a Kronecker symbol per residue for
+  `families.count_points_mod_p`;
 - `splits_in_oracle` solves x^2 = disc (mod 4p) for `descent2.splits_in`;
 - `find_isomorphism` solves for a change [u,r,s,t] between two models for
   `weierstrass.isomorphic_over_q`, the test behind the check that the
@@ -27,6 +32,7 @@ from ecdescent.arith import (
     Rational,
     _as_integer_squareclass,
     factorize,
+    kronecker_symbol,
     padic_valuation,
     prime_divisors,
 )
@@ -40,9 +46,6 @@ from ecdescent.weierstrass import (
     WeierstrassModel,
     _rational_twelfth_roots,
     change_variables,
-    point_add,
-    point_mul,
-    point_order,
     two_torsion_form,
 )
 
@@ -165,7 +168,7 @@ def torsion_points_lutz_nagell(w: WeierstrassModel) -> TorsionGroup:
     for X, Y in pts:
         x = (X - 3 * b2) / 36
         y = (Y / 108 - m.a1 * x - m.a3) / 2
-        if m.contains(x, y) and point_order(m, (x, y), 16):
+        if m.contains(x, y) and point_order_reference(m, (x, y), 16):
             back.add((x, y))
     # group closure and structure
     group = {None} | back
@@ -174,22 +177,77 @@ def torsion_points_lutz_nagell(w: WeierstrassModel) -> TorsionGroup:
         changedflag = False
         for P in list(group):
             for Q in list(group):
-                R = point_add(m, P, Q)
+                R = point_add_reference(m, P, Q)
                 if R not in group:
                     group.add(R)
                     changedflag = True
     order = len(group)
-    two = [P for P in group if P is not None and point_order(m, P, 2) == 2]
+    two = [P for P in group if P is not None and point_order_reference(m, P, 2) == 2]
     n1 = 2 if len(two) == 3 else 1
     n2 = order // n1
     gens = []
-    cyc = next((P for P in group if P is not None and point_order(m, P, n2 + 1) == n2), None)
+    cyc = next((P for P in group if P is not None and point_order_reference(m, P, n2 + 1) == n2), None)
     if n1 == 2 and cyc is not None:
-        inside = point_mul(m, n2 // 2, cyc) if n2 % 2 == 0 else None
+        inside = point_mul_reference(m, n2 // 2, cyc) if n2 % 2 == 0 else None
         gens.append((next(T for T in two if T != inside), 2))
     if cyc is not None:
         gens.append((cyc, n2))
     return TorsionGroup((n1, n2), gens, m)
+
+
+# ---------------------------------------------------------------------------
+# point arithmetic and point counts
+
+
+def point_add_reference(w: WeierstrassModel, P, Q):
+    """P + Q by the chord-and-tangent formulas, in Fractions throughout."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = Fraction(P[0]), Fraction(P[1])
+    x2, y2 = Fraction(Q[0]), Fraction(Q[1])
+    a1, a2, a3, a4, _ = w.ainvs
+    if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:
+        return None
+    if (x1, y1) == (x2, y2):
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return (x3, -(lam + a1) * x3 - (y1 - lam * x1) - a3)
+
+
+def point_mul_reference(w: WeierstrassModel, n: int, P):
+    """nP by |n| repeated additions."""
+    if n < 0:
+        P, n = (None if P is None else (P[0], -P[1] - w.a1 * P[0] - w.a3)), -n
+    R = None
+    for _ in range(n):
+        R = point_add_reference(w, R, P)
+    return R
+
+
+def point_order_reference(w: WeierstrassModel, P, bound: int = 17) -> int:
+    """Least n <= bound with nP = O, else 0."""
+    Q = P
+    for n in range(1, bound + 1):
+        if Q is None:
+            return n
+        Q = point_add_reference(w, Q, P)
+    return 0
+
+
+def count_points_kronecker(w: WeierstrassModel, p: int) -> int:
+    """#E(F_p) at an odd good prime p of an integral model: p + 1 plus the
+    Kronecker symbol of the discriminant of y^2 + (a1 x + a3) y - rhs(x),
+    one residue x at a time."""
+    a1, a2, a3, a4, a6 = (int(a) % p for a in w.ainvs)
+    total = p + 1
+    for x in range(p):
+        yterm = a1 * x + a3
+        total += kronecker_symbol(yterm * yterm + 4 * (((x + a2) * x + a4) * x + a6), p)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from ecdescent import arith
 from ecdescent.arith import (
     OO,
     LocalSquareClassGroup,
+    FactoringBudgetExceeded,
     SquareClass,
     factorize,
     hilbert_symbol,
@@ -81,6 +83,18 @@ def test_factorize_product_property():
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI12 = (399165290221, 798330580441)
 PSI13 = (1287836182261, 2575672364521)
+
+
+#: two 20-digit primes; Pollard rho would need about 10^10 steps to split their product
+P20, Q20 = 10000000000000000051, 30000000000000000041
+
+
+def test_factorize_gives_up_on_a_product_of_two_large_primes():
+    assert is_prime(P20) and is_prime(Q20)
+    t0 = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded, match=str(P20 * Q20)):
+        factorize(P20 * Q20)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_is_prime_beyond_the_miller_rabin_bound():

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ecdescent import polyutil
-from ecdescent.arith import square_class
+from ecdescent import arith, families, polyutil, weierstrass
+from ecdescent.arith import is_prime, square_class
 from ecdescent.families import (
     ADVERTISED,
     FAMILIES,
     SingularParameterError,
     TorsionGroup,
     build_curve,
+    count_points_mod_p,
     division_poly,
     halving_quadratic,
     points_of_order_n,
@@ -29,7 +30,7 @@ from ecdescent.families import (
 )
 from ecdescent.tate import global_data
 from ecdescent.weierstrass import WeierstrassModel
-from oracles import torsion_points_lutz_nagell
+from oracles import count_points_kronecker, torsion_points_lutz_nagell
 
 
 def W(*a):
@@ -251,6 +252,69 @@ def test_torsion_needs_no_gcd_over_q(monkeypatch):
     assert calls == []
 
 
+def test_torsion_runs_on_ints(monkeypatch):
+    # the point counts read a table of squares, not a Kronecker symbol per
+    # residue, and every exact-order check of a generator adds on ints
+    kron, counting, int_terms, orders = [], [], [], []
+    real_kron, real_count = arith.kronecker_symbol, families.count_points_mod_p
+    real_terms, real_order = weierstrass.exact_terms, families.point_order
+
+    def kronecker(a, n):
+        kron.append(bool(counting))
+        return real_kron(a, n)
+
+    def count(w, p):
+        counting.append(p)
+        try:
+            return real_count(w, p)
+        finally:
+            counting.pop()
+
+    def terms(w, *xs):
+        out = real_terms(w, *xs)
+        int_terms.append(type(out[0][0]) is int)
+        return out
+
+    def order(w, P, bound=17):
+        del int_terms[:]
+        n = real_order(w, P, bound)
+        orders.append((P, bound, list(int_terms)))
+        return n
+
+    monkeypatch.setattr(arith, "kronecker_symbol", kronecker)
+    monkeypatch.setattr(families, "kronecker_symbol", kronecker, raising=False)
+    monkeypatch.setattr(families, "count_points_mod_p", count)
+    monkeypatch.setattr(weierstrass, "exact_terms", terms)
+    monkeypatch.setattr(families, "point_order", order)
+    cases = {
+        (0, -1, 1, -10, -20): (1, 5),  # 11a1
+        (1, 1, 1, -10, -10): (2, 4),  # 15a1
+        (1, -1, 1, -3, 3): (1, 7),  # 26b1
+        (1, -1, 1, -14, 29): (1, 9),  # 54b3
+    }
+    for ainvs, structure in cases.items():
+        del orders[:]
+        tg = torsion_subgroup(W(*ainvs))
+        assert tg.structure == structure
+        gen, n = tg.generators[-1]
+        # n - 1 additions reach O
+        assert [c for c in orders if c[:2] == (gen, n)] == [(gen, n, [True] * (n - 1))], ainvs
+    assert True not in kron
+
+
+def test_point_counts_match_the_kronecker_sum():
+    rng = random.Random(20261019)
+    primes = [p for p in range(3, 3000) if is_prime(p)]
+    done = 0
+    while done < 120:
+        w = W(*(rng.randint(-50, 50) for _ in range(5)))
+        p = rng.choice(primes)
+        if w.discriminant == 0 or w.discriminant % p == 0:
+            continue
+        assert count_points_mod_p(w, p) == count_points_kronecker(w, p), (w, p)
+        done += 1
+
+
 def test_random_family_sweep_contains_advertised():
     rng = random.Random(20240811)
     builders = {
@@ -287,11 +351,12 @@ def test_halving_quadratics_on_full_two_torsion():
 
 def test_checks_hold_under_optimize(run_optimized):
     # a doctored order test on the integral model, the same on a non-integral
-    # input model (the check after the change back), a doctored change back
-    # to an integral input model and a doctored square root trip the checks
-    # in turn
+    # input model (the check after the change back), a Z/6 generator of the
+    # wrong order whose order check runs on ints, a doctored change back to
+    # an integral input model and a doctored square root trip the checks in
+    # turn
     script = (
-        "from ecdescent import families\n"
+        "from ecdescent import families, weierstrass\n"
         "from ecdescent.weierstrass import CoordinateChange, InvariantViolation, WeierstrassModel, change_variables\n"
         "def attempt(call):\n"
         "    try:\n"
@@ -305,12 +370,15 @@ def test_checks_hold_under_optimize(run_optimized):
         "families.point_order = lambda v, P, bound=17: 0 if bound == 3 and not v.is_integral else real(v, P, bound)\n"
         "attempt(lambda: families.torsion_subgroup(change_variables(w, CoordinateChange.of(2))))\n"
         "families.point_order = real\n"
+        "families.point_add = lambda v, P, Q: Q\n"
+        "attempt(lambda: families.torsion_subgroup(WeierstrassModel.from_ainvs([-1, -6, -6, 0, 0])))\n"
+        "families.point_add = weierstrass.point_add\n"
         "families.integral_model = lambda v: (v, CoordinateChange.of(1, 1))\n"
         "attempt(lambda: families.torsion_subgroup(w))\n"
         "families.poly_sqrt_monic_quartic = lambda f: None\n"
         "attempt(lambda: families.halving_quadratic(WeierstrassModel.from_ainvs([0, 0, 0, -1, 0]), (0, 0)))\n"
     )
-    assert run_optimized(script) == ["raised"] * 4
+    assert run_optimized(script) == ["raised"] * 5
 
 
 def test_torsion_growth_classes():

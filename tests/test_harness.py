@@ -282,6 +282,12 @@ def test_cli_tate_refuses_a_composite_prime(capsys):
     assert "not a prime" in _refusal(capsys, ["tate", "--curve", "0,0,0,-1,0", "--prime", "4"])
 
 
+def test_cli_refuses_a_curve_it_cannot_factor(capsys):
+    # the discriminant of y^2 = x^3 + n is -432 n^2, n a product of two 20-digit primes
+    n = 10000000000000000051 * 30000000000000000041
+    assert str(n) in _refusal(capsys, ["tate", "--curve", f"0,0,0,0,{n}"])
+
+
 def test_cli_tate_refuses_a_malformed_curve(capsys):
     assert "not a rational number" in _refusal(capsys, ["tate", "--curve", "1,2,x"])
 

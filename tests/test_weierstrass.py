@@ -22,7 +22,7 @@ from ecdescent.weierstrass import (
     quadratic_twist,
     two_torsion_form,
 )
-from oracles import find_isomorphism
+from oracles import find_isomorphism, point_add_reference, point_mul_reference, point_order_reference
 
 units = st.fractions(min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda u: u != 0)
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
@@ -217,6 +217,58 @@ def test_point_add_associativity():
     Q = point_mul(w, 2, P)
     R = point_mul(w, 3, P)
     assert point_add(w, point_add(w, P, Q), R) == point_add(w, P, point_add(w, Q, R))
+
+
+def _curves_with_points(rng):
+    """Seeded (model, points): integral models through a chosen integral
+    point, together with its first multiples and the rational 2-torsion;
+    integral [1,r,s,t] changes of 15a1, whose 2-torsion point (-13/4, 9/8)
+    is half-integral with a1 odd; and each of them again after a change
+    with rational u, r, s, t, which leaves the model non-integral."""
+    from ecdescent.families import two_torsion_points
+
+    out = []
+    while len(out) < 30:
+        a1, a2, a3, a4, x0, y0 = (rng.randint(-6, 6) for _ in range(6))
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0
+        w = WeierstrassModel.from_ainvs([a1, a2, a3, a4, a6])
+        if w.is_singular:
+            continue
+        P = (Fraction(x0), Fraction(y0))
+        pts = [point_mul_reference(w, n, P) for n in (1, 2, 3)] + two_torsion_points(w)
+        out.append((w, [Q for Q in pts if Q is not None]))
+    w15 = WeierstrassModel.from_ainvs([1, 1, 1, -10, -10])
+    t15 = [(Fraction(-13, 4), Fraction(9, 8)), (Fraction(-2), Fraction(-2)), (Fraction(8), Fraction(18))]
+    for _ in range(10):
+        c = CoordinateChange.of(1, *(rng.randint(-5, 5) for _ in range(3)))
+        out.append((change_variables(w15, c), [c.inverse().apply_point(*P) for P in t15]))
+    for w, pts in list(out):
+        c = CoordinateChange.of(*(Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(4)))
+        out.append((change_variables(w, c), [c.inverse().apply_point(*P) for P in pts]))
+    return out
+
+
+def test_point_arithmetic_matches_the_fraction_reference():
+    # the int paths of point_add, point_mul and point_order against the
+    # chord-and-tangent formulas in Fractions
+    seen = {"non-integral slope": 0, "half-integral 2-torsion, a1 odd": 0, "non-integral model": 0}
+    for w, pts in _curves_with_points(random.Random(20261019)):
+        for P in pts:
+            assert w.contains(*P)
+            assert point_order(w, P, 12) == point_order_reference(w, P, 12), (w, P)
+            for n in (-3, 0, 2, 5):
+                assert point_mul(w, n, P) == point_mul_reference(w, n, P), (w, P, n)
+            for Q in pts + [None]:
+                R = point_add(w, P, Q)
+                assert R == point_add_reference(w, P, Q), (w, P, Q)
+                assert R is None or type(R[0]) is type(R[1]) is Fraction
+                integral = w.is_integral and all(c.denominator == 1 for c in P + (Q or ()))
+                if integral and R is not None and (R[0].denominator > 4 or R[1].denominator > 8):
+                    seen["non-integral slope"] += 1
+            if w.is_integral and w.a1.denominator == 1 and w.a1 % 2 and P[1].denominator == 8:
+                seen["half-integral 2-torsion, a1 odd"] += 1
+            seen["non-integral model"] += not w.is_integral
+    assert min(seen.values()) > 0, seen
 
 
 def test_find_isomorphism():
