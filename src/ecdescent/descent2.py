@@ -25,6 +25,17 @@ phi_selmer reads the curve's data once (the 2-torsion form, the integral
 dual, the integral tuple of E and disc) for the images at all places, and
 finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
 the finite places, so the work grows with their number, not 2 to its power.
+
+phi_intersection builds no Selmer group of the twist E_d: it keeps the
+classes of Sel^phi(E) that lie in the image of E_d where the two images can
+differ.  Those are infinity, 2 unless d = 1 mod 8, the odd l | d, and the
+odd l | B B' at which d is not a square.  At any other odd l, either d is
+in Q_l*^2, so E_d = E over Q_l, or both curves have good reduction and
+both images are the unramified classes.  At an odd l | d prime to B B', E
+is good and E_d additive, so the image comes from 2-torsion: it is spanned
+by the class of B'_d = d^2 B' and, when B = r^2 mod l, by d(A +- 2r), the
+other roots of X^2 + A'_d X + B'_d (Schaefer-Stoll 2004, section 3; Kramer
+1981).  Its size is still checked against Tate's count on E_d.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .arith import (
     square_class,
     squarefree_part,
 )
+from .polyutil import _fp_sqrt
 from .tate import GlobalData, _integral_tuple, global_data, tate_algorithm
 from .weierstrass import (
     SingularModelError,
@@ -85,34 +97,43 @@ def _local_images(w: WeierstrassModel, places: list) -> dict:
     A, B = two_torsion_form(w)
     if w.is_singular:
         raise SingularModelError("descent needs a nonsingular curve")
-    Ap, Bp = dual_params(A, B)
-    images, e = {}, None
+    images, data = {}, None
     for place in places:
         if place == OO or place is None:
-            images[place] = LocalSquareClassGroup(OO, frozenset(_image_at_infinity(Ap, Bp, B)))
+            images[place] = LocalSquareClassGroup(OO, frozenset(_image_at_infinity(*dual_params(A, B), B)))
             continue
-        if e is None:  # the image at infinity alone needs no integral data
-            Ai, Bi = _int_pair(Ap, Bp)
-            ap = (0, Ai, 0, Bi, 0)
-            e, ep = _integral_tuple(w), (ap, curve_invariants(ap))
-        images[place] = _finite_image(w, e, ep, int(place))
+        if data is None:  # the image at infinity alone needs no integral data
+            data = _integral_data(w)
+        images[place] = _finite_image(w, *data, int(place))
     return images
 
 
-def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSquareClassGroup:
-    # e and ep: the integral tuples of E and E' = [0, A', 0, B', 0] with their
-    # curve invariants. Size 2 c_l(E')/c_l(E) l^(s'-s); E' is integral, so s'
-    # is its count of restarts, while w may not be, so s is read off disc(w)
+def _integral_data(w: WeierstrassModel) -> tuple:
+    """Integral tuples of E and of its dual [0, A', 0, B', 0], with their curve invariants."""
+    Ai, Bi = _int_pair(*dual_params(*two_torsion_form(w)))
+    ap = (0, Ai, 0, Bi, 0)
+    return _integral_tuple(w), (ap, curve_invariants(ap))
+
+
+def _image_size(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> int:
+    # e and ep as _integral_data returns them. Size 2 c_l(E')/c_l(E) l^(s'-s);
+    # E' is integral, so s' is its count of restarts, while w may not be, so
+    # s is read off disc(w)
     lr = tate_algorithm(*e, ell)
     lrp = tate_algorithm(*ep, ell)
-    _, Ai, _, Bi, _ = ep[0]
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
-    full = LocalSquareClassGroup.full(ell)
-    if rem or not size or len(full) % size:
+    if rem or not size or (8 if ell == 2 else 4) % size:
         raise ArithmeticError(f"{w} at {ell}: 2*{lrp.tamagawa}/{lr.tamagawa}*{ell}^{ds} is not an image size")
+    return size
+
+
+def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSquareClassGroup:
+    size = _image_size(w, e, ep, ell)
+    full = LocalSquareClassGroup.full(ell)
     if size == len(full):
         return full
+    _, Ai, _, Bi, _ = ep[0]
     reps = _image_scan(Ai, Bi, ell, size)
     if len(reps) != size:
         raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tate predicts {size}")
@@ -120,6 +141,17 @@ def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSq
     if not grp.is_subgroup():
         raise ArithmeticError(f"{w} at {ell}: local image {sorted(reps)} is not a subgroup")
     return grp
+
+
+def _ramified_twist_image(A, B, d: int, ell: int) -> LocalSquareClassGroup:
+    """Image of delta_ell on the twist E_d at an odd ell | d prime to B and
+    B' = A^2 - 4B: the classes of 1, d^2 B' and, when B = r^2 mod ell, d(A +- 2r)."""
+    xs = [d * d * (A * A - 4 * B)]
+    b = B.numerator * pow(B.denominator, -1, ell) % ell
+    if kronecker_symbol(b, ell) == 1:
+        r = _fp_sqrt(b, ell)
+        xs += [d * (A + 2 * r), d * (A - 2 * r)]  # d times units: (A + 2r)(A - 2r) = B' mod ell
+    return LocalSquareClassGroup(ell, frozenset({1} | {local_square_rep(x, ell) for x in xs}))
 
 
 def _image_at_infinity(Ap, Bp, B) -> set:
@@ -307,7 +339,25 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
 
 
 def phi_intersection(w: WeierstrassModel, d: int) -> frozenset:
-    return phi_selmer(w).elements & phi_selmer(quadratic_twist(w, d)).elements
+    """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d,
+    from Sel^phi(E) and the images of E_d where they can differ from E's (see
+    the module docstring).  Refuses what phi_selmer(w) and quadratic_twist(w, d)
+    refuse, and raises ArithmeticError when an image's size is not Tate's."""
+    sel = phi_selmer(w)
+    wd = quadratic_twist(w, d)
+    (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)
+    bad, data = _descent_primes(w), _integral_data(wd)
+    images = [LocalSquareClassGroup(OO, frozenset(_image_at_infinity(*dual_params(Ad, Bd), Bd)))]
+    odd = {p for p in prime_divisors(d) + bad if p != 2 and kronecker_symbol(d % p, p) != 1}
+    for ell in ([] if d % 8 == 1 else [2]) + sorted(odd):
+        if ell == 2 or ell in bad:
+            images.append(_finite_image(wd, *data, ell))
+            continue
+        img, size = _ramified_twist_image(A, B, d, ell), _image_size(wd, *data, ell)
+        if len(img) != size:
+            raise ArithmeticError(f"{wd} at {ell}: closed form {sorted(img.elements)}, Tate predicts {size}")
+        images.append(img)
+    return frozenset(x for x in sel.elements if all(x.rep in img for img in images))
 
 
 # ---------------------------------------------------------------------------

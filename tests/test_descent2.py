@@ -2,12 +2,20 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
 from ecdescent import descent2
-from ecdescent.arith import OO, SquareClass, prime_divisors, smallest_nonresidue, square_class, squarefree_part
+from ecdescent.arith import (
+    OO,
+    SquareClass,
+    local_square_rep,
+    prime_divisors,
+    smallest_nonresidue,
+    square_class,
+    squarefree_part,
+)
 from ecdescent.descent2 import (
     DescentCertificate,
     FullTwoTorsionError,
@@ -256,7 +264,8 @@ def test_wrong_tamagawa_number_raises_at_2(monkeypatch):
 
 
 def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
-    # c_ell(E) forced to 1 on the integral tuple of E, as _miscount does
+    # c_ell(E) forced to 1 on the integral tuple of E, as _miscount does, and
+    # a wrong c_7 on a twist where phi_intersection uses the closed form
     script = (
         "import dataclasses\n"
         "from ecdescent import descent2\n"
@@ -270,8 +279,16 @@ def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
         "        descent2.local_image(WeierstrassModel.from_ainvs(ainvs), ell)\n"
         "    except ArithmeticError:\n"
         "        print('raised')\n"
+        "# c_7 = 4 on the twist by -7, against the closed form's two classes at 7\n"
+        "descent2.tate_algorithm = lambda a, inv, p: (\n"
+        "    dataclasses.replace(real(a, inv, p), tamagawa=4) if (list(a), p) == ([0, -7, 0, 147, 0], 7) else real(a, inv, p)\n"
+        ")\n"
+        "try:\n"
+        "    descent2.phi_intersection(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), -7)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
     )
-    assert run_optimized(script) == ["raised", "raised"]
+    assert run_optimized(script) == ["raised", "raised", "raised"]
 
 
 def test_phi_selmer_contains_kernel_class():
@@ -465,6 +482,125 @@ def test_kramer_insufficient_case_records_note():
         if not cert.two_divides_sha_sqrt:
             assert cert.notes
     assert found_any
+
+
+def phi_intersection_reference(w, d):
+    """Reference: Sel^phi(E) intersect Sel^phi(E_d), with both groups built in full."""
+    return phi_selmer(w).elements & phi_selmer(quadratic_twist(w, d)).elements
+
+
+def _z2_box(bound):
+    # y^2 = x^3 + Ax^2 + Bx with E(Q)[2] = Z/2: B != 0 and A^2 - 4B not a square
+    return [
+        (A, B)
+        for A in range(-bound, bound + 1)
+        for B in range(-bound, bound + 1)
+        if B and not (A * A - 4 * B >= 0 and isqrt(A * A - 4 * B) ** 2 == A * A - 4 * B)
+    ]
+
+
+def _branch_spy(monkeypatch):
+    # count the E_d images phi_intersection computes, by branch
+    seen = {"closed form": 0, "B square": 0, "scan at 2": 0, "scan at odd l | d": 0, "scan at odd l, d nonsquare": 0}
+    real_closed, real_scan = descent2._ramified_twist_image, descent2._finite_image
+
+    def closed(A, B, d, ell):
+        img = real_closed(A, B, d, ell)
+        seen["closed form"] += 1
+        seen["B square"] += local_square_rep(B, ell) == 1
+        return img
+
+    def scan(wd, e, ep, ell):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "phi_intersection":
+            d = caller.f_locals["d"]
+            key = "scan at 2" if ell == 2 else "scan at odd l | d" if d % ell == 0 else "scan at odd l, d nonsquare"
+            seen[key] += 1
+        return real_scan(wd, e, ep, ell)
+
+    monkeypatch.setattr(descent2, "_ramified_twist_image", closed)
+    monkeypatch.setattr(descent2, "_finite_image", scan)
+    return seen
+
+
+def test_phi_intersection_matches_reference_on_every_d(monkeypatch):
+    # every squarefree -300 <= d < 0, admissible or not, on a seeded sample of
+    # the Z/2 box |A|, |B| <= 12; every branch of phi_intersection runs
+    seen = _branch_spy(monkeypatch)
+    ds = [d for d in range(-1, -301, -1) if squarefree_part(d) == d]
+    for A, B in random.Random(2018).sample(_z2_box(12), 16):
+        w = W(0, A, 0, B, 0)
+        for d in ds:
+            assert phi_intersection(w, d) == phi_intersection_reference(w, d), (A, B, d)
+    assert all(seen.values()), seen
+
+
+def test_phi_intersection_matches_reference_on_heegner_fields(monkeypatch):
+    # every admissible d with |d| <= 300 on a seeded sample of the Z/2 box
+    # |A|, |B| <= 40, and on A'-odd models whose (A, B) are not integral
+    seen = _branch_spy(monkeypatch)
+    rng = random.Random(2019)
+    curves = [W(0, A, 0, B, 0) for A, B in rng.sample(_z2_box(40), 120)]
+    odd_dual = [(a, b) for a in range(-25, 26, 2) for b in range(-25, 26) if b and a * a != 4 * b]
+    curves += [W(0, Fraction(-a, 2), 0, Fraction(a * a - 4 * b, 16), 0) for a, b in rng.sample(odd_dual, 20)]
+    pairs = 0
+    for w in curves:
+        for d in heegner_field_scan(w, 300):
+            assert phi_intersection(w, d) == phi_intersection_reference(w, d), (w, d)
+            pairs += 1
+    assert pairs > 600 and seen["closed form"] and seen["B square"] and seen["scan at 2"], (pairs, seen)
+
+
+def test_ramified_twist_image_matches_oracle():
+    # the closed form at odd l | d, l prime to B B', against the torsor
+    # enumeration on E_d, with B a square mod l and not
+    cases = {"B square": 0, "B nonsquare": 0}
+    for A, B in _z2_box(5):
+        w = W(0, A, 0, B, 0)
+        for ell in (3, 5, 7, 11, 13):
+            if B * (A * A - 4 * B) % ell == 0:
+                continue
+            for d in (-ell, -2 * ell):
+                a = descent2._ramified_twist_image(Fraction(A), Fraction(B), d, ell).elements
+                b = local_image_bruteforce(quadratic_twist(w, d), ell, cap=4096).elements
+                assert a == b, (A, B, d, ell, sorted(a), sorted(b))
+                cases["B square" if pow(B, (ell - 1) // 2, ell) == 1 else "B nonsquare"] += 1
+    assert all(n > 20 for n in cases.values()), cases
+
+
+def test_phi_intersection_checks_closed_form_against_tate(monkeypatch):
+    real = descent2.tate_algorithm
+    w, d = W(0, 1, 0, 3, 0), -7  # at 7: B = 3 and B' = -11 are nonsquares, image {1, 3}
+    assert descent2._ramified_twist_image(Fraction(1), Fraction(3), d, 7).elements == {1, 3}
+    expect = phi_intersection(w, d)
+    # c_7(E_d) = 4 makes Tate's size 2 * 2 / 4 = 1
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, quadratic_twist(w, d), 7, 4))
+    with pytest.raises(ArithmeticError, match="Tate predicts 1"):
+        phi_intersection(w, d)
+    # c_7(E_d) = 3 gives no image size at all
+    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, quadratic_twist(w, d), 7, 3))
+    with pytest.raises(ArithmeticError, match="is not an image size"):
+        phi_intersection(w, d)
+    monkeypatch.setattr(descent2, "tate_algorithm", real)
+    assert phi_intersection(w, d) == expect
+
+
+def test_phi_intersection_refuses_as_the_reference_does():
+    cases = [
+        (W(0, 1, 0, 3, 0), 0),  # d = 0
+        (W(0, 1, 0, 3, 0), -4),  # d not squarefree
+        (W(0, 1, 0, 3, 0), -12),
+        (W(0, 2, 0, 1, 0), -7),  # singular: A^2 = 4B
+        (W(0, 1, 0, 0, 0), -7),  # singular: B = 0
+        (W(0, Fraction(1, 3), 0, 1, 0), -7),  # dual not integral
+    ]
+    for w, d in cases:
+        raised = []
+        for route in (phi_intersection, phi_intersection_reference):
+            with pytest.raises(ValueError) as exc:
+                route(w, d)
+            raised.append(type(exc.value))
+        assert raised[0] is raised[1], (w, d, raised)
 
 
 def test_dual_params():

@@ -18,6 +18,7 @@ JUDGED = {
     "_image_scan",
     "_finite_image",
     "_local_images",
+    "_ramified_twist_image",
     "local_image",
     "phi_selmer",
     "torsion_subgroup",
