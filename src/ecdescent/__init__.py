@@ -52,7 +52,7 @@ from .descent2 import (
     phi_selmer,
     selmer_kernel_class,
 )
-from .descent3 import CasselsLedger, cassels_ledger, sha3_criterion, singular_point_order_divisibility
+from .descent3 import CasselsLedger, cassels_ledger, sha3_criterion
 from .audit import AuditCertificate, main_theorem_audit
 from .verify import Report, verify_section
 from .cremona import ingest_cremona

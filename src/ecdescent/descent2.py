@@ -251,8 +251,11 @@ def _f2_basis(elements) -> tuple:
 
 
 def _descent_primes(w: WeierstrassModel) -> list:
-    """Primes of the numerators and denominators of B and B' = A^2 - 4B."""
+    """Primes of the numerators and denominators of B and B' = A^2 - 4B,
+    both nonzero on a nonsingular model."""
     A, B = two_torsion_form(w)
+    if w.is_singular:
+        raise SingularModelError("descent needs a nonsingular curve")
     Bp = A * A - 4 * B
     return prime_divisors(B.numerator * B.denominator * Bp.numerator * Bp.denominator)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import is_prime, padic_valuation, prime_divisors
+from .arith import padic_valuation, prime_divisors
 from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
 from .families import build_curve, z3_point
 from .isogeny import IsogenyRecord, _hadano_quotient
@@ -226,30 +226,3 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
         hypotheses=ledger.hypotheses + ["rank E(K) = 1"],
         witnesses=confirmed,
     )
-
-
-def singular_point_order_divisibility(w: WeierstrassModel, P, p: int):
-    """Lemma-level check: a prime-order point reducing to the singular
-    (0,0) of a reduction y^2 + a1 xy = x^3 + a2 x^2 forces its order to
-    divide c_p.  Returns True (verified against the local reduction data)
-    or None when the preconditions do not apply."""
-    if not w.is_integral:
-        return None
-    a1, a2, a3, a4, a6 = (int(x) for x in w.ainvs)
-    if a3 % p or a4 % p or a6 % p:
-        return None
-    x, y = Fraction(P[0]), Fraction(P[1])
-    if x.denominator % p == 0 or y.denominator % p == 0:
-        return None
-    xr = x.numerator * pow(x.denominator, -1, p) % p
-    yr = y.numerator * pow(y.denominator, -1, p) % p
-    if xr or yr:
-        return None
-    ell = point_order(w, (x, y), 14)
-    if not is_prime(ell):
-        raise ValueError("P must have prime order")
-    lr = local_reduction(w, p)
-    if lr.is_good:
-        return None
-    check_invariant(lr.tamagawa % ell == 0, "order-{} point at the singular point mod {}, c_p = {}", ell, p, lr.tamagawa)
-    return True

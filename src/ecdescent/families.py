@@ -273,22 +273,6 @@ class TorsionGroup:
     def order(self) -> int:
         return self.structure[0] * self.structure[1]
 
-    def all_points(self) -> list:
-        (n1, n2) = self.structure
-        pts = {None}
-        g2 = self.generators[-1][0] if self.generators else None
-        g1 = self.generators[0][0] if n1 > 1 else None
-        for i in range(n1):
-            for j in range(n2):
-                P = point_mul(self.model, j, g2) if g2 else None
-                if g1 and i:
-                    P = point_add(self.model, P, g1)
-                pts.add(P)
-        return sorted(p for p in pts if p is not None) + [None]
-
-    def contains_structure(self, other: tuple[int, int]) -> bool:
-        return self.structure[0] % other[0] == 0 and self.structure[1] % other[1] == 0
-
 
 def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
     """#E(F_p) for an odd prime of good reduction on an integral model:

@@ -1,15 +1,19 @@
 """Local reduction data at every prime via Tate's algorithm.
 
 The full step 1-11 loop is implemented, including the I_n* sub-loop and
-the non-minimal restart, over exact integer 5-tuples; each step's
-valuation condition is a divisibility test on the coefficients, as in
-Cremona, Algorithms for Modular Elliptic Curves (1997), section 3.2.
+the non-minimal restart, over exact integer 5-tuples: a model's
+`int_ainvs`, or those of its integral model. Each step's valuation
+condition is a divisibility test on the coefficients, as in Cremona,
+Algorithms for Modular Elliptic Curves (1997), section 3.2.
 Each step is a closed form from there, with no search over residues:
 the singular point of step 2 from a3, a4 at p = 2, from b2, b4, b6 at
 p = 3 and from b2, c4, c6 above; split or nonsplit from the tangent
 quadratic T^2 + a1 T - a2 at the node; steps 5, 7 and 8 from quadratic
 discriminants (parity at p = 2); and step 6 from the discriminant of
 its cubic, whose repeated root, when there is one, is written down.
+Every move of the model is `weierstrass.rst_change`, the [1,r,s,t] map
+that `change_variables` runs too; step 6's shear and translation are one
+such move.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .weierstrass import (
     check_invariant,
     curve_invariants,
     integral_model,
+    rst_change,
 )
 
 GOOD = "good"
@@ -99,27 +104,6 @@ class LocalReduction:
         }
 
 
-# -- integer 5-tuple helpers -------------------------------------------------
-
-
-def _translate(a, r, t):
-    """[1, r, 0, t] on an integer coefficient tuple."""
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1,
-        a2 + 3 * r,
-        a3 + r * a1 + 2 * t,
-        a4 + 2 * r * a2 - t * a1 + 3 * r * r,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _shift_s(a, s):
-    """[1, 0, s, 0] on an integer coefficient tuple."""
-    a1, a2, a3, a4, a6 = a
-    return (a1 + 2 * s, a2 - s * a1 - s * s, a3, a4 - s * a3, a6)
-
-
 def _singular_point(a, p, invariants):
     """The singular point of the reduction of a mod p, as residues, given the
     curve_invariants of a. At p > 3, x is the double root -3 c6/c4 (0 when
@@ -179,9 +163,9 @@ def _quad_double_root(A, B, C, p):
 def _integral_tuple(w: WeierstrassModel) -> tuple:
     """Integer 5-tuple of an integral model of w (its numerators when w is
     integral) and the curve invariants of that tuple."""
-    if not w.is_integral:
-        w, _ = integral_model(w)
-    a = tuple(x.numerator for x in w.ainvs)
+    a = w.int_ainvs
+    if a is None:
+        a = integral_model(w)[0].int_ainvs
     invariants = curve_invariants(a)
     if invariants[6] == 0:
         raise SingularModelError("Tate's algorithm needs a nonsingular curve")
@@ -205,7 +189,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
 
         # Step 2: move the singular point of the reduction to (0,0).
         x0, y0 = _singular_point(a, p, invariants)
-        a = _translate(a, x0, y0)
+        a = rst_change(a, x0, 0, y0)
         a1, a2, a3, a4, a6 = a
 
         if c4 % p:
@@ -231,17 +215,14 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
             return LocalReduction(p, KodairaType("IV"), c, n - 2, n, ADDITIVE, u_exp)
 
         # Step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6.
+        # The shear by s leaves a3 and a6 as they are, so t is read before it.
         if p == 2:
-            a = _shift_s(a, a[1] % 2)
-            if a[2] % 4:
+            if a3 % 4:
                 raise InvariantViolation(f"{a} at 2: a3 not divisible by 4 in step 6")
-            tau = 1 if (a[4] % 8) == 4 else 0
-            a = _translate(a, 0, 2 * tau)
+            s, t = a2 % 2, 2 if a6 % 8 == 4 else 0
         else:
-            s = (-a[0] * pow(2, -1, p)) % p
-            a = _shift_s(a, s)
-            t = (-a[2] * pow(2, -1, p * p)) % (p * p)
-            a = _translate(a, 0, t)
+            s, t = -a1 * pow(2, -1, p) % p, -a3 * pow(2, -1, p * p) % (p * p)
+        a = rst_change(a, 0, s, t)
         a1, a2, a3, a4, a6 = a
         if a1 % p or a2 % p:
             raise InvariantViolation(f"{a} at {p}: p does not divide a1, a2 in step 6")
@@ -255,7 +236,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
             c = 1 + len(fp_roots(P, p))
             return LocalReduction(p, KodairaType("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
         r1, mult = rep
-        a = _translate(a, p * r1, 0)
+        a = rst_change(a, p * r1, 0, 0)
         a1, a2, a3, a4, a6 = a
 
         if mult == 2:
@@ -272,7 +253,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                     c = 4 if _quad_rational_mod_p(1, c3, -c6_, p) else 2
                     return LocalReduction(p, KodairaType("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 y1 = _quad_double_root(1, c3, -c6_, p)
-                a = _translate(a, 0, p ** (j + 1) * y1)
+                a = rst_change(a, 0, 0, p ** (j + 1) * y1)
                 a1, a2, a3, a4, a6 = a
                 # even sub-step m = 2j: (a2/p) X^2 + (a4/p^{j+2}) X + a6/p^{2j+3}
                 d2 = a2 // p
@@ -283,7 +264,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                     c = 4 if _quad_rational_mod_p(d2, d4, d6, p) else 2
                     return LocalReduction(p, KodairaType("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 x1 = _quad_double_root(d2, d4, d6, p)
-                a = _translate(a, p ** (j + 1) * x1, 0)
+                a = rst_change(a, p ** (j + 1) * x1, 0, 0)
                 a1, a2, a3, a4, a6 = a
                 j += 1
                 if 2 * j > n:  # pragma: no cover
@@ -298,7 +279,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
             c = 3 if _quad_rational_mod_p(1, c3, -c6_, p) else 1
             return LocalReduction(p, KodairaType("IV*"), c, n - 6, n, ADDITIVE, u_exp)
         y1 = _quad_double_root(1, c3, -c6_, p)
-        a = _translate(a, 0, p**2 * y1)
+        a = rst_change(a, 0, 0, p**2 * y1)
         a1, a2, a3, a4, a6 = a
         if a4 % p**4:
             return LocalReduction(p, KodairaType("III*"), 2, n - 7, n, ADDITIVE, u_exp)

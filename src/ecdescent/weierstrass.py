@@ -1,8 +1,9 @@
 """Weierstrass models over Q.
 
-Exact rational coefficients, the one set of b/c invariant formulas
-(shared with Tate's algorithm on integer tuples), [u,r,s,t]
-coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, point
+Exact rational coefficients with the int tuple of an integral model,
+the one set of b/c invariant formulas and the one [1,r,s,t] map (both
+shared with Tate's algorithm on integer tuples), [u,r,s,t] coordinate
+changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, point
 arithmetic used by the torsion and isogeny machinery, and isomorphism
 over Q decided on integer invariants.
 """
@@ -35,12 +36,20 @@ class WeierstrassModel:
     def ainvs(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
+    @cached_property
+    def int_ainvs(self) -> Optional[tuple[int, ...]]:
+        """The coefficients as ints, or None when the model is not integral."""
+        if all(a.denominator == 1 for a in self.ainvs):
+            return tuple(a.numerator for a in self.ainvs)
+        return None
+
     # -- invariants ---------------------------------------------------------
 
     @cached_property
     def _invariants(self) -> tuple[Fraction, ...]:
-        if self.is_integral:
-            return tuple(map(Fraction, curve_invariants(tuple(a.numerator for a in self.ainvs))))
+        a = self.int_ainvs
+        if a is not None:
+            return tuple(map(Fraction, curve_invariants(a)))
         return curve_invariants(self.ainvs)
 
     @property
@@ -84,7 +93,7 @@ class WeierstrassModel:
 
     @property
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.ainvs)
+        return self.int_ainvs is not None
 
     # -- equation -----------------------------------------------------------
 
@@ -133,13 +142,30 @@ def exact_terms(w: WeierstrassModel, *xs: Fraction) -> tuple:
     of them is an integer and as Fractions otherwise.
 
     Polynomial formulas in them (the curve equation, `curve_invariants`,
-    psi_3, Velu's quotient) are exact on either, and cheaper on ints.
+    `rst_change`, psi_3, Velu's quotient) are exact on either, and cheaper
+    on ints.
     """
-    terms = w.ainvs + xs
-    if all(t.denominator == 1 for t in terms):
-        ints = [t.numerator for t in terms]
-        return tuple(ints[:5]), tuple(ints[5:])
+    a = w.int_ainvs
+    if a is not None and all(x.denominator == 1 for x in xs):
+        return a, tuple(x.numerator for x in xs)
     return w.ainvs, xs
+
+
+def rst_change(a: tuple, r, s, t) -> tuple:
+    """[1,r,s,t] on a coefficient 5-tuple: x = x' + r, y = y' + s x' + t.
+
+    The formulas are polynomials, written in Horner form, so int tuples and
+    shifts give ints and Fraction ones give Fractions (Cremona 1997,
+    section 3.1).
+    """
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * (a1 + s) + 3 * r,
+        a3 + r * a1 + 2 * t,
+        a4 + r * (2 * a2 + 3 * r - s * a1) - s * (a3 + 2 * t) - t * a1,
+        a6 + r * (a4 + r * (a2 + r)) - t * (a3 + t + r * a1),
+    )
 
 
 class SingularModelError(ValueError):
@@ -188,22 +214,7 @@ class CoordinateChange:
 
     @staticmethod
     def identity() -> "CoordinateChange":
-        return CoordinateChange.of(1)
-
-    def compose(self, other: "CoordinateChange") -> "CoordinateChange":
-        """The change equivalent to applying self, then other."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return CoordinateChange(
-            u1 * u2,
-            r1 + u1 * u1 * r2,
-            s1 + u1 * s2,
-            t1 + u1 * u1 * s1 * r2 + u1**3 * t2,
-        )
-
-    def inverse(self) -> "CoordinateChange":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        return CoordinateChange(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
+        return _IDENTITY
 
     def apply_point(self, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
         """Old-model coordinates of a point given in new-model coordinates."""
@@ -211,18 +222,22 @@ class CoordinateChange:
         return (self.u**2 * x + self.r, self.u**3 * y + self.u**2 * self.s * x + self.t)
 
 
+_IDENTITY = CoordinateChange.of(1)
+
+
 def change_variables(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassModel:
-    """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved."""
+    """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved.
+
+    [1,r,s,t] runs on ints when w and r, s, t are integral; the result
+    holds Fractions either way."""
     if c.u == 0:
         raise ValueError("u must be nonzero")
-    u, r, s, t = c.u, c.r, c.s, c.t
-    a1, a2, a3, a4, a6 = w.ainvs
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    na3 = (a3 + r * a1 + 2 * t) / u**3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return WeierstrassModel(na1, na2, na3, na4, na6)
+    a, (r, s, t) = exact_terms(w, c.r, c.s, c.t)
+    a = rst_change(a, r, s, t)
+    if c.u != 1:
+        u = Fraction(c.u)
+        a = tuple(x / u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
+    return WeierstrassModel.from_ainvs(a)
 
 
 def integral_model(w: WeierstrassModel) -> tuple[WeierstrassModel, CoordinateChange]:
@@ -231,7 +246,7 @@ def integral_model(w: WeierstrassModel) -> tuple[WeierstrassModel, CoordinateCha
     An integral model comes back unchanged, with the identity change.
     """
     if w.is_integral:
-        return w, CoordinateChange.identity()
+        return w, _IDENTITY
     need: dict[int, int] = {}
     for i, a in zip((1, 2, 3, 4, 6), w.ainvs):
         if a.denominator > 1:

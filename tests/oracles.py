@@ -12,6 +12,10 @@ method that shares none of the fast path's code:
 - `count_points_kronecker` sums a Kronecker symbol per residue for
   `families.count_points_mod_p`;
 - `splits_in_oracle` solves x^2 = disc (mod 4p) for `descent2.splits_in`;
+- `change_variables_reference` is the [u,r,s,t] formula in Fractions
+  throughout, for `weierstrass.change_variables` and the [1,r,s,t] map
+  `rst_change` that it shares with Tate's algorithm; `compose` and
+  `inverse` are the group law on changes that its tests use;
 - `find_isomorphism` solves for a change [u,r,s,t] between two models for
   `weierstrass.isomorphic_over_q`, the test behind the check that the
   Hadano quotient is Velu's;
@@ -45,7 +49,6 @@ from ecdescent.weierstrass import (
     SingularModelError,
     WeierstrassModel,
     _rational_twelfth_roots,
-    change_variables,
     two_torsion_form,
 )
 
@@ -265,11 +268,46 @@ def splits_in_oracle(d: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# coordinate changes
+
+
+def change_variables_reference(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassModel:
+    """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved."""
+    if c.u == 0:
+        raise ValueError("u must be nonzero")
+    u, r, s, t = c.u, c.r, c.s, c.t
+    a1, a2, a3, a4, a6 = w.ainvs
+    na1 = (a1 + 2 * s) / u
+    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
+    na3 = (a3 + r * a1 + 2 * t) / u**3
+    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
+    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
+    return WeierstrassModel(na1, na2, na3, na4, na6)
+
+
+def compose(first: CoordinateChange, other: CoordinateChange) -> CoordinateChange:
+    """The change equivalent to applying first, then other."""
+    u1, r1, s1, t1 = first.u, first.r, first.s, first.t
+    u2, r2, s2, t2 = other.u, other.r, other.s, other.t
+    return CoordinateChange(
+        u1 * u2,
+        r1 + u1 * u1 * r2,
+        s1 + u1 * s2,
+        t1 + u1 * u1 * s1 * r2 + u1**3 * t2,
+    )
+
+
+def inverse(c: CoordinateChange) -> CoordinateChange:
+    u, r, s, t = c.u, c.r, c.s, c.t
+    return CoordinateChange(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
+
+
+# ---------------------------------------------------------------------------
 # isomorphism over Q
 
 
 def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[CoordinateChange]:
-    """A change c with change_variables(w1, c) == w2, if one exists over Q."""
+    """A change c taking w1 to w2, if one exists over Q."""
     if w1.is_singular or w2.is_singular:
         raise SingularModelError("isomorphism testing needs nonsingular models")
     ratio = w1.discriminant / w2.discriminant
@@ -278,6 +316,6 @@ def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[Coo
         s = (w2.a1 * u - w1.a1) / 2
         r = (w2.a2 * u**2 - w1.a2 + s * w1.a1 + s * s) / 3
         t = (w2.a3 * u**3 - w1.a3 - r * w1.a1) / 2
-        if change_variables(w1, CoordinateChange(u, r, s, t)) == w2:
+        if change_variables_reference(w1, CoordinateChange(u, r, s, t)) == w2:
             return CoordinateChange(u, r, s, t)
     return None

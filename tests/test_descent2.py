@@ -36,7 +36,7 @@ from ecdescent.descent2 import (
     sum_local_norm_indices,
 )
 from ecdescent.tate import global_data
-from ecdescent.weierstrass import WeierstrassModel, quadratic_twist
+from ecdescent.weierstrass import SingularModelError, WeierstrassModel, quadratic_twist
 from oracles import local_image_bruteforce, splits_in_oracle
 
 
@@ -191,6 +191,13 @@ def test_oracle_on_non_integral_model():
     w = W(0, Fraction(-1, 2), 0, Fraction(-3, 16), 0)
     assert local_image_bruteforce(w, 2, cap=8192).elements == {1, 5}
     assert local_image(w, 2).elements == {1, 5}
+
+
+def test_phi_selmer_refuses_a_singular_model():
+    # B' = A^2 - 4B = 0, then B = 0: refused as singular before either is factored
+    for w in (W(0, 2, 0, 1, 0), W(0, 1, 0, 0, 0)):
+        with pytest.raises(SingularModelError):
+            phi_selmer(w)
 
 
 def test_phi_selmer_on_non_integral_models():

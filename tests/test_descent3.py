@@ -11,12 +11,11 @@ from ecdescent.descent3 import (
     cassels_ledger,
     criterion_witnesses,
     sha3_criterion,
-    singular_point_order_divisibility,
 )
-from ecdescent.families import build_curve, z2z6_point, z3_point
+from ecdescent.families import build_curve, z3_point
 from ecdescent.isogeny import hadano_quotient, pullback_scale
 from ecdescent.tate import global_data, local_reduction
-from ecdescent.weierstrass import WeierstrassModel, point_mul
+from ecdescent.weierstrass import WeierstrassModel
 
 
 def W(*a):
@@ -162,63 +161,17 @@ def test_tamagawa_of_quotient_has_split_witness():
     assert done >= 2
 
 
-def test_singular_point_divisibility_z3_family():
-    # p | b: the order-3 point (0,0) reduces to the singular point
-    for a, b, p in [(2, 5, 5), (1, 7, 7), (4, 35, 5)]:
-        w = build_curve(z3_point(a, b))
-        out = singular_point_order_divisibility(w, (Fraction(0), Fraction(0)), p)
-        assert out is True
-        assert local_reduction(w, p).tamagawa % 3 == 0
-
-
-def test_singular_point_divisibility_z2z6():
-    # [3]P = (uv, uv^2) has order 2 and witnesses 2 | C_r at suitable primes
-    fp = z2z6_point(1, 7)
-    w = build_curve(fp)
-    P = (Fraction(0), Fraction(0))
-    threeP = point_mul(w, 3, P)
-    from ecdescent.families import z2z6_uv
-
-    u, v = z2z6_uv(1, 7)
-    assert threeP == (Fraction(u * v), Fraction(u * v * v))
-    gd = global_data(w)
-    hits = 0
-    for p in gd.bad_primes:
-        res = singular_point_order_divisibility(w, threeP, p)
-        if res:
-            assert gd.local_data[p].tamagawa % 2 == 0
-            hits += 1
-    assert hits >= 1
-
-
-def test_singular_point_not_applicable():
-    w = build_curve(z3_point(2, 5))
-    # good prime: not applicable
-    assert singular_point_order_divisibility(w, (Fraction(0), Fraction(0)), 11) is None
-    # wrong reduced shape (a6 not 0 mod p)
-    w2 = W(0, 0, 1, -1, 0)
-    assert singular_point_order_divisibility(w2, (Fraction(0), Fraction(0)), 37) is None
-
-
 def test_witness_checks_hold_under_optimize(run_optimized):
     # a doctored c_p of 1 must still be refused with the asserts compiled out
     script = (
         "import dataclasses\n"
-        "from fractions import Fraction\n"
         "from ecdescent import descent3\n"
-        "from ecdescent.families import build_curve, z3_point\n"
         "from ecdescent.weierstrass import InvariantViolation\n"
         "real = descent3.local_reduction\n"
         "descent3.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
-        "w, origin = build_curve(z3_point(2, 5)), (Fraction(0), Fraction(0))\n"
-        "calls = [\n"
-        "    lambda: descent3.sha3_criterion(10, -10),\n"
-        "    lambda: descent3.singular_point_order_divisibility(w, origin, 5),\n"
-        "]\n"
-        "for call in calls:\n"
-        "    try:\n"
-        "        call()\n"
-        "    except InvariantViolation:\n"
-        "        print('raised')\n"
+        "try:\n"
+        "    descent3.sha3_criterion(10, -10)\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
     )
-    assert run_optimized(script) == ["raised", "raised"]
+    assert run_optimized(script) == ["raised"]

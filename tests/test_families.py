@@ -37,6 +37,11 @@ def W(*a):
     return WeierstrassModel.from_ainvs(a)
 
 
+def _has_subgroup(structure, sub):
+    """Does Z/n1 x Z/n2 contain Z/m1 x Z/m2 (n1 | n2, m1 | m2)?"""
+    return structure[0] % sub[0] == 0 and structure[1] % sub[1] == 0
+
+
 def test_z2z6_discriminant_closed_form():
     for S, T in [(1, 7), (2, 1), (3, -2), (5, 4)]:
         u = (T - 3 * S) * (T + 3 * S)
@@ -120,7 +125,7 @@ def test_torsion_z3_family():
         fp = z3_point(a, b)
         w = build_curve(fp)
         tg = torsion_subgroup(w)
-        assert tg.contains_structure((1, 3))
+        assert _has_subgroup(tg.structure, (1, 3))
         P = (Fraction(0), Fraction(0))
         assert w.contains(*P)
         assert points_of_order_n(w, 3)
@@ -139,7 +144,7 @@ def test_torsion_advertised_groups():
     }
     for fp, expected in cases.items():
         tg = torsion_subgroup(build_curve(fp))
-        assert tg.contains_structure(expected), (fp, tg.structure)
+        assert _has_subgroup(tg.structure, expected), (fp, tg.structure)
 
 
 def test_torsion_well_known_curves():
@@ -166,12 +171,13 @@ def test_torsion_order_bound_is_multiple():
 
 
 def test_generators_have_exact_orders():
-    tg = torsion_subgroup(W(1, 1, 1, -10, -10))
+    w = W(1, 1, 1, -10, -10)
+    tg = torsion_subgroup(w)
     from ecdescent.weierstrass import point_order
 
     for P, k in tg.generators:
         assert point_order(tg.model, P, k) == k
-    assert len(tg.all_points()) == tg.order
+    assert torsion_points_lutz_nagell(w).order == tg.order
 
 
 def _kubert(b, c):
@@ -334,7 +340,7 @@ def test_random_family_sweep_contains_advertised():
                 continue
             w = build_curve(fp)
             tg = torsion_subgroup(w)
-            assert tg.contains_structure(ADVERTISED[fp.family]), (fp, tg.structure)
+            assert _has_subgroup(tg.structure, ADVERTISED[fp.family]), (fp, tg.structure)
             done += 1
 
 

@@ -46,7 +46,7 @@ def test_family_torsion_sweep_200_per_family():
             except (ValueError, SingularParameterError):
                 continue
             tg = torsion_subgroup(build_curve(fp))
-            assert tg.contains_structure(ADVERTISED[fp.family]), (fp, tg.structure)
+            assert all(n % m == 0 for n, m in zip(tg.structure, ADVERTISED[fp.family])), (fp, tg.structure)
             if tg.structure != ADVERTISED[fp.family]:
                 jumps.setdefault(fam, []).append((fp.params, tg.structure))
             done += 1

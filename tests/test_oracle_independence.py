@@ -33,6 +33,8 @@ JUDGED = {
     "point_mul",
     "point_order",
     "count_points_mod_p",
+    "change_variables",
+    "rst_change",
 }
 
 

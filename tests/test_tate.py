@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ecdescent.families import build_curve, torsion_subgroup, z2_point, z3_point
 from ecdescent.fixtures import FIXTURES
 from ecdescent.polyutil import fp_divmod
 from ecdescent.tate import (
@@ -186,15 +187,43 @@ def test_good_reduction_at_2_iff_62_mod_128():
         assert local_reduction(W(0, A, 0, 1, 0), 2).kind != GOOD
 
 
+def _invariant_data(w):
+    gd = global_data(w)
+    return (
+        [local_reduction(w, p).as_dict() for p in (2, 3, 5, 7)],
+        (gd.conductor, gd.delta_min, gd.tamagawa_product, gd.minimal_model),
+        torsion_subgroup(w).structure,
+    )
+
+
 def test_invariance_under_unit_changes():
+    # about 200 seeded models, a quarter of them from the torsion families,
+    # each under an integral [1,r,s,t] and under a random [u,r,s,t] with
+    # u != 1 and r, s, t of denominator up to 3
     rng = random.Random(7)
-    w = W(1, -1, 1, -10, -20)  # conductor 15-ish curve? just use as-is
-    base = {p: local_reduction(w, p).as_dict() for p in (2, 3, 5, 7)}
-    for _ in range(5):
-        c = CoordinateChange.of(1, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        w2 = change_variables(w, c)
-        for p in (2, 3, 5, 7):
-            assert local_reduction(w2, p).as_dict() == base[p]
+    us = [Fraction(sign * n, d) for sign in (1, -1) for n in (1, 2, 3) for d in (1, 2, 3, 5)]
+    us.remove(1)
+    families = [
+        lambda: z2_point(rng.randint(-12, 12), rng.randint(-12, 12)),
+        lambda: z3_point(rng.randint(-12, 12), rng.randint(1, 4)),
+    ]
+    done = 0
+    while done < 200:
+        if done % 4:
+            w = W(*(rng.randint(-9, 9) for _ in range(5)))
+        else:
+            try:
+                w = build_curve(rng.choice(families)())
+            except ValueError:
+                continue
+        if w.is_singular:
+            continue
+        base = _invariant_data(w)
+        rst = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
+        unit = CoordinateChange.of(1, *(rng.randint(-9, 9) for _ in range(3)))
+        for c in (unit, CoordinateChange.of(rng.choice(us), *rst)):
+            assert _invariant_data(change_variables(w, c)) == base, (w, c)
+        done += 1
 
 
 def test_scaling_is_unwound():
@@ -250,12 +279,13 @@ def test_model_from_c4c6_refuses_a_pair_that_fails_only_the_round_trip():
 
 
 def test_checks_hold_under_optimize(run_optimized):
+    # the shared [1,r,s,t] map, doctored on step 6's shear (the only s != 0)
     script = (
         "from ecdescent import tate\n"
         "from ecdescent.weierstrass import InvariantViolation, WeierstrassModel\n"
-        "real = tate._shift_s\n"
-        "tate._shift_s = lambda a, s: (lambda b: (b[0] + 1,) + b[1:])(real(a, s))\n"
-        "for ainvs, p in [([0, 0, 0, -4, 0], 2), ([0, 0, 0, -9, 0], 3)]:\n"
+        "real = tate.rst_change\n"
+        "tate.rst_change = lambda a, r, s, t: (lambda b: (b[0] + 1,) + b[1:] if s else b)(real(a, r, s, t))\n"
+        "for ainvs, p in [([0, 1, 0, -4, 0], 2), ([1, -1, 0, -9, 0], 3)]:\n"
         "    try:\n"
         "        tate.local_reduction(WeierstrassModel.from_ainvs(ainvs), p)\n"
         "    except InvariantViolation:\n"

@@ -20,9 +20,18 @@ from ecdescent.weierstrass import (
     point_neg,
     point_order,
     quadratic_twist,
+    rst_change,
     two_torsion_form,
 )
-from oracles import find_isomorphism, point_add_reference, point_mul_reference, point_order_reference
+from oracles import (
+    change_variables_reference,
+    compose,
+    find_isomorphism,
+    inverse,
+    point_add_reference,
+    point_mul_reference,
+    point_order_reference,
+)
 
 units = st.fractions(min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda u: u != 0)
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
@@ -87,6 +96,39 @@ def test_change_rejects_zero_u():
         CoordinateChange.of(0)
 
 
+def test_change_variables_matches_the_fraction_reference():
+    # seeded models, integral and not, under int and Fraction changes with
+    # u = 1 and u != 1; the int path must still hand out Fraction models
+    rng = random.Random(20261020)
+    us = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
+    seen = set()
+    for _ in range(400):
+        ainvs = [rng.randint(-30, 30) for _ in range(5)]
+        if rng.random() < 0.4:
+            ainvs[rng.randrange(5)] = Fraction(rng.randint(-30, 30), rng.randint(2, 6))
+        w = WeierstrassModel.from_ainvs(ainvs)
+        u = rng.choice([1, 1, rng.choice(us)])
+        if rng.random() < 0.5:
+            rst = [rng.randint(-9, 9) for _ in range(3)]
+        else:
+            rst = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+        c = CoordinateChange.of(u, *rst)
+        out = change_variables(w, c)
+        assert out == change_variables_reference(w, c), (w, c)
+        assert all(type(a) is Fraction for a in out.ainvs)
+        for m in (w, out):
+            assert (m.int_ainvs is None) == any(a.denominator > 1 for a in m.ainvs)
+            assert m.int_ainvs is None or m.int_ainvs == tuple(int(a) for a in m.ainvs)
+            assert m.int_ainvs is None or all(type(a) is int for a in m.int_ainvs)
+        seen.add((w.is_integral, c.u == 1, all(x.denominator == 1 for x in (c.r, c.s, c.t))))
+    assert len(seen) == 8, seen
+    # the shared map keeps ints on ints
+    out = rst_change((1, -1, 1, -10, -20), 2, -1, 3)
+    assert all(type(a) is int for a in out)
+    w = WeierstrassModel.from_ainvs([1, -1, 1, -10, -20])
+    assert out == change_variables(w, CoordinateChange.of(1, 2, -1, 3)).int_ainvs
+
+
 @settings(max_examples=40)
 @given(units, small_fracs, small_fracs, small_fracs, units, small_fracs, small_fracs, small_fracs)
 def test_change_functoriality(u1, r1, s1, t1, u2, r2, s2, t2):
@@ -94,7 +136,7 @@ def test_change_functoriality(u1, r1, s1, t1, u2, r2, s2, t2):
     c1 = CoordinateChange.of(u1, r1, s1, t1)
     c2 = CoordinateChange.of(u2, r2, s2, t2)
     step = change_variables(change_variables(w, c1), c2)
-    combined = change_variables(w, c1.compose(c2))
+    combined = change_variables(w, compose(c1, c2))
     assert step == combined
     assert change_variables(w, c1).discriminant == w.discriminant / u1**12
     assert change_variables(w, c1).j_invariant == w.j_invariant
@@ -105,7 +147,7 @@ def test_change_functoriality(u1, r1, s1, t1, u2, r2, s2, t2):
 def test_change_inverse(u, r, s, t):
     w = WeierstrassModel.from_ainvs([0, 0, 1, -7, 6])
     c = CoordinateChange.of(u, r, s, t)
-    assert change_variables(change_variables(w, c), c.inverse()) == w
+    assert change_variables(change_variables(w, c), inverse(c)) == w
 
 
 def test_quadratic_twist_invariants():
@@ -241,10 +283,10 @@ def _curves_with_points(rng):
     t15 = [(Fraction(-13, 4), Fraction(9, 8)), (Fraction(-2), Fraction(-2)), (Fraction(8), Fraction(18))]
     for _ in range(10):
         c = CoordinateChange.of(1, *(rng.randint(-5, 5) for _ in range(3)))
-        out.append((change_variables(w15, c), [c.inverse().apply_point(*P) for P in t15]))
+        out.append((change_variables(w15, c), [inverse(c).apply_point(*P) for P in t15]))
     for w, pts in list(out):
         c = CoordinateChange.of(*(Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(4)))
-        out.append((change_variables(w, c), [c.inverse().apply_point(*P) for P in pts]))
+        out.append((change_variables(w, c), [inverse(c).apply_point(*P) for P in pts]))
     return out
 
 
@@ -283,7 +325,7 @@ def test_find_isomorphism():
 
 
 def _integral_invariants(w):
-    return curve_invariants(tuple(a.numerator for a in integral_model(w)[0].ainvs))
+    return curve_invariants(integral_model(w)[0].int_ainvs)
 
 
 def _agrees_with_oracle(w1, w2):
