@@ -136,7 +136,10 @@ def cmd_isogeny(args):
 
 
 def cmd_chain(args):
-    chain = three_isogeny_chain(args.a)
+    try:
+        chain = three_isogeny_chain(args.a)
+    except SingularParameterError as exc:
+        raise Refusal(str(exc)) from None
     _emit(
         {
             "start": str(chain.start),
@@ -161,7 +164,7 @@ def cmd_descent(args):
 def cmd_descent3(args):
     try:
         cert = sha3_criterion(args.a, args.disc)
-    except HypothesisFailure as exc:
+    except (HypothesisFailure, SingularParameterError) as exc:
         raise Refusal(str(exc)) from None
     _emit(cert.as_dict())
     return 0
@@ -218,6 +221,8 @@ _BOUND_OPTION = {3: "bound", 4: "bound", 6: "a_hi", 8: "s_hi", 9: "a_abs"}
 
 def cmd_verify_paper(args):
     takes = verify_mod.section_options(args.section)
+    if args.bound is not None and args.bound < 1:
+        raise Refusal(f"--bound {args.bound} is below 1")
     opts = {}
     for flag, key, value in [("--seed", "seed", args.seed), ("--bound", _BOUND_OPTION.get(args.section), args.bound)]:
         if value is None:
@@ -225,8 +230,6 @@ def cmd_verify_paper(args):
         if key not in takes:
             raise Refusal(f"section {args.section} takes no {flag}")
         opts[key] = value
-    if "jobs" in takes:
-        opts["jobs"] = args.jobs
     rep = verify_mod.verify_section(args.section, **opts)
     rep.dump_jsonl(sys.stdout)
     return 0 if rep.failed == 0 else 1
@@ -263,7 +266,6 @@ def cmd_ingest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ecdescent", description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     ap.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
 

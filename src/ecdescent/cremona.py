@@ -41,7 +41,7 @@ class MalformedLineError(ValueError):
         super().__init__(f"line {lineno}, column {column}: {message}")
 
 
-def parse_allcurves_line(line: str, lineno: int = 0) -> CurveRow:
+def parse_allcurves_line(line: str, lineno: int) -> CurveRow:
     m = _LINE.match(line)
     if not m:
         # locate the first offending field for the diagnostic

@@ -160,7 +160,6 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
     records = []
     fps = [cur]
     while True:
-        a_, b_ = cur.params
         res = _hadano_quotient(cur)
         if isinstance(res, CubeFailure):
             # terminal step: the quotient still exists (kernel is rational)
@@ -169,8 +168,7 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
             records.append(velu_3_isogeny(w, (Fraction(0), Fraction(0))))
             break
         records.append(res)
-        t = integer_root(b_, 3)
-        cur = z3_normalize(a_ + 6 * t, (a_ * a_ + 3 * a_ * t + 9 * t * t) * t)
+        cur = z3_normalize(int(res.target.a1), int(res.target.a3))
         fps.append(cur)
         if len(records) > 6:  # pragma: no cover
             raise ArithmeticError("impossibly long 3-isogeny chain")

@@ -192,12 +192,13 @@ def fp_roots(f: list[int], p: int) -> list[int]:
     xp = fp_powmod_poly([0, 1], p, f, p)
     xp_minus_x = fp_trim(poly_add(xp, [0, -1]), p)
     g = fp_gcd(xp_minus_x, f, p)
-    roots += _fp_split_linear(g, p)
+    roots += _fp_split_linear(g, p, 0)
     return sorted(set(roots))
 
 
-def _fp_split_linear(g: list[int], p: int, _shift: int = 0) -> list[int]:
-    # g is squarefree and splits into distinct linear factors over F_p
+def _fp_split_linear(g: list[int], p: int, shift: int) -> list[int]:
+    # g is squarefree and splits into distinct linear factors over F_p; shift
+    # is the depth of this attempt in the recursion and picks its c
     g = fp_trim(g[:], p)
     deg = len(g) - 1
     if deg <= 0:
@@ -211,14 +212,14 @@ def _fp_split_linear(g: list[int], p: int, _shift: int = 0) -> list[int]:
         inv2a = pow(2 * a, -1, p)
         return [((-b + s) * inv2a) % p, ((-b - s) * inv2a) % p]
     # random-shift equal-degree splitting by (x+c)^((p-1)/2) - 1
-    c = (_shift * 7919 + 1) % p
+    c = (shift * 7919 + 1) % p
     h = fp_powmod_poly([c, 1], (p - 1) // 2, g, p)
     h = fp_trim(poly_add(h, [-1]), p)
     d = fp_gcd(h, g, p)
     if 0 < len(d) - 1 < deg:
         other = fp_divmod(g, d, p)[0]
-        return _fp_split_linear(d, p, _shift + 1) + _fp_split_linear(other, p, _shift + 1)
-    return _fp_split_linear(g, p, _shift + 1)
+        return _fp_split_linear(d, p, shift + 1) + _fp_split_linear(other, p, shift + 1)
+    return _fp_split_linear(g, p, shift + 1)
 
 
 def fp_powmod_poly(base: list[int], e: int, h: list[int], p: int) -> list[int]:

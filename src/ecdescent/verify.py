@@ -7,9 +7,11 @@ record {case_id, inputs, computed, expected, citation, status}.
 Failures are data, not exceptions: the report carries them.
 
 A section is a sequence of tables.  Each table is a function that
-appends its cases to a `Report`; its keyword defaults are the inputs the
-paper's table is checked at.  `verify_section` runs one section's tables
-in order and hands each the options it takes.
+appends its cases to a `Report`.  Its only keyword options are a seed or
+a bound, whose defaults are the inputs the paper's table is checked at;
+`verify_section` runs one section's tables in order and hands each the
+options it takes.  The large sweeps spread their cases over worker
+processes when the host lets this process run on more than one CPU.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,12 +91,26 @@ class Report:
         fh.write(json.dumps({"summary": self.summary()}) + "\n")
 
 
-def _map(fn, items, jobs, chunksize):
-    """fn over items, in `jobs` worker processes when jobs > 1."""
-    if jobs > 1:
+#: at most this many workers: a many-core host would otherwise fork one
+#: interpreter per core for a sweep of a few dozen chunks
+_MAX_WORKERS = 8
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map(fn, items, chunksize):
+    """fn over items, in order; in worker processes when the CPUs and the
+    chunks of `chunksize` items allow two or more."""
+    workers = min(_cpus(), len(items) // chunksize, _MAX_WORKERS)
+    if workers >= 2:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             return pool.map(fn, items, chunksize=chunksize)
     return map(fn, items)
 
@@ -114,11 +131,12 @@ def _lambda_bad_prime_hint(alpha, beta):
 # -- section 3: the Z/2+Z/4 family -------------------------------------------
 
 
-def multiplicative_rows(rep: Report, samples: int = 500, seed: int = 11):
-    """ord_p(lambda) = m > 0 gives split I_{4m} with c_p = 4m, at every such p."""
+def multiplicative_rows(rep: Report, seed: int = 11):
+    """ord_p(lambda) = m > 0 gives split I_{4m} with c_p = 4m, at every such p
+    of 500 sampled (alpha, beta)."""
     rng = random.Random(seed)
     done = 0
-    while done < samples:
+    while done < 500:
         alpha, beta = rng.randint(1, 300), rng.randint(1, 300)
         if math.gcd(alpha, beta) != 1 or 4 * alpha == beta:
             continue
@@ -140,7 +158,7 @@ def multiplicative_rows(rep: Report, samples: int = 500, seed: int = 11):
         done += 1
 
 
-def exception_scan(rep: Report, bound: int = 200, jobs: int = 1):
+def exception_scan(rep: Report, bound: int = 200):
     """Every curve with alpha, beta <= bound: the nine counting exceptions and 8 | C.
 
     The S/T counting conditions fail exactly on nine curves (restricting to
@@ -154,7 +172,7 @@ def exception_scan(rep: Report, bound: int = 200, jobs: int = 1):
         if math.gcd(alpha, beta) == 1 and 4 * alpha != beta
     ]
     counted, violators = set(), {}
-    for key, is_counted, C in _map(_sec3_case, pairs, jobs, 512):
+    for key, is_counted, C in _map(_sec3_case, pairs, 512):
         if is_counted:
             counted.add(key)
         if C % 8:
@@ -206,7 +224,7 @@ def _sec3_case(pair):
 # -- section 4: the Z/2+Z/2 family -------------------------------------------
 
 
-def four_divides_scan(rep: Report, bound: int = 300, jobs: int = 1):
+def four_divides_scan(rep: Report, bound: int = 300):
     pairs = []
     for a in range(-bound, bound + 1):
         for b in range(-bound, a):
@@ -214,7 +232,7 @@ def four_divides_scan(rep: Report, bound: int = 300, jobs: int = 1):
                 pairs.append((a, b))
     bad = []
     attempted = 0
-    for res in _map(_sec4_case, pairs, jobs, 2048):
+    for res in _map(_sec4_case, pairs, 2048):
         if res is None:
             continue
         attempted += 1
@@ -320,12 +338,13 @@ def ordp_rows(rep: Report):
     )
 
 
-def z4_local_images(rep: Report, seed: int = 0, image_samples: int = 12):
-    """Local images of the transformed curve y^2 = x^3 + (p^2z+8)x^2 + 16x."""
+def z4_local_images(rep: Report, seed: int = 0):
+    """Local images of the transformed curve y^2 = x^3 + (p^2z+8)x^2 + 16x,
+    at 12 sampled (p, z)."""
     rng = random.Random(seed)
     prims = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 37, 41) if p != 2]
     done = 0
-    while done < image_samples:
+    while done < 12:
         p = rng.choice(prims)
         z = rng.choice([1, 1, 2])
         w = WeierstrassModel.from_ainvs([0, p ** (2 * z) + 8, 0, 16, 0])
@@ -542,14 +561,16 @@ def bminus1_exceptions(rep: Report):
 # -- section 8: the Z/2+Z/6 family ----------------------------------------------
 
 
-def twelve_divides_scan(rep: Report, s_hi: int = 60, t_abs: int = 60, jobs: int = 1):
+def twelve_divides_scan(rep: Report, s_hi: int = 60):
+    """Every (S, T) with 1 <= S <= s_hi and |T| <= 60."""
+    t_abs = 60
     tasks = [
         (S, T)
         for S in range(1, s_hi + 1)
         for T in range(-t_abs, t_abs + 1)
         if math.gcd(S, T) == 1 and T not in (S, 5 * S, 3 * S, -3 * S, 9 * S)
     ]
-    bad = [r for r in _map(_sec8_case, tasks, jobs, 256) if r is not None and r is not True]
+    bad = [r for r in _map(_sec8_case, tasks, 256) if r is not None and r is not True]
     rep.add(
         "s8-twelve-divides",
         {"S": [1, s_hi], "T": [-t_abs, t_abs], "attempted": len(tasks)},
@@ -580,12 +601,12 @@ def _sec8_case(st):
 # -- section 9: the Z/3 family ----------------------------------------------------
 
 
-def chain_bound(rep: Report, a_abs: int = 10_000, jobs: int = 1):
+def chain_bound(rep: Report, a_abs: int = 10_000):
     """Every quotient chain over |a| <= a_abs with b = 1: the longest has 4 curves,
     only at a = -6, of conductor 27."""
     avals = [a for a in range(-a_abs, a_abs + 1) if a != 3]
     max_len, at = 0, []
-    for a, length in zip(avals, _map(_chain_length, avals, jobs, 256)):
+    for a, length in zip(avals, _map(_chain_length, avals, 256)):
         if length > max_len:
             max_len, at = length, [a]
         elif length == max_len:
@@ -621,12 +642,13 @@ def bneq1_rows(rep: Report):
         )
 
 
-def selmer_rows(rep: Report, sha_samples: int = 50):
-    """Selmer lower bounds for admissible a (3 not dividing C), first Heegner field
-    with |d| <= 100, every Tamagawa witness re-derived from the local data."""
+def selmer_rows(rep: Report):
+    """Selmer lower bounds for the first 50 admissible a (3 not dividing C),
+    first Heegner field with |d| <= 100, every Tamagawa witness re-derived
+    from the local data."""
     done = 0
     a = 1
-    while done < sha_samples and a < 3000:
+    while done < 50 and a < 3000:
         a += 1
         if a == 3:
             continue

@@ -334,7 +334,7 @@ def point_mul(w: WeierstrassModel, n: int, P: Point) -> Point:
     return R
 
 
-def point_order(w: WeierstrassModel, P: Point, bound: int = 17) -> int:
+def point_order(w: WeierstrassModel, P: Point, bound: int) -> int:
     """Exact order of a point, or 0 if it exceeds `bound` (then infinite here)."""
     Q = P
     for n in range(1, bound + 1):

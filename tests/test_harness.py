@@ -76,7 +76,7 @@ def test_ingest_validates_avalanche():
     assert table["15a3"].torsion_order == 8
     # every row round-trips through render/parse
     for label, row in table.items():
-        assert parse_allcurves_line(render_allcurves_line(row)) == row
+        assert parse_allcurves_line(render_allcurves_line(row), 1) == row
 
 
 def test_ingest_rejects_wrong_torsion(tmp_path):
@@ -90,7 +90,7 @@ def test_ingest_rejects_wrong_torsion(tmp_path):
 
 
 def test_verify_section_reports_have_consistent_counts():
-    rep = verify_section(3, bound=40, samples=10)
+    rep = verify_section(3, bound=40)
     assert rep.attempted == rep.passed + rep.failed
     assert (rep.failed == 0) == (not rep.mismatches)
     buf = io.StringIO()
@@ -113,7 +113,7 @@ def test_verify_section_9_records_a_failed_heegner_scan(monkeypatch):
         return real(w, bound)
 
     monkeypatch.setattr(verify, "heegner_field_scan", fail_once)
-    rep = verify_section(9, a_abs=10, sha_samples=1)
+    rep = verify_section(9, a_abs=10)
     failed = [c for c in rep.cases if c["status"] == "fail"]
     assert len(failed) == 1 and failed[0]["case_id"].startswith("s9-sha-")
     assert failed[0]["computed"]["raised"] == "ZeroDivisionError"
@@ -354,16 +354,48 @@ def test_cli_descent_commands_refuse_a_bad_disc(capsys, argv, reason):
     assert reason in _refusal(capsys, argv)
 
 
-def test_sections_3_and_9_reports_do_not_depend_on_jobs():
-    from ecdescent.verify import Report, chain_bound, exception_scan
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["chain", "--a", "3"], "singular"),
+        (["descent3", "--a", "3", "--disc", "-2"], "singular"),
+        (["verify-paper", "--section", "8", "--bound", "0"], "below 1"),
+        (["verify-paper", "--section", "4", "--bound", "-5"], "below 1"),
+    ],
+    ids=["chain-singular-a", "descent3-singular-a", "verify-bound-zero", "verify-bound-negative"],
+)
+def test_cli_refuses_an_out_of_range_parameter(capsys, argv, reason):
+    assert reason in _refusal(capsys, argv)
 
-    for table, opts in [(exception_scan, {"bound": 30}), (chain_bound, {"a_abs": 60})]:
+
+def test_sweep_reports_do_not_depend_on_the_cpu_count(monkeypatch):
+    import multiprocessing
+
+    import ecdescent.verify as verify
+
+    real_pool, pools = multiprocessing.Pool, []
+
+    def pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    # four chunks each: 2 202 pairs in chunks of 512, 1 200 values of a in chunks of 256
+    for table, opts in [(verify.exception_scan, {"bound": 60}), (verify.chain_bound, {"a_abs": 600})]:
         reports = []
-        for jobs in (1, 2):
-            rep = Report(0)
-            table(rep, jobs=jobs, **opts)
+        for cpus in (1, 2):
+            monkeypatch.setattr(verify, "_cpus", lambda n=cpus: n)
+            pools.clear()
+            rep = verify.Report(0)
+            table(rep, **opts)
             reports.append(json.dumps(rep.cases, default=str))
+            assert pools == ([2] if cpus == 2 else []), (table.__name__, cpus)
         assert reports[0] == reports[1], table.__name__
+    # a test-size sweep has fewer than two chunks and stays in this process
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    pools.clear()
+    verify.chain_bound(verify.Report(0), a_abs=60)
+    assert pools == []
 
 
 def test_wrong_tamagawa_number_fails_every_tamagawa_section(monkeypatch, capsys):
@@ -371,7 +403,7 @@ def test_wrong_tamagawa_number_fails_every_tamagawa_section(monkeypatch, capsys)
 
     import ecdescent.verify as verify
 
-    small = {3: {"bound": 40, "samples": 10}, 4: {"bound": 20}, 6: {"a_hi": 200}, 8: {"s_hi": 5}}
+    small = {3: {"bound": 40}, 4: {"bound": 20}, 6: {"a_hi": 200}, 8: {"s_hi": 5}}
     for section, opts in small.items():
         assert verify_section(section, **opts).failed == 0, section
     real_local, real_global = verify.local_reduction, verify.global_data
