@@ -2,7 +2,9 @@
 
 Factorization, primality, p-adic valuations, exact integer roots,
 Kronecker and Hilbert symbols, and square classes of Q*/Q*^2 together
-with their local analogues at a prime or at the real place.  Everything
+with their local analogues at a prime or at the real place.  A local class
+has one encoding, the F_2 bitmask of local_class; the canonical reps, the
+Hilbert symbol and the local subgroups are read from it.  Everything
 here is a pure function of its arguments and works on plain ints and
 fractions.Fraction.
 """
@@ -293,42 +295,6 @@ def is_square(q: Rational) -> bool:
     return r * r == q
 
 
-def hilbert_symbol(a: Rational, b: Rational, place) -> int:
-    """Hilbert norm-residue symbol (a,b) at a prime p or at OO.
-
-    +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over Q_p (resp. R).
-    """
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    a = _as_integer_squareclass(a)
-    b = _as_integer_squareclass(b)
-    if place == OO or place is None:
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    alpha = padic_valuation(a, p)
-    beta = padic_valuation(b, p)
-    u = a // p**alpha
-    v = b // p**beta
-    if p != 2:
-        eps = (p - 1) // 2
-        sign = (-1) ** (alpha * beta * eps)
-        s = sign
-        if beta % 2:
-            s *= kronecker_symbol(u, p)
-        if alpha % 2:
-            s *= kronecker_symbol(v, p)
-        return s
-    # p = 2: closed form in terms of (u-1)/2 and (u^2-1)/8.
-    def eps2(x: int) -> int:
-        return ((x - 1) // 2) % 2
-
-    def omega(x: int) -> int:
-        return ((x * x - 1) // 8) % 2
-
-    e = eps2(u) * eps2(v) + alpha * omega(v) + beta * omega(u)
-    return -1 if e % 2 else 1
-
-
 @dataclass(frozen=True, order=True)
 class SquareClass:
     """An element of Q*/Q*^2, canonically a signed squarefree integer."""
@@ -364,31 +330,64 @@ def square_class(q: Rational) -> SquareClass:
     return SquareClass(squarefree_part(_as_integer_squareclass(q)))
 
 
+def local_class(q: Rational, place) -> int:
+    """F_2 coordinates of q in Q_place*/Q_place*^2 as a bitmask, so that the
+    class of a product is the XOR.  With q = p^v u, u a unit: bit 0 is v mod 2
+    (the sign at OO); bit 1 is [u a nonresidue] at odd p, and bits 1 and 2
+    are [u = 3 mod 4] and [u = +-3 mod 8] at 2."""
+    if q == 0:
+        raise ValueError("square class of 0 undefined")
+    n = _as_integer_squareclass(q)
+    if place == OO or place is None:
+        return int(n < 0)
+    p = int(place)
+    v = padic_valuation(n, p)
+    u = n // p**v
+    if p == 2:
+        return v & 1 | (u % 4 == 3) << 1 | (u % 8 in (3, 5)) << 2
+    return v & 1 | (kronecker_symbol(u, p) == -1) << 1
+
+
+@functools.cache
+def _class_reps(place) -> tuple:
+    """Canonical reps indexed by local_class: products of the basis elements its bits select."""
+    p = None if place == OO or place is None else int(place)
+    basis = (-1,) if p is None else (2, -1, 5) if p == 2 else (p, smallest_nonresidue(p))
+    reps = (1,)
+    for g in basis:
+        reps += tuple(r * g for r in reps)
+    return reps
+
+
 def local_square_rep(q: Rational, place) -> int:
     """Canonical representative of q in Q_place^* / squares.
 
     At odd p the 4 reps are {1, n, p, n*p} with n the least nonresidue;
     at 2 they are {+-1, +-2, +-5, +-10}; at OO they are {1, -1}.
     """
-    if q == 0:
-        raise ValueError("square class of 0 undefined")
-    n = _as_integer_squareclass(q)
-    if place == OO or place is None:
-        return 1 if n > 0 else -1
-    p = int(place)
-    v = padic_valuation(n, p)
-    u = n // p**v
-    if p == 2:
-        u8 = u % 8
-        unit_rep = {1: 1, 3: -5, 5: 5, 7: -1}[u8]
-        return unit_rep * (2 if v % 2 else 1)
-    nr = smallest_nonresidue(p)
-    unit_rep = 1 if kronecker_symbol(u, p) == 1 else nr
-    return unit_rep * (p if v % 2 else 1)
+    return _class_reps(place)[local_class(q, place)]
 
 
 def is_local_square(q: Rational, place) -> bool:
-    return local_square_rep(q, place) == 1
+    return local_class(q, place) == 0
+
+
+def hilbert_symbol(a: Rational, b: Rational, place) -> int:
+    """Hilbert norm-residue symbol (a,b) at a prime p or at OO.
+
+    +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over Q_p (resp. R).
+    It is (-1)^(x G y), a fixed bilinear form on the local_class bitmasks x
+    of a and y of b (Serre, A Course in Arithmetic, III.1.2, Thm. 1); the
+    rows of G are bitmasks, and below a = p^alpha u and b = p^beta v.
+    """
+    x, y = local_class(a, place), local_class(b, place)  # ValueError on 0
+    if place == OO or place is None:
+        gram = (0b1,)  # [a < 0][b < 0]
+    elif int(place) == 2:
+        gram = (0b100, 0b010, 0b001)  # alpha omega(v) + eps(u) eps(v) + beta omega(u)
+    else:
+        gram = (0b10 | (int(place) % 4 == 3), 0b01)  # alpha beta eps(p) + alpha [(v|p) = -1] + beta [(u|p) = -1]
+    return -1 if sum((row & y).bit_count() for i, row in enumerate(gram) if x >> i & 1) & 1 else 1
 
 
 @dataclass
@@ -400,15 +399,7 @@ class LocalSquareClassGroup:
 
     @staticmethod
     def full(place) -> "LocalSquareClassGroup":
-        if place == OO or place is None:
-            reps = {1, -1}
-        elif int(place) == 2:
-            reps = {1, -1, 2, -2, 5, -5, 10, -10}
-        else:
-            p = int(place)
-            n = smallest_nonresidue(p)
-            reps = {1, n, p, (n * p)}
-        return LocalSquareClassGroup(place, frozenset(reps))
+        return LocalSquareClassGroup(place, frozenset(_class_reps(place)))
 
     def __contains__(self, q) -> bool:
         return local_square_rep(q, self.place) in self.elements
@@ -421,10 +412,5 @@ class LocalSquareClassGroup:
         return len(self.elements).bit_length() - 1
 
     def is_subgroup(self) -> bool:
-        if 1 not in self.elements:
-            return False
-        for x in self.elements:
-            for y in self.elements:
-                if local_square_rep(x * y, self.place) not in self.elements:
-                    return False
-        return True
+        classes = {local_class(x, self.place) for x in self.elements}
+        return 1 in self.elements and all(x ^ y in classes for x in classes for y in classes if x < y)

@@ -183,6 +183,8 @@ def _parse_ranges(spec: str, arity: int) -> list[range]:
 def cmd_sweep(args):
     maker = _POINT_MAKERS[args.family]
     ranges = _parse_ranges(args.params_range, len(inspect.signature(maker).parameters))
+    if args.limit < 0:
+        raise Refusal(f"--limit {args.limit} is below 0")
     import itertools
 
     count = 0

@@ -24,7 +24,8 @@ and 4.  The tests judge the scan by a brute-force torsor enumeration.
 phi_selmer reads the curve's data once (the 2-torsion form, the integral
 dual, the integral tuple of E and disc) for the images at all places, and
 finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
-the finite places, so the work grows with their number, not 2 to its power.
+the finite places, in the arith.local_class coordinates that the scan also
+collects, so the work grows with their number, not 2 to its power.
 
 phi_intersection builds no Selmer group of the twist E_d: it keeps the
 classes of Sel^phi(E) that lie in the image of E_d where the two images can
@@ -49,10 +50,12 @@ from .arith import (
     OO,
     LocalSquareClassGroup,
     SquareClass,
+    _class_reps,
     hilbert_symbol,
     is_local_square,
     is_square,
     kronecker_symbol,
+    local_class,
     local_square_rep,
     padic_valuation,
     prime_divisors,
@@ -123,7 +126,7 @@ def _image_size(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> int:
     lrp = tate_algorithm(*ep, ell)
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
-    if rem or not size or (8 if ell == 2 else 4) % size:
+    if rem or not size or len(LocalSquareClassGroup.full(ell)) % size:
         raise ArithmeticError(f"{w} at {ell}: 2*{lrp.tamagawa}/{lr.tamagawa}*{ell}^{ds} is not an image size")
     return size
 
@@ -134,12 +137,11 @@ def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSq
     if size == len(full):
         return full
     _, Ai, _, Bi, _ = ep[0]
-    reps = _image_scan(Ai, Bi, ell, size)
-    if len(reps) != size:
-        raise ArithmeticError(f"{w} at {ell}: scan found {sorted(reps)}, Tate predicts {size}")
-    grp = LocalSquareClassGroup(ell, frozenset(reps))
+    grp = LocalSquareClassGroup(ell, frozenset(_class_reps(ell)[c] for c in _image_scan(Ai, Bi, ell, size)))
+    if len(grp) != size:
+        raise ArithmeticError(f"{w} at {ell}: scan found {sorted(grp.elements)}, Tate predicts {size}")
     if not grp.is_subgroup():
-        raise ArithmeticError(f"{w} at {ell}: local image {sorted(reps)} is not a subgroup")
+        raise ArithmeticError(f"{w} at {ell}: local image {sorted(grp.elements)} is not a subgroup")
     return grp
 
 
@@ -164,9 +166,9 @@ def _image_at_infinity(Ap, Bp, B) -> set:
 
 
 def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
-    """The first `size` classes b of points of E' over Q_ell that the scan finds."""
+    """local_class bitmasks of the first `size` classes of points of E' over Q_ell the scan finds."""
     # delta(0, 0) = B', so the class of B' lies in every image
-    members = {1, local_square_rep(Bi, ell)}
+    members = {0, local_class(Bi, ell)}
     slack = 3 if ell == 2 else 1
     c = padic_valuation(Bi, ell)  # B' != 0 on a nonsingular curve
     guard = 2 * (padic_valuation(Ap * Ap - 4 * Bi, ell) if Ap * Ap != 4 * Bi else 0) + 2 * c + 24
@@ -197,7 +199,7 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
             x = w0 * scale
             val = x * (x * x + As * x + Bs)
             if val == 0:
-                members.add(local_square_rep(x * s, ell))
+                members.add(local_class(x * s, ell))
                 continue
             vF = padic_valuation(val, ell) - 3 * j
             dval = 3 * x * x + 2 * As * x + Bs
@@ -206,13 +208,13 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
                 # Newton converges to a root at distance >= vF - vdF, hence
                 # inside this residue disc; X - root then varies freely there
                 # and F can be made a square, so class(X) is in the image
-                members.add(local_square_rep(x * s, ell))
+                members.add(local_class(x * s, ell))
                 continue
             second = 2 * (m + k) + min(m, 0)
             determined = vF + slack <= min(vdF + m + k, second)
             if determined:
                 if is_local_square(val * s, ell):
-                    members.add(local_square_rep(x * s, ell))
+                    members.add(local_class(x * s, ell))
                 continue
             if k > guard:  # pragma: no cover - safety net
                 raise ArithmeticError("runaway refinement in local image scan")
@@ -240,16 +242,6 @@ class SelmerGroup2:
         return cls in self.elements
 
 
-def _f2_basis(elements) -> tuple:
-    basis = []
-    span = {SquareClass(1)}
-    for e in sorted(elements, key=lambda c: (abs(c.rep), c.rep < 0)):
-        if e not in span:
-            basis.append(e)
-            span |= {e * x for x in span}
-    return tuple(basis)
-
-
 def _descent_primes(w: WeierstrassModel) -> list:
     """Primes of the numerators and denominators of B and B' = A^2 - 4B,
     both nonzero on a nonsingular model."""
@@ -264,37 +256,19 @@ def descent_places(w: WeierstrassModel) -> list:
     return sorted({2, *_descent_primes(w)}) + [OO]
 
 
-def _coords(n: int, place) -> int:
-    """F_2 coordinates of the squarefree integer n in Q_place*/Q_place*^2, as
-    a bitmask: at infinity the sign; at a prime, bit 0 is the parity of v(n)
-    and the higher bits the unit u: its Legendre symbol at odd p, and at 2
-    its residue mod 8 on the basis -1, 5."""
-    if place == OO:
-        return int(n < 0)
-    p = int(place)
-    odd_v = n % p == 0
-    u = n // p if odd_v else n
-    if p == 2:
-        return odd_v | (u % 4 == 3) << 1 | (u % 8 in (3, 5)) << 2
-    return odd_v | (kronecker_symbol(u, p) == -1) << 1
-
-
-def _f2_kernel(rows: list, k: int) -> list:
-    """Basis of {e in F_2^k : r.e = 0 for every row r}, all as bitmasks."""
-    pivots = {}  # pivot bit -> row, reduced so no other row has that bit
-    for r in rows:
-        for bit, pr in pivots.items():
-            if r >> bit & 1:
-                r ^= pr
-        if r:
-            bit = (r & -r).bit_length() - 1
-            for b, pr in pivots.items():
-                if pr >> bit & 1:
-                    pivots[b] = pr ^ r
-            pivots[bit] = r
-    return [
-        1 << j | sum(1 << bit for bit, pr in pivots.items() if pr >> j & 1) for j in range(k) if j not in pivots
-    ]
+def _f2_insert(pivots: dict, r: int) -> bool:
+    """Add the bitmask r, reduced by `pivots` (pivot bit -> row), as a row; True iff r was independent."""
+    for bit, pr in pivots.items():
+        if r >> bit & 1:
+            r ^= pr
+    if not r:
+        return False
+    bit = (r & -r).bit_length() - 1
+    for b, pr in pivots.items():
+        if pr >> bit & 1:
+            pivots[b] = pr ^ r
+    pivots[bit] = r
+    return True
 
 
 def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
@@ -303,23 +277,31 @@ def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
 
     It is the kernel of F_2^k -> sum_v (Q_v*/Q_v*^2)/im delta_v on the k
     generators (Cremona 1997, 3.6): each functional vanishing on a local
-    image gives one row, and Gaussian elimination gives the kernel."""
+    image gives one row, and Gaussian elimination gives the kernel.  The basis
+    is each class, by |rep| with the negative last, independent of those before."""
     places = descent_places(w)
     gens = [-1] + [p for p in places if p != OO]
     rows = []
     for place, img in _local_images(w, places).items():
-        image = [_coords(x, place) for x in img.elements]  # canonical reps are squarefree
-        cols = [_coords(g, place) for g in gens]
-        dim = 1 if place == OO else 3 if place == 2 else 2
-        for f in range(1, 1 << dim):
+        image = [local_class(x, place) for x in img.elements]
+        cols = [local_class(g, place) for g in gens]
+        for f in range(1, len(LocalSquareClassGroup.full(place))):
             if not any((f & x).bit_count() & 1 for x in image):
                 rows.append(sum(1 << j for j, c in enumerate(cols) if (f & c).bit_count() & 1))
+    pivots = {}  # pivot bit -> row, reduced so that no other row has that bit
+    for r in rows:
+        _f2_insert(pivots, r)
     span = [0]
-    for e in _f2_kernel(rows, len(gens)):
-        span += [e ^ x for x in span]
+    for j in range(len(gens)):
+        if j not in pivots:  # the kernel vector with free coordinate j
+            e = 1 << j | sum(1 << bit for bit, pr in pivots.items() if pr >> j & 1)
+            span += [e ^ x for x in span]
     # -1 and distinct primes, so every product is already squarefree
-    elements = frozenset(SquareClass(prod(g for j, g in enumerate(gens) if e >> j & 1)) for e in span)
-    basis = _f2_basis(elements)
+    reps = {e: prod(g for j, g in enumerate(gens) if e >> j & 1) for e in span}
+    pivots = {}
+    order = sorted(span, key=lambda e: (abs(reps[e]), reps[e] < 0))
+    basis = tuple(SquareClass(reps[e]) for e in order if _f2_insert(pivots, e))
+    elements = frozenset(SquareClass(r) for r in reps.values())
     if len(elements) != 2 ** len(basis):
         raise ArithmeticError(f"{w}: the {len(elements)} Selmer classes are not a group")
     return SelmerGroup2(elements, basis)
@@ -335,10 +317,12 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
     """Lower bound for dim_F2 of the everywhere-local norm group:
     dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>."""
     inter = phi_intersection(w, d)
-    dim_inter = len(_f2_basis(inter))
+    n = len(inter)
+    if not n or n & (n - 1):
+        raise ArithmeticError(f"{w}, d = {d}: the {n} classes of Sel^phi(E) and Sel^phi(E_d) in common are not a group")
     g = selmer_kernel_class(w)
     drop = 1 if (not g.is_trivial and g in inter) else 0
-    return dim_inter - drop
+    return n.bit_length() - 1 - drop
 
 
 def phi_intersection(w: WeierstrassModel, d: int) -> frozenset:

@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from ecdescent.arith import (
     is_local_square,
     is_prime,
     kronecker_symbol,
+    local_class,
     local_square_rep,
     padic_valuation,
     square_class,
@@ -289,3 +292,57 @@ def test_local_rep_consistency_with_hilbert():
             if is_local_square(q, p):
                 for n in [-1, 2, 3, 5]:
                     assert hilbert_symbol(q, n, p) == 1
+
+
+def _seeded_rationals(rng, count):
+    # signed, with every small prime to exponents 0..3 and a random cofactor
+    for _ in range(count):
+        num = rng.choice([-1, 1]) * rng.randint(1, 10**6) * 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3)
+        yield Fraction(num, rng.randint(1, 500) * 5 ** rng.randint(0, 3) * 7 ** rng.randint(0, 3))
+
+
+@pytest.mark.parametrize("place", [2, 3, 5, 7, OO])
+def test_local_class_is_a_homomorphism(place):
+    rng = random.Random(19)
+    pairs = list(zip(_seeded_rationals(rng, 500), _seeded_rationals(rng, 500)))
+    for a, b in pairs:
+        assert local_class(a * b, place) == local_class(a, place) ^ local_class(b, place), (a, b)
+        # the rep lies in the class it stands for
+        assert local_class(local_square_rep(a, place), place) == local_class(a, place), a
+    assert {local_class(a, place) for a, _ in pairs} == set(range(len(LocalSquareClassGroup.full(place))))
+
+
+@pytest.mark.parametrize("place", [2, 3, 5, 7, 11, OO])
+def test_local_class_to_rep_is_a_bijection(place):
+    full = LocalSquareClassGroup.full(place).elements
+    assert sorted(local_class(r, place) for r in full) == list(range(len(full)))
+    assert all(local_square_rep(r, place) == r for r in full)
+
+
+def _hilbert_solvable(a, b, p):
+    # z^2 = a x^2 + b y^2 with (x, y) primitive: up to a unit scaling, (1, y)
+    # or (p t, 1), read modulo p^k; for |v(a)|, |v(b)| <= 1 a spurious square
+    # mod p^k needs the form to nearly represent 0, where the symbol is 1
+    if p == OO:
+        return 1 if a > 0 or b > 0 else -1
+    mod = p ** (6 if p == 2 else 4)
+    squares = {z * z % mod for z in range(mod)}
+    points = [(1, y) for y in range(mod)] + [(p * t, 1) for t in range(mod // p)]
+    return 1 if any((a * x * x + b * y * y) % mod in squares for x, y in points) else -1
+
+
+def test_hilbert_symbol_matches_solvability_on_every_class_pair():
+    for place in [2, 3, 5, 7, OO]:
+        reps = sorted(LocalSquareClassGroup.full(place).elements)
+        for a, b in itertools.product(reps, repeat=2):
+            assert hilbert_symbol(a, b, place) == _hilbert_solvable(a, b, place), (a, b, place)
+
+
+@pytest.mark.parametrize("place", [2, 3, OO])
+def test_is_subgroup_on_every_subset(place):
+    # closure under products of integers, against the XOR closure of classes
+    full = sorted(LocalSquareClassGroup.full(place).elements)
+    for k in range(len(full) + 1):
+        for subset in itertools.combinations(full, k):
+            want = 1 in subset and all(local_square_rep(x * y, place) in subset for x in subset for y in subset)
+            assert LocalSquareClassGroup(place, frozenset(subset)).is_subgroup() == want, subset

@@ -10,6 +10,7 @@ from ecdescent import descent2
 from ecdescent.arith import (
     OO,
     SquareClass,
+    local_class,
     local_square_rep,
     prime_divisors,
     smallest_nonresidue,
@@ -150,17 +151,17 @@ def test_local_image_at_2_matches_oracle(monkeypatch):
     curves += [(Fraction(-a, 2), Fraction(a * a - 4 * b, 16)) for a, b in rng.sample(odd_dual, 30)]
 
     # count classes the scan adds while it works on a disc with m < 0
-    real = descent2.local_square_rep
+    real = descent2.local_class
     hits = []
 
     def spy(q, place):
-        rep = real(q, place)
+        cls = real(q, place)
         frame = sys._getframe(1)
         if frame.f_code.co_name == "_image_scan" and frame.f_locals.get("m", 0) < 0:
-            hits.append(rep not in frame.f_locals["members"])
-        return rep
+            hits.append(cls not in frame.f_locals["members"])
+        return cls
 
-    monkeypatch.setattr(descent2, "local_square_rep", spy)
+    monkeypatch.setattr(descent2, "local_class", spy)
     sizes = set()
     for A, B in curves:
         a = local_image(W(0, A, 0, B, 0), 2).elements
@@ -181,7 +182,7 @@ def test_local_image_at_2_matches_exhaustive_scan():
     for A, B in curves:
         Ap, Bp = dual_params(A, B)
         a = local_image(W(0, A, 0, B, 0), 2).elements
-        assert a == descent2._image_scan(int(Ap), int(Bp), 2, 8), (A, B, sorted(a))
+        assert {local_class(r, 2) for r in a} == descent2._image_scan(int(Ap), int(Bp), 2, 8), (A, B, sorted(a))
         sizes.add(len(a))
     assert sizes == {1, 2, 4, 8}
 
@@ -298,6 +299,21 @@ def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
     assert run_optimized(script) == ["raised", "raised", "raised"]
 
 
+def test_norm_dim_of_a_non_group_raises_under_optimize(run_optimized):
+    # three classes in common are no F_2-space, so they have no dimension
+    script = (
+        "from ecdescent import descent2\n"
+        "from ecdescent.arith import SquareClass\n"
+        "from ecdescent.weierstrass import WeierstrassModel\n"
+        "descent2.phi_intersection = lambda w, d: frozenset(map(SquareClass, (1, -1, 2)))\n"
+        "try:\n"
+        "    descent2.everywhere_local_norm_dim(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), -7)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    assert run_optimized(script) == ["raised"]
+
+
 def test_phi_selmer_contains_kernel_class():
     for ainvs in [(0, 5, 0, -1, 0), (0, 17, 0, 16, 0), (0, 3, 0, -1, 0)]:
         w = W(*ainvs)
@@ -326,6 +342,16 @@ def candidate_classes(places: list) -> list:
     return sorted(set(classes), key=abs)
 
 
+def _f2_basis(elements) -> tuple:
+    basis = []
+    span = {SquareClass(1)}
+    for e in sorted(elements, key=lambda c: (abs(c.rep), c.rep < 0)):
+        if e not in span:
+            basis.append(e)
+            span |= {e * x for x in span}
+    return tuple(basis)
+
+
 def phi_selmer_by_enumeration(w):
     """Oracle: Sel^phi by testing all 2^k candidate classes at every place."""
     places = descent_places(w)
@@ -333,7 +359,7 @@ def phi_selmer_by_enumeration(w):
     elements = frozenset(
         SquareClass(b) for b in candidate_classes(places) if all(b in images[pl] for pl in places)
     )
-    return elements, descent2._f2_basis(elements)
+    return elements, _f2_basis(elements)
 
 
 def test_candidate_classes_support():

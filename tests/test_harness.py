@@ -271,6 +271,20 @@ def test_cli_verify_exit_codes(capsys):
     assert json.loads(out[-1])["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("bound", [10, 16])
+def test_cli_section_3_at_a_small_bound_expects_what_it_reaches(capsys, bound):
+    # at 10 the scan reaches six of the nine exceptions and not 15a3 (first at
+    # alpha, beta = 5, 12), so it has no C*M case; at 16 it reaches all nine
+    rc = cli_main(["verify-paper", "--section", "3", "--bound", str(bound)])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0 and lines[-1]["summary"]["failed"] == 0
+    scan = {rec["case_id"]: rec for rec in lines[:-1] if not rec["case_id"].startswith("s3-mult-")}
+    reaches_15a3 = bound >= 12
+    assert set(scan) == {"s3-exceptions", "s3-eight-divides"} | ({"s3-15a3-CM"} if reaches_15a3 else set())
+    assert len(scan["s3-exceptions"]["expected"]) == (9 if reaches_15a3 else 6)
+    assert len(scan["s3-eight-divides"]["expected"]["violators"]) == reaches_15a3
+
+
 def _refusal(capsys, argv):
     rc = cli_main(argv)
     out = json.loads(capsys.readouterr().out)
@@ -361,8 +375,15 @@ def test_cli_descent_commands_refuse_a_bad_disc(capsys, argv, reason):
         (["descent3", "--a", "3", "--disc", "-2"], "singular"),
         (["verify-paper", "--section", "8", "--bound", "0"], "below 1"),
         (["verify-paper", "--section", "4", "--bound", "-5"], "below 1"),
+        (["sweep", "--family", "z4", "--params-range=1:5", "--limit", "-1"], "below 0"),
     ],
-    ids=["chain-singular-a", "descent3-singular-a", "verify-bound-zero", "verify-bound-negative"],
+    ids=[
+        "chain-singular-a",
+        "descent3-singular-a",
+        "verify-bound-zero",
+        "verify-bound-negative",
+        "sweep-limit-negative",
+    ],
 )
 def test_cli_refuses_an_out_of_range_parameter(capsys, argv, reason):
     assert reason in _refusal(capsys, argv)

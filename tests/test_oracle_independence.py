@@ -20,6 +20,7 @@ JUDGED = {
     "_local_images",
     "_ramified_twist_image",
     "local_image",
+    "local_class",
     "phi_selmer",
     "torsion_subgroup",
     "halve_point",
