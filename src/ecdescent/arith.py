@@ -3,8 +3,9 @@
 Factorization, primality, p-adic valuations, exact integer roots,
 Kronecker and Hilbert symbols, and square classes of Q*/Q*^2 together
 with their local analogues at a prime or at the real place.  A local class
-has one encoding, the F_2 bitmask of local_class; the canonical reps, the
-Hilbert symbol and the local subgroups are read from it.  Everything
+has one encoding, the F_2 bitmask of local_class: a local subgroup stores
+its classes as these bitmasks, and the canonical reps and the Hilbert
+symbol are read from them.  Everything
 here is a pure function of its arguments and works on plain ints and
 fractions.Fraction.
 """
@@ -312,9 +313,6 @@ class SquareClass:
         g = math.gcd(self.rep, other.rep)
         return SquareClass((self.rep // g) * (other.rep // g))
 
-    def __pow__(self, k: int) -> "SquareClass":
-        return self if k % 2 else SquareClass(1)
-
     @property
     def is_trivial(self) -> bool:
         return self.rep == 1
@@ -359,6 +357,11 @@ def _class_reps(place) -> tuple:
     return reps
 
 
+def _class_count(place) -> int:
+    """The order of Q_place*/Q_place*^2: 2 at OO, 8 at 2 and 4 at an odd prime."""
+    return len(_class_reps(place))
+
+
 def local_square_rep(q: Rational, place) -> int:
     """Canonical representative of q in Q_place^* / squares.
 
@@ -392,25 +395,31 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
 
 @dataclass
 class LocalSquareClassGroup:
-    """A subgroup of Q_place^*/Q_place^{*2}, stored by canonical reps."""
+    """A subgroup of Q_place^*/Q_place^{*2}, stored as the local_class bitmasks of its classes."""
 
     place: object
-    elements: frozenset
+    classes: frozenset[int]
 
     @staticmethod
     def full(place) -> "LocalSquareClassGroup":
-        return LocalSquareClassGroup(place, frozenset(_class_reps(place)))
+        return LocalSquareClassGroup(place, frozenset(range(_class_count(place))))
+
+    @property
+    def elements(self) -> frozenset:
+        """The canonical reps of the classes."""
+        reps = _class_reps(self.place)
+        return frozenset(reps[c] for c in self.classes)
 
     def __contains__(self, q) -> bool:
-        return local_square_rep(q, self.place) in self.elements
+        return local_class(q, self.place) in self.classes
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.classes)
 
     @property
     def dim(self) -> int:
-        return len(self.elements).bit_length() - 1
+        return len(self.classes).bit_length() - 1
 
     def is_subgroup(self) -> bool:
-        classes = {local_class(x, self.place) for x in self.elements}
-        return 1 in self.elements and all(x ^ y in classes for x in classes for y in classes if x < y)
+        c = self.classes
+        return 0 in c and all(x ^ y in c for x in c for y in c if x < y)

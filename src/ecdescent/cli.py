@@ -218,15 +218,12 @@ def cmd_sweep(args):
     return 0
 
 
-_BOUND_OPTION = {3: "bound", 4: "bound", 6: "a_hi", 8: "s_hi", 9: "a_abs"}
-
-
 def cmd_verify_paper(args):
     takes = verify_mod.section_options(args.section)
     if args.bound is not None and args.bound < 1:
         raise Refusal(f"--bound {args.bound} is below 1")
     opts = {}
-    for flag, key, value in [("--seed", "seed", args.seed), ("--bound", _BOUND_OPTION.get(args.section), args.bound)]:
+    for flag, key, value in [("--seed", "seed", args.seed), ("--bound", "bound", args.bound)]:
         if value is None:
             continue
         if key not in takes:

@@ -24,8 +24,8 @@ and 4.  The tests judge the scan by a brute-force torsor enumeration.
 phi_selmer reads the curve's data once (the 2-torsion form, the integral
 dual, the integral tuple of E and disc) for the images at all places, and
 finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
-the finite places, in the arith.local_class coordinates that the scan also
-collects, so the work grows with their number, not 2 to its power.
+the finite places, in the arith.local_class coordinates that every local
+image stores, so the work grows with their number, not 2 to its power.
 
 phi_intersection builds no Selmer group of the twist E_d: it keeps the
 classes of Sel^phi(E) that lie in the image of E_d where the two images can
@@ -50,13 +50,12 @@ from .arith import (
     OO,
     LocalSquareClassGroup,
     SquareClass,
-    _class_reps,
+    _class_count,
     hilbert_symbol,
     is_local_square,
     is_square,
     kronecker_symbol,
     local_class,
-    local_square_rep,
     padic_valuation,
     prime_divisors,
     square_class,
@@ -103,7 +102,7 @@ def _local_images(w: WeierstrassModel, places: list) -> dict:
     images, data = {}, None
     for place in places:
         if place == OO or place is None:
-            images[place] = LocalSquareClassGroup(OO, frozenset(_image_at_infinity(*dual_params(A, B), B)))
+            images[place] = LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(A, B), B))
             continue
         if data is None:  # the image at infinity alone needs no integral data
             data = _integral_data(w)
@@ -126,18 +125,17 @@ def _image_size(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> int:
     lrp = tate_algorithm(*ep, ell)
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
-    if rem or not size or len(LocalSquareClassGroup.full(ell)) % size:
+    if rem or not size or _class_count(ell) % size:
         raise ArithmeticError(f"{w} at {ell}: 2*{lrp.tamagawa}/{lr.tamagawa}*{ell}^{ds} is not an image size")
     return size
 
 
 def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSquareClassGroup:
     size = _image_size(w, e, ep, ell)
-    full = LocalSquareClassGroup.full(ell)
-    if size == len(full):
-        return full
+    if size == _class_count(ell):
+        return LocalSquareClassGroup.full(ell)
     _, Ai, _, Bi, _ = ep[0]
-    grp = LocalSquareClassGroup(ell, frozenset(_class_reps(ell)[c] for c in _image_scan(Ai, Bi, ell, size)))
+    grp = LocalSquareClassGroup(ell, frozenset(_image_scan(Ai, Bi, ell, size)))
     if len(grp) != size:
         raise ArithmeticError(f"{w} at {ell}: scan found {sorted(grp.elements)}, Tate predicts {size}")
     if not grp.is_subgroup():
@@ -153,16 +151,13 @@ def _ramified_twist_image(A, B, d: int, ell: int) -> LocalSquareClassGroup:
     if kronecker_symbol(b, ell) == 1:
         r = _fp_sqrt(b, ell)
         xs += [d * (A + 2 * r), d * (A - 2 * r)]  # d times units: (A + 2r)(A - 2r) = B' mod ell
-    return LocalSquareClassGroup(ell, frozenset({1} | {local_square_rep(x, ell) for x in xs}))
+    return LocalSquareClassGroup(ell, frozenset({0} | {local_class(x, ell) for x in xs}))
 
 
-def _image_at_infinity(Ap, Bp, B) -> set:
+def _image_at_infinity(Ap, Bp, B) -> frozenset:
     # F(X) = X(X^2 + A'X + B') takes a nonnegative value on some X < 0
-    # iff F has a negative real root
-    members = {1}
-    if Bp < 0 or (B > 0 and Bp > 0 and Ap > 0):
-        members.add(-1)
-    return members
+    # iff F has a negative real root; bit 0 is the class of -1
+    return frozenset({0, 1} if Bp < 0 or (B > 0 and Bp > 0 and Ap > 0) else {0})
 
 
 def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
@@ -283,10 +278,9 @@ def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
     gens = [-1] + [p for p in places if p != OO]
     rows = []
     for place, img in _local_images(w, places).items():
-        image = [local_class(x, place) for x in img.elements]
         cols = [local_class(g, place) for g in gens]
-        for f in range(1, len(LocalSquareClassGroup.full(place))):
-            if not any((f & x).bit_count() & 1 for x in image):
+        for f in range(1, _class_count(place)):
+            if not any((f & x).bit_count() & 1 for x in img.classes):
                 rows.append(sum(1 << j for j, c in enumerate(cols) if (f & c).bit_count() & 1))
     pivots = {}  # pivot bit -> row, reduced so that no other row has that bit
     for r in rows:
@@ -334,7 +328,7 @@ def phi_intersection(w: WeierstrassModel, d: int) -> frozenset:
     wd = quadratic_twist(w, d)
     (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)
     bad, data = _descent_primes(w), _integral_data(wd)
-    images = [LocalSquareClassGroup(OO, frozenset(_image_at_infinity(*dual_params(Ad, Bd), Bd)))]
+    images = [LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(Ad, Bd), Bd))]
     odd = {p for p in prime_divisors(d) + bad if p != 2 and kronecker_symbol(d % p, p) != 1}
     for ell in ([] if d % 8 == 1 else [2]) + sorted(odd):
         if ell == 2 or ell in bad:

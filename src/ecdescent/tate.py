@@ -61,20 +61,6 @@ class KodairaType:
             return f"I{self.n}*"
         return self.family
 
-    @property
-    def components(self) -> int:
-        """Number of irreducible components of the special fiber (Ogg)."""
-        return {
-            "I": self.n if self.n else 1,
-            "I*": self.n + 5,
-            "II": 1,
-            "III": 2,
-            "IV": 3,
-            "IV*": 7,
-            "III*": 8,
-            "II*": 9,
-        }[self.family]
-
 
 I0 = KodairaType("I", 0)
 
@@ -88,10 +74,6 @@ class LocalReduction:
     v_min: int
     kind: str
     minimal_scale_exp: int  # p-power taken out of the input model by restarts
-
-    @property
-    def is_good(self) -> bool:
-        return self.kind == GOOD
 
     def as_dict(self) -> dict:
         return {

@@ -7,8 +7,8 @@ record {case_id, inputs, computed, expected, citation, status}.
 Failures are data, not exceptions: the report carries them.
 
 A section is a sequence of tables.  Each table is a function that
-appends its cases to a `Report`.  Its only keyword options are a seed or
-a bound, whose defaults are the inputs the paper's table is checked at;
+appends its cases to a `Report`.  Its only keyword options are `seed` and
+`bound`, whose defaults are the inputs the paper's table is checked at;
 `verify_section` runs one section's tables in order and hands each the
 options it takes.  The large sweeps spread their cases over worker
 processes when the host lets this process run on more than one CPU.
@@ -417,10 +417,10 @@ MOD128_PARITY = {
 }
 
 
-def b1_tables(rep: Report, a_hi: int = 2050):
-    """B = 1 over A in [2, a_hi]: C_2 parity by A mod 128, good reduction at 2, odd-C_2 classes."""
+def b1_tables(rep: Report, bound: int = 2050):
+    """B = 1 over A in [2, bound]: C_2 parity by A mod 128, good reduction at 2, odd-C_2 classes."""
     table, good, odd = [], [], []
-    for A in range(2, a_hi + 1):
+    for A in range(2, bound + 1):
         w = WeierstrassModel.from_ainvs([0, A, 0, 1, 0])
         if w.is_singular:
             continue
@@ -445,7 +445,7 @@ def b1_tables(rep: Report, a_hi: int = 2050):
             "odd C_2 residue classes for B = 1 (30 and 94 mod 128 verified odd as in the table)",
         ),
     ]:
-        rep.add(case_id, {"range": [2, a_hi]}, {"mismatches": bad}, {"mismatches": []}, citation, not bad)
+        rep.add(case_id, {"range": [2, bound]}, {"mismatches": bad}, {"mismatches": []}, citation, not bad)
 
 
 def bminus1_tables(rep: Report):
@@ -567,19 +567,19 @@ def bminus1_exceptions(rep: Report):
 # -- section 8: the Z/2+Z/6 family ----------------------------------------------
 
 
-def twelve_divides_scan(rep: Report, s_hi: int = 60):
-    """Every (S, T) with 1 <= S <= s_hi and |T| <= 60."""
+def twelve_divides_scan(rep: Report, bound: int = 60):
+    """Every (S, T) with 1 <= S <= bound and |T| <= 60."""
     t_abs = 60
     tasks = [
         (S, T)
-        for S in range(1, s_hi + 1)
+        for S in range(1, bound + 1)
         for T in range(-t_abs, t_abs + 1)
         if math.gcd(S, T) == 1 and T not in (S, 5 * S, 3 * S, -3 * S, 9 * S)
     ]
     bad = [r for r in _map(_sec8_case, tasks, 256) if r is not None and r is not True]
     rep.add(
         "s8-twelve-divides",
-        {"S": [1, s_hi], "T": [-t_abs, t_abs], "attempted": len(tasks)},
+        {"S": [1, bound], "T": [-t_abs, t_abs], "attempted": len(tasks)},
         {"violations": bad},
         {"violations": []},
         "12 | C over the torsion Z/2+Z/6 family",
@@ -607,10 +607,10 @@ def _sec8_case(st):
 # -- section 9: the Z/3 family ----------------------------------------------------
 
 
-def chain_bound(rep: Report, a_abs: int = 10_000):
-    """Every quotient chain over |a| <= a_abs with b = 1: the longest has 4 curves,
+def chain_bound(rep: Report, bound: int = 10_000):
+    """Every quotient chain over |a| <= bound with b = 1: the longest has 4 curves,
     only at a = -6, of conductor 27."""
-    avals = [a for a in range(-a_abs, a_abs + 1) if a != 3]
+    avals = [a for a in range(-bound, bound + 1) if a != 3]
     max_len, at = 0, []
     for a, length in zip(avals, _map(_chain_length, avals, 256)):
         if length > max_len:
@@ -620,7 +620,7 @@ def chain_bound(rep: Report, a_abs: int = 10_000):
     conductor = global_data(build_curve(z3_point(-6, 1))).conductor
     rep.add(
         "s9-chain-bound",
-        {"a_abs": a_abs, "chains": len(avals)},
+        {"a_abs": bound, "chains": len(avals)},
         {"max": max_len, "attained_at": at, "conductor": conductor},
         {"max": 4, "attained_at": [-6], "conductor": 27},
         "maximal chain length 4, attained only at conductor 27",

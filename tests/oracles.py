@@ -35,6 +35,7 @@ from ecdescent.arith import (
     LocalSquareClassGroup,
     Rational,
     _as_integer_squareclass,
+    _class_reps,
     factorize,
     kronecker_symbol,
     padic_valuation,
@@ -79,7 +80,7 @@ def local_image_bruteforce(w: WeierstrassModel, place, cap: int = 500_000) -> Lo
     A, B = two_torsion_form(w)
     Ap, Bp = dual_params(A, B)
     if place == OO or place is None:
-        return LocalSquareClassGroup(OO, frozenset(_infty_oracle(Ap, Bp)))
+        return _group_of_reps(OO, _infty_oracle(Ap, Bp))
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)
     v = max(padic_valuation(w.discriminant, ell), padic_valuation(16 * Bi * Bi * (Ai * Ai - 4 * Bi), ell))
@@ -88,14 +89,17 @@ def local_image_bruteforce(w: WeierstrassModel, place, cap: int = 500_000) -> Lo
         k += 4
     while k > 1 and ell**k > cap:
         k -= 1
-    members = set()
-    for b in sorted(LocalSquareClassGroup.full(ell).elements, key=abs):
-        if _torsor_solvable(b, Ai, Bi, ell, k):
-            members.add(b)
-    grp = LocalSquareClassGroup(ell, frozenset(members))
+    members = {b for b in _class_reps(ell) if _torsor_solvable(b, Ai, Bi, ell, k)}
+    grp = _group_of_reps(ell, members)
     if not grp.is_subgroup():
         raise ArithmeticError(f"{w} at {ell}: torsor classes {sorted(members)} are not a subgroup")
     return grp
+
+
+def _group_of_reps(place, members) -> LocalSquareClassGroup:
+    # a rep's index in the rep table is the bitmask of its class
+    reps = _class_reps(place)
+    return LocalSquareClassGroup(place, frozenset(reps.index(b) for b in members))
 
 
 def _infty_oracle(Ap, Bp) -> set:

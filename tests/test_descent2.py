@@ -9,6 +9,7 @@ import pytest
 from ecdescent import descent2
 from ecdescent.arith import (
     OO,
+    LocalSquareClassGroup,
     SquareClass,
     local_class,
     local_square_rep,
@@ -185,6 +186,25 @@ def test_local_image_at_2_matches_exhaustive_scan():
         assert {local_class(r, 2) for r in a} == descent2._image_scan(int(Ap), int(Bp), 2, 8), (A, B, sorted(a))
         sizes.add(len(a))
     assert sizes == {1, 2, 4, 8}
+
+
+def test_local_images_store_the_classes_of_their_reps():
+    # on the scan, the full group, infinity and the closed form, the stored
+    # bitmasks are the local classes of the reps that elements reads out
+    kinds = {"scan": 0, "full": 0, "infinity": 0, "closed form": 0}
+    for A, B in _z2_box(6):
+        w = W(0, A, 0, B, 0)
+        for place in descent_places(w):
+            img = local_image(w, place)
+            assert img.classes == {local_class(r, place) for r in img.elements}, (A, B, place)
+            kinds["infinity" if place == OO else "full" if img == LocalSquareClassGroup.full(place) else "scan"] += 1
+        for ell in (3, 5, 7):
+            if B * (A * A - 4 * B) % ell == 0:
+                continue  # the closed form needs ell prime to B B'
+            img = descent2._ramified_twist_image(Fraction(A), Fraction(B), -ell, ell)
+            assert img.classes == {local_class(r, ell) for r in img.elements}, (A, B, ell)
+            kinds["closed form"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_oracle_on_non_integral_model():

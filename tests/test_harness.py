@@ -113,7 +113,7 @@ def test_verify_section_9_records_a_failed_heegner_scan(monkeypatch):
         return real(w, bound)
 
     monkeypatch.setattr(verify, "heegner_field_scan", fail_once)
-    rep = verify_section(9, a_abs=10)
+    rep = verify_section(9, bound=10)
     failed = [c for c in rep.cases if c["status"] == "fail"]
     assert len(failed) == 1 and failed[0]["case_id"].startswith("s9-sha-")
     assert failed[0]["computed"]["raised"] == "ZeroDivisionError"
@@ -402,7 +402,7 @@ def test_sweep_reports_do_not_depend_on_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)
     # four chunks each: 2 202 pairs in chunks of 512, 1 200 values of a in chunks of 256
-    for table, opts in [(verify.exception_scan, {"bound": 60}), (verify.chain_bound, {"a_abs": 600})]:
+    for table, opts in [(verify.exception_scan, {"bound": 60}), (verify.chain_bound, {"bound": 600})]:
         reports = []
         for cpus in (1, 2):
             monkeypatch.setattr(verify, "_cpus", lambda n=cpus: n)
@@ -415,7 +415,7 @@ def test_sweep_reports_do_not_depend_on_the_cpu_count(monkeypatch):
     # a test-size sweep has fewer than two chunks and stays in this process
     monkeypatch.setattr(verify, "_cpus", lambda: 2)
     pools.clear()
-    verify.chain_bound(verify.Report(0), a_abs=60)
+    verify.chain_bound(verify.Report(0), bound=60)
     assert pools == []
 
 
@@ -424,7 +424,7 @@ def test_wrong_tamagawa_number_fails_every_tamagawa_section(monkeypatch, capsys)
 
     import ecdescent.verify as verify
 
-    small = {3: {"bound": 40}, 4: {"bound": 20}, 6: {"a_hi": 200}, 8: {"s_hi": 5}}
+    small = {3: {"bound": 40}, 4: {"bound": 20}, 6: {"bound": 200}, 8: {"bound": 5}}
     for section, opts in small.items():
         assert verify_section(section, **opts).failed == 0, section
     real_local, real_global = verify.local_reduction, verify.global_data
