@@ -287,13 +287,18 @@ def integer_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def is_square(q: Rational) -> bool:
+def rational_sqrt(q: Rational) -> Fraction | None:
+    """The nonnegative rational r with r * r == q, or None if there is none."""
     if q < 0:
-        return False
-    if isinstance(q, Fraction):
-        return is_square(q.numerator) and is_square(q.denominator)
-    r = math.isqrt(q)
-    return r * r == q
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def is_square(q: Rational) -> bool:
+    return rational_sqrt(q) is not None
 
 
 @dataclass(frozen=True, order=True)

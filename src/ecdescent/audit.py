@@ -70,7 +70,7 @@ def shape_with_two_torsion(tg: TorsionGroup) -> WeierstrassModel:
     2-torsion point (n/2) gen of its cyclic generator gen of order n."""
     gen, n = tg.generators[-1]
     x0, y0 = point_mul(tg.model, n // 2, gen)
-    w = change_variables(tg.model, CoordinateChange.of(1, x0, -tg.model.a1 / 2, y0))
+    w = change_variables(tg.model, CoordinateChange.of(1, x0, Fraction(-tg.model.a1, 2), y0))
     return integral_model(w)[0]
 
 
@@ -271,12 +271,12 @@ def _z3_params(tg: TorsionGroup) -> tuple[int, int]:
     # after an s-shear killing a2 and a4
     a1, a2, a3, a4, a6 = w1.ainvs
     check_invariant(a6 == 0, "{}: the order-3 generator is not at (0,0)", w1)
-    s = a4 / a3
+    s = Fraction(a4, a3)
     w2 = change_variables(w1, CoordinateChange.of(1, 0, s, 0))
     a1, a2, a3, a4, a6 = w2.ainvs
     check_invariant(a4 == 0 and a6 == 0 and a2 == 0, "{}: (0,0) is not a flex of order 3", w2)
     wi, _ = integral_model(w2)
-    a, b = int(wi.a1), int(wi.a3)
+    a, b = wi.a1, wi.a3
     if b < 0:
         a, b = -a, -b
     fp = z3_normalize(a, b)

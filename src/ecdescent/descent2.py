@@ -80,7 +80,6 @@ def dual_params(A: Fraction, B: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _int_pair(A, B) -> tuple[int, int]:
-    A, B = Fraction(A), Fraction(B)
     if A.denominator != 1 or B.denominator != 1:
         raise ValueError("integral A, B required")
     return int(A), int(B)

@@ -20,6 +20,7 @@ from .arith import (
     is_prime,
     is_square,
     padic_valuation,
+    rational_sqrt,
     square_class,
 )
 from .polyutil import (
@@ -194,7 +195,7 @@ def division_poly(w: WeierstrassModel, n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    b2, b4, b6, b8 = curve_invariants(exact_terms(w)[0])[:4]
+    b2, b4, b6, b8 = curve_invariants(w.ainvs)[:4]
     F = [b6, 2 * b4, b2, 4]  # psi_2^2
     FF = poly_mul(F, F)
     cache: dict[int, list] = {
@@ -241,13 +242,13 @@ def division_poly(w: WeierstrassModel, n: int) -> list:
 
 def duplication_numerator(w: WeierstrassModel) -> list:
     """phi_2(x) = x^4 - b4 x^2 - 2 b6 x - b8; x(2P) = phi_2 / psi_2^2."""
-    _, b4, b6, b8 = curve_invariants(exact_terms(w)[0])[:4]
+    _, b4, b6, b8 = curve_invariants(w.ainvs)[:4]
     return [-b8, -2 * b6, -b4, 0, 1]
 
 
 def _halving_quartic(w: WeierstrassModel, x0) -> list:
     """phi_2(x) - x0 psi_2(x)^2, whose roots are the x(Q) with x(2Q) = x0."""
-    _, (x0,) = exact_terms(w, x0)
+    (x0,) = exact_terms(x0)
     return poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -x0))
 
 
@@ -306,14 +307,13 @@ def torsion_order_bound(w: WeierstrassModel) -> int:
 
 def _y_on_curve(w: WeierstrassModel, x: Fraction) -> list[Fraction]:
     """Rational y with (x, y) on w; on ints for an integral model and x."""
-    (a1, a2, a3, a4, a6), (x,) = exact_terms(w, x)
+    a1, a2, a3, a4, a6 = w.ainvs
+    (x,) = exact_terms(x)
     yt = a1 * x + a3
-    disc = yt * yt + 4 * (((x + a2) * x + a4) * x + a6)
-    if disc < 0 or not is_square(disc):
+    s = rational_sqrt(yt * yt + 4 * (((x + a2) * x + a4) * x + a6))
+    if s is None:
         return []
-    s = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-    ys = {(-yt + s) / 2, (-yt - s) / 2}
-    return sorted(ys)
+    return sorted({(-yt + s) / 2, (-yt - s) / 2})
 
 
 def two_torsion_points(w: WeierstrassModel) -> list:
@@ -414,7 +414,7 @@ def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:
     f3 = division_poly(w, 3)
     f4 = division_poly(w, 4)
     F = w.two_division_poly()
-    _, (x3,) = exact_terms(w, P3[0])
+    (x3,) = exact_terms(P3[0])
     num = poly_add(poly_mul([0, 1], poly_mul(f3, f3)), poly_scale(poly_mul(F, f4), -1))
     target = poly_add(num, poly_scale(poly_mul(f3, f3), -x3))
     for x in rational_roots(target):

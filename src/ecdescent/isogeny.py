@@ -71,8 +71,7 @@ def velu_2_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
         raise ValueError("kernel point is not on the curve")
     if point_order(w, P, 2) != 2:
         raise ValueError("kernel point is not 2-torsion")
-    a, xs = exact_terms(w, P[0])
-    target = WeierstrassModel.from_ainvs(_velu_quotient(a, xs))
+    target = WeierstrassModel.from_ainvs(_velu_quotient(w.ainvs, exact_terms(P[0])))
     return IsogenyRecord(w, target, 2, (P,))
 
 
@@ -81,7 +80,7 @@ def velu_3_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
     P = (Fraction(P[0]), Fraction(P[1]))
     if not w.contains(*P):
         raise ValueError("kernel point is not on the curve")
-    a, (x,) = exact_terms(w, P[0])
+    a, (x,) = w.ainvs, exact_terms(P[0])
     b2, b4, b6, b8 = curve_invariants(a)[:4]
     # the points of order 3 are the affine points where psi_3 vanishes
     if 3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8 != 0:
@@ -127,7 +126,7 @@ def _hadano_quotient(fp: FamilyPoint) -> Union[IsogenyRecord, CubeFailure]:
     P = (Fraction(0), Fraction(0))
     rec = IsogenyRecord(src, WeierstrassModel.from_ainvs(tgt), 3, (P, point_neg(src, P)), via="hadano")
     # the closed form agrees with Velu's construction up to isomorphism
-    velu = _velu_quotient(exact_terms(src)[0], [0])
+    velu = _velu_quotient(src.ainvs, [0])
     check_invariant(isomorphic_over_q(curve_invariants(velu), inv), "a = {}, b = {}: the quotient is not Velu's", a, b)
     return rec
 
@@ -168,7 +167,7 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
             records.append(velu_3_isogeny(w, (Fraction(0), Fraction(0))))
             break
         records.append(res)
-        cur = z3_normalize(int(res.target.a1), int(res.target.a3))
+        cur = z3_normalize(res.target.a1, res.target.a3)
         fps.append(cur)
         if len(records) > 6:  # pragma: no cover
             raise ArithmeticError("impossibly long 3-isogeny chain")

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import is_square
+from .arith import rational_sqrt
 
 
 def poly_trim(f: list) -> list:
@@ -403,23 +403,14 @@ def _split_quartic(g: list[Fraction]) -> list[list[Fraction]] | None:
     ]
     for u in rational_roots(resolvent):
         # a + c = p3, ac = q2 - u, b + d = u, ad + bc = r_, bd = s
-        disc = p3 * p3 - 4 * (q2 - u)
-        if disc < 0 or not is_square(disc):
+        sq, sq2 = rational_sqrt(p3 * p3 - 4 * (q2 - u)), rational_sqrt(u * u - 4 * s)
+        if sq is None or sq2 is None:
             continue
-        sq = _fraction_sqrt(disc)
         for a in {(p3 + sq) / 2, (p3 - sq) / 2}:
             c = p3 - a
-            bd_disc = u * u - 4 * s
-            if bd_disc < 0 or not is_square(bd_disc):
-                continue
-            sq2 = _fraction_sqrt(bd_disc)
             for b in {(u + sq2) / 2, (u - sq2) / 2}:
                 d = u - b
                 if a * d + b * c == r_ and b * d == s:
                     return [[b, a, Fraction(1)], [d, c, Fraction(1)]]
     return None
 
-
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))

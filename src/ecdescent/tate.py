@@ -1,8 +1,8 @@
 """Local reduction data at every prime via Tate's algorithm.
 
 The full step 1-11 loop is implemented, including the I_n* sub-loop and
-the non-minimal restart, over exact integer 5-tuples: a model's
-`int_ainvs`, or those of its integral model. Each step's valuation
+the non-minimal restart, over exact integer 5-tuples: the int
+coefficients of an integral model. Each step's valuation
 condition is a divisibility test on the coefficients, as in Cremona,
 Algorithms for Modular Elliptic Curves (1997), section 3.2.
 Each step is a closed form from there, with no search over residues:
@@ -143,11 +143,9 @@ def _quad_double_root(A, B, C, p):
 
 
 def _integral_tuple(w: WeierstrassModel) -> tuple:
-    """Integer 5-tuple of an integral model of w (its numerators when w is
-    integral) and the curve invariants of that tuple."""
-    a = w.int_ainvs
-    if a is None:
-        a = integral_model(w)[0].int_ainvs
+    """Integer 5-tuple of an integral model of w (w's own coefficients when
+    w is integral) and the curve invariants of that tuple."""
+    a = integral_model(w)[0].ainvs
     invariants = curve_invariants(a)
     if invariants[6] == 0:
         raise SingularModelError("Tate's algorithm needs a nonsingular curve")

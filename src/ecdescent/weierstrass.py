@@ -1,6 +1,6 @@
 """Weierstrass models over Q.
 
-Exact rational coefficients with the int tuple of an integral model,
+Exact coefficients, ints on an integral model and Fractions otherwise,
 the one set of b/c invariant formulas and the one [1,r,s,t] map (both
 shared with Tate's algorithm on integer tuples), [u,r,s,t] coordinate
 changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, point
@@ -21,36 +21,40 @@ from .arith import Rational, factorize, integer_root, squarefree_part
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    `from_ainvs` holds the coefficients as ints when all five are integers
+    and as Fractions otherwise. A model built directly with a Fraction
+    among them equals, and hashes like, the one `from_ainvs` gives, but is
+    `is_integral` only when all five are ints.
+    """
+
+    a1: Rational
+    a2: Rational
+    a3: Rational
+    a4: Rational
+    a6: Rational
 
     @staticmethod
     def from_ainvs(ainvs: Iterable[Rational]) -> "WeierstrassModel":
-        a1, a2, a3, a4, a6 = (Fraction(a) for a in ainvs)
+        """The model with these coefficients; a float raises TypeError."""
+        a = tuple(ainvs)
+        if any(type(x) is not int for x in a):
+            a = tuple(Fraction(_exact(x)) for x in a)
+            if all(x.denominator == 1 for x in a):
+                a = tuple(x.numerator for x in a)
+        a1, a2, a3, a4, a6 = a
         return WeierstrassModel(a1, a2, a3, a4, a6)
 
     @property
-    def ainvs(self) -> tuple[Fraction, ...]:
+    def ainvs(self) -> tuple[Rational, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @cached_property
-    def int_ainvs(self) -> Optional[tuple[int, ...]]:
-        """The coefficients as ints, or None when the model is not integral."""
-        if all(a.denominator == 1 for a in self.ainvs):
-            return tuple(a.numerator for a in self.ainvs)
-        return None
 
     # -- invariants ---------------------------------------------------------
 
     @cached_property
     def _invariants(self) -> tuple[Fraction, ...]:
-        a = self.int_ainvs
-        if a is not None:
-            return tuple(map(Fraction, curve_invariants(a)))
-        return curve_invariants(self.ainvs)
+        return tuple(map(Fraction, curve_invariants(self.ainvs)))
 
     @property
     def b2(self) -> Fraction:
@@ -85,15 +89,8 @@ class WeierstrassModel:
         return self.discriminant == 0
 
     @property
-    def j_invariant(self) -> Fraction:
-        d = self.discriminant
-        if d == 0:
-            raise SingularModelError("j undefined: discriminant is zero")
-        return self.c4**3 / d
-
-    @property
     def is_integral(self) -> bool:
-        return self.int_ainvs is not None
+        return all(type(a) is int for a in self.ainvs)
 
     # -- equation -----------------------------------------------------------
 
@@ -104,20 +101,18 @@ class WeierstrassModel:
         return self.a1 * x + self.a3
 
     def contains(self, x: Rational, y: Rational) -> bool:
-        (a1, a2, a3, a4, a6), (x, y) = exact_terms(self, Fraction(x), Fraction(y))
+        a1, a2, a3, a4, a6 = self.ainvs
+        x, y = exact_terms(Fraction(x), Fraction(y))
         return y * (y + a1 * x + a3) == ((x + a2) * x + a4) * x + a6
 
     def two_division_poly(self) -> list:
         """4x^3 + b2 x^2 + 2 b4 x + b6, whose roots are the 2-torsion x's;
         int coefficients on an integral model."""
-        b2, b4, b6 = curve_invariants(exact_terms(self)[0])[:3]
+        b2, b4, b6 = curve_invariants(self.ainvs)[:3]
         return [b6, 2 * b4, b2, 4]
 
     def __str__(self) -> str:
-        def fmt(a: Fraction) -> str:
-            return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-
-        return "[" + ",".join(fmt(a) for a in self.ainvs) + "]"
+        return "[" + ",".join(map(str, self.ainvs)) + "]"
 
 
 def curve_invariants(a: tuple) -> tuple:
@@ -137,18 +132,26 @@ def curve_invariants(a: tuple) -> tuple:
     return b2, b4, b6, b8, c4, c6, disc
 
 
-def exact_terms(w: WeierstrassModel, *xs: Fraction) -> tuple:
-    """The coefficients of w and the rationals xs, as ints when every one
-    of them is an integer and as Fractions otherwise.
+def exact_terms(*xs: Fraction) -> tuple:
+    """The rationals xs, as ints when every one of them is an integer and
+    as given otherwise.
 
-    Polynomial formulas in them (the curve equation, `curve_invariants`,
-    `rst_change`, psi_3, Velu's quotient) are exact on either, and cheaper
-    on ints.
+    Polynomial formulas in them and a model's coefficients (the curve
+    equation, `rst_change`, psi_3, Velu's quotient) are exact on either,
+    and run on ints when the model is integral too.
     """
-    a = w.int_ainvs
-    if a is not None and all(x.denominator == 1 for x in xs):
-        return a, tuple(x.numerator for x in xs)
-    return w.ainvs, xs
+    if all(x.denominator == 1 for x in xs):
+        return tuple(x.numerator for x in xs)
+    return xs
+
+
+def _exact(x):
+    """x itself, where an exact rational enters. A float raises TypeError,
+    also under `python -O`: Fraction(float) would quietly take its binary
+    value."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; an exact rational must be an int, a Fraction or a string")
+    return x
 
 
 def rst_change(a: tuple, r, s, t) -> tuple:
@@ -193,7 +196,7 @@ def parse_model(text: str) -> WeierstrassModel:
     parts = [Fraction(tok.strip()) for tok in inner.split(",")]
     if len(parts) != 5:
         raise ValueError(f"expected five coefficients, got {len(parts)}")
-    return WeierstrassModel(*parts)
+    return WeierstrassModel.from_ainvs(parts)
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,11 @@ class CoordinateChange:
 
     @staticmethod
     def of(u: Rational, r: Rational = 0, s: Rational = 0, t: Rational = 0) -> "CoordinateChange":
-        u = Fraction(u)
+        """The change [u,r,s,t] in Fractions; a float raises TypeError."""
+        u, r, s, t = (Fraction(_exact(x)) for x in (u, r, s, t))
         if u == 0:
             raise ValueError("u must be nonzero")
-        return CoordinateChange(u, Fraction(r), Fraction(s), Fraction(t))
+        return CoordinateChange(u, r, s, t)
 
     @staticmethod
     def identity() -> "CoordinateChange":
@@ -229,11 +233,11 @@ def change_variables(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassMod
     """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved.
 
     [1,r,s,t] runs on ints when w and r, s, t are integral; the result
-    holds Fractions either way."""
+    holds ints when it is integral, as `from_ainvs` does."""
     if c.u == 0:
         raise ValueError("u must be nonzero")
-    a, (r, s, t) = exact_terms(w, c.r, c.s, c.t)
-    a = rst_change(a, r, s, t)
+    r, s, t = exact_terms(c.r, c.s, c.t)
+    a = rst_change(w.ainvs, r, s, t)
     if c.u != 1:
         u = Fraction(c.u)
         a = tuple(x / u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
@@ -272,7 +276,7 @@ def quadratic_twist(w: WeierstrassModel, d: int) -> WeierstrassModel:
     return WeierstrassModel.from_ainvs([0, A * d, 0, B * d * d, 0])
 
 
-def two_torsion_form(w: WeierstrassModel) -> tuple[Fraction, Fraction]:
+def two_torsion_form(w: WeierstrassModel) -> tuple[Rational, Rational]:
     """Read off (A, B) from a model of the shape y^2 = x^3 + Ax^2 + Bx."""
     if w.a1 != 0 or w.a3 != 0 or w.a6 != 0:
         raise ValueError("model is not of the shape y^2 = x^3 + Ax^2 + Bx")
@@ -306,7 +310,8 @@ def point_add(w: WeierstrassModel, P: Point, Q: Point) -> Point:
         return Q
     if Q is None:
         return P
-    (a1, a2, a3, a4, a6), (x1, y1, x2, y2) = exact_terms(w, *P, *Q)
+    a1, a2, a3, a4, a6 = w.ainvs
+    x1, y1, x2, y2 = exact_terms(*P, *Q)
     if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:
         return None
     if x1 == x2 and y1 == y2:

@@ -275,6 +275,14 @@ def splits_in_oracle(d: int, p: int) -> bool:
 # coordinate changes
 
 
+def j_invariant(w: WeierstrassModel) -> Fraction:
+    """c4^3 / disc, which every change of coordinates preserves."""
+    d = w.discriminant
+    if d == 0:
+        raise SingularModelError("j undefined: discriminant is zero")
+    return w.c4**3 / d
+
+
 def change_variables_reference(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassModel:
     """Apply [u,r,s,t]; disc scales by u^-12, c4 by u^-4, j is preserved."""
     if c.u == 0:

@@ -2,6 +2,7 @@ import importlib.resources
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -179,7 +180,7 @@ def _audited_torsion(fp):
 def _shape_by_search(w):
     """The 2-torsion shape through a root search of the 2-division
     polynomial: the old derivation, kept as an oracle."""
-    w1 = change_variables(w, CoordinateChange.of(1, 0, -w.a1 / 2, -w.a3 / 2))
+    w1 = change_variables(w, CoordinateChange.of(1, 0, Fraction(-w.a1, 2), Fraction(-w.a3, 2)))
     (x0, _), *_ = two_torsion_points(w1)
     return integral_model(change_variables(w1, CoordinateChange.of(1, x0, 0, 0)))[0]
 
@@ -204,7 +205,7 @@ def _z3_params_by_search(w):
     derivation, kept as an oracle."""
     x0, y0 = points_of_order_n(w, 3)[0]
     w1 = change_variables(w, CoordinateChange.of(1, x0, 0, y0))
-    w2 = change_variables(w1, CoordinateChange.of(1, 0, w1.a4 / w1.a3, 0))
+    w2 = change_variables(w1, CoordinateChange.of(1, 0, Fraction(w1.a4, w1.a3), 0))
     wi, _ = integral_model(w2)
     a, b = int(wi.a1), int(wi.a3)
     return z3_normalize(*((-a, -b) if b < 0 else (a, b))).params

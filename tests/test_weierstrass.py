@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdescent.arith import square_class
+from ecdescent.families import build_curve, z2_point, z2z2_point, z2z4_point, z2z6_point, z3_point, z4_point
+from ecdescent.tate import global_data, model_from_c4c6
 from ecdescent.weierstrass import (
     CoordinateChange,
     SingularModelError,
@@ -28,6 +30,7 @@ from oracles import (
     compose,
     find_isomorphism,
     inverse,
+    j_invariant,
     point_add_reference,
     point_mul_reference,
     point_order_reference,
@@ -96,9 +99,17 @@ def test_change_rejects_zero_u():
         CoordinateChange.of(0)
 
 
+def _one_representation(m):
+    """Are m's coefficients all ints when it is integral and all Fractions
+    otherwise (so never a float), with `is_integral` saying which?"""
+    integral = all(a.denominator == 1 for a in m.ainvs)
+    return {type(a) for a in m.ainvs} == ({int} if integral else {Fraction}) and m.is_integral == integral
+
+
 def test_change_variables_matches_the_fraction_reference():
     # seeded models, integral and not, under int and Fraction changes with
-    # u = 1 and u != 1; the int path must still hand out Fraction models
+    # u = 1 and u != 1; every model holds ints when it is integral and
+    # Fractions otherwise
     rng = random.Random(20261020)
     us = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
     seen = set()
@@ -115,18 +126,85 @@ def test_change_variables_matches_the_fraction_reference():
         c = CoordinateChange.of(u, *rst)
         out = change_variables(w, c)
         assert out == change_variables_reference(w, c), (w, c)
-        assert all(type(a) is Fraction for a in out.ainvs)
-        for m in (w, out):
-            assert (m.int_ainvs is None) == any(a.denominator > 1 for a in m.ainvs)
-            assert m.int_ainvs is None or m.int_ainvs == tuple(int(a) for a in m.ainvs)
-            assert m.int_ainvs is None or all(type(a) is int for a in m.int_ainvs)
-        seen.add((w.is_integral, c.u == 1, all(x.denominator == 1 for x in (c.r, c.s, c.t))))
-    assert len(seen) == 8, seen
+        assert _one_representation(w) and _one_representation(out), (w, c)
+        seen.add((w.is_integral, c.u == 1, all(x.denominator == 1 for x in (c.r, c.s, c.t)), out.is_integral))
+    assert len({k[:3] for k in seen}) == 8, seen
+    assert {k[3] for k in seen} == {True, False}, seen
     # the shared map keeps ints on ints
     out = rst_change((1, -1, 1, -10, -20), 2, -1, 3)
     assert all(type(a) is int for a in out)
     w = WeierstrassModel.from_ainvs([1, -1, 1, -10, -20])
-    assert out == change_variables(w, CoordinateChange.of(1, 2, -1, 3)).int_ainvs
+    assert out == change_variables(w, CoordinateChange.of(1, 2, -1, 3)).ainvs
+
+
+def test_every_way_to_build_a_model_holds_one_representation():
+    ints = [1, -1, 1, -10, -20]
+    w = WeierstrassModel.from_ainvs(ints)
+    half = WeierstrassModel.from_ainvs([0, Fraction(1, 2), 0, 3, 0])
+    built = {
+        "ints": w,
+        "integral Fractions": WeierstrassModel.from_ainvs([Fraction(2, 2), Fraction(-1), 1, Fraction(-20, 2), -20]),
+        "mixed, integral": WeierstrassModel.from_ainvs([1, "-1", Fraction(3, 3), -10, -20]),
+        "mixed, not integral": WeierstrassModel.from_ainvs([1, -1, Fraction(1, 2), "-10", -20]),
+        "parsed": parse_model("[1,-1,1,-10,-20]"),
+        "parsed, not integral": parse_model("[1,-1,1/2,-10,-20]"),
+        "changed, integral": change_variables(w, CoordinateChange.of(1, Fraction(2), -1, 3)),
+        "changed to non-integral": change_variables(w, CoordinateChange.of(2)),
+        "changed back to integral": change_variables(change_variables(w, CoordinateChange.of(2)), CoordinateChange.of(Fraction(1, 2))),
+        "integral model": integral_model(WeierstrassModel.from_ainvs([Fraction(1, 2), Fraction(3, 4), 1, 0, Fraction(5, 8)]))[0],
+        "twist": quadratic_twist(WeierstrassModel.from_ainvs([0, 3, 0, -7, 0]), -5),
+        "twist, not integral": quadratic_twist(half, 3),
+        "from c4, c6": model_from_c4c6(496, 20008),
+        "minimal model": global_data(change_variables(w, CoordinateChange.of(Fraction(1, 6)))).minimal_model,
+    }
+    for fp in (z2z4_point(1, 3), z4_point(1), z2z2_point(1, 2), z2_point(3, -7), z2z6_point(1, 2), z3_point(1, 1)):
+        built[str(fp)] = build_curve(fp)
+    for how, m in built.items():
+        assert _one_representation(m), (how, m.ainvs)
+    assert [how for how, m in built.items() if not m.is_integral] == [
+        "mixed, not integral",
+        "parsed, not integral",
+        "changed to non-integral",
+        "twist, not integral",
+    ]
+    assert built["integral Fractions"] == built["mixed, integral"] == built["parsed"] == built["minimal model"] == w
+
+
+def test_int_and_fraction_forms_of_one_model_agree():
+    ints = [1, -1, 1, -10, -20]
+    w = WeierstrassModel.from_ainvs(ints)
+    direct = [
+        WeierstrassModel(*map(Fraction, ints)),
+        WeierstrassModel(Fraction(1), -1, 1, -10, -20),
+        WeierstrassModel(1, -1, 1, -10, Fraction(-20)),
+    ]
+    for v in direct:
+        # built past from_ainvs, the model is not integral, whichever
+        # coefficient holds the Fraction, but it is the same model
+        assert not v.is_integral
+        assert v == w and hash(v) == hash(w) and str(v) == str(w)
+        assert global_data(v) == global_data(w)
+        assert integral_model(v)[0].ainvs == tuple(ints) and integral_model(v)[0].is_integral
+    assert w.is_integral and len({w, *direct}) == 1
+
+
+def test_floats_are_refused_where_exact_rationals_enter(run_optimized):
+    for bad in ([0.5, 0, 1, 0, 0], [1.0, 0, 1, 0, 0], [0, 0, 1, 0, 2.0]):
+        with pytest.raises(TypeError):
+            WeierstrassModel.from_ainvs(bad)
+    for bad in ((0.5,), (1, 0.5), (1, 0, -0.0), (1, 0, 0, 3.0)):
+        with pytest.raises(TypeError):
+            CoordinateChange.of(*bad)
+    # and under python -O, which strips asserts
+    script = (
+        "from ecdescent.weierstrass import CoordinateChange, WeierstrassModel\n"
+        "for call in (lambda: WeierstrassModel.from_ainvs([0.5, 0, 1, 0, 0]), lambda: CoordinateChange.of(1, -0.5)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except TypeError:\n"
+        "        print('raised')\n"
+    )
+    assert run_optimized(script) == ["raised"] * 2
 
 
 @settings(max_examples=40)
@@ -139,7 +217,7 @@ def test_change_functoriality(u1, r1, s1, t1, u2, r2, s2, t2):
     combined = change_variables(w, compose(c1, c2))
     assert step == combined
     assert change_variables(w, c1).discriminant == w.discriminant / u1**12
-    assert change_variables(w, c1).j_invariant == w.j_invariant
+    assert j_invariant(change_variables(w, c1)) == j_invariant(w)
 
 
 @settings(max_examples=30)
@@ -156,18 +234,18 @@ def test_quadratic_twist_invariants():
     wd = quadratic_twist(w, d)
     assert wd == WeierstrassModel.from_ainvs([0, A * d, 0, B * d * d, 0])
     assert wd.discriminant == 16 * d**6 * B**2 * (A**2 - 4 * B)
-    assert wd.j_invariant == w.j_invariant
+    assert j_invariant(wd) == j_invariant(w)
     assert square_class(wd.discriminant) == square_class(A**2 - 4 * B)
     # twisting twice lands back in the same Q-isomorphism class
     wdd = quadratic_twist(wd, d)
-    assert wdd.j_invariant == w.j_invariant
+    assert j_invariant(wdd) == j_invariant(w)
     assert square_class(wdd.discriminant / w.discriminant).is_trivial
 
 
 def test_twist_by_minus_one_of_x_cubed_minus_x():
     w = WeierstrassModel.from_ainvs([0, 0, 0, -1, 0])
     wd = quadratic_twist(w, -1)
-    assert wd.j_invariant == w.j_invariant
+    assert j_invariant(wd) == j_invariant(w)
     assert find_isomorphism(w, wd) is not None
 
 
@@ -183,7 +261,7 @@ def test_integral_model():
     wi, c = integral_model(w)
     assert wi.is_integral
     assert change_variables(w, c) == wi
-    assert wi.j_invariant == w.j_invariant
+    assert j_invariant(wi) == j_invariant(w)
 
 
 def test_integral_model_of_integral_model_is_identity():
@@ -325,7 +403,7 @@ def test_find_isomorphism():
 
 
 def _integral_invariants(w):
-    return curve_invariants(integral_model(w)[0].int_ainvs)
+    return curve_invariants(integral_model(w)[0].ainvs)
 
 
 def _agrees_with_oracle(w1, w2):
@@ -366,7 +444,7 @@ def test_isomorphic_over_q_rejects_quadratic_twists():
         if B == 0 or w.is_singular:
             continue
         twist = quadratic_twist(w, d)
-        assert twist.j_invariant == w.j_invariant
+        assert j_invariant(twist) == j_invariant(w)
         assert not _agrees_with_oracle(w, twist)
         done += 1
 
@@ -402,4 +480,4 @@ def test_j_of_singular():
     w = WeierstrassModel.from_ainvs([0, 0, 0, 0, 0])
     assert w.is_singular
     with pytest.raises(SingularModelError):
-        w.j_invariant
+        j_invariant(w)
