@@ -287,14 +287,15 @@ def integer_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def rational_sqrt(q: Rational) -> Fraction | None:
-    """The nonnegative rational r with r * r == q, or None if there is none."""
+def rational_sqrt(q: Rational) -> Rational | None:
+    """The nonnegative rational r with r * r == q, an int when it is an
+    integer, or None if there is none."""
     if q < 0:
         return None
     n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if n * n != q.numerator or d * d != q.denominator:
         return None
-    return Fraction(n, d)
+    return n if d == 1 else Fraction(n, d)
 
 
 def is_square(q: Rational) -> bool:

@@ -223,7 +223,7 @@ def _transfer_route(cert: AuditCertificate, shape: WeierstrassModel, d: int) -> 
     Compatibility of the isogeny with the modular parametrisations is
     recorded as a hypothesis, not checked.
     """
-    rec = velu_2_isogeny(shape, (Fraction(0), Fraction(0)))
+    rec = velu_2_isogeny(shape, (0, 0))
     target_gd = global_data(rec.target)
     ttors = torsion_subgroup(target_gd.minimal_model)
     tC = target_gd.tamagawa_product

@@ -99,7 +99,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     # kernel of phi is rational, kernel of the dual has irrational points
     # (their rationality over K would force the cube roots of unity into K)
     torsion_ratio = 3
-    check_invariant(point_order(E, (Fraction(0), Fraction(0)), 3) == 3, "a = {}: (0, 0) does not have order 3", a)
+    check_invariant(point_order(E, (0, 0), 3) == 3, "a = {}: (0, 0) does not have order 3", a)
     # pullback_scale(rec) / 3, read off the scales of both sides
     arch = gdp.scale(Ep) / (3 * gd.scale(E))
     check_invariant(arch in (Fraction(1), Fraction(1, 3)), "a = {}: archimedean factor {} is not 1 or 1/3", a, arch)

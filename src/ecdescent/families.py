@@ -5,7 +5,9 @@ Z/2, Z/3, Z/4, Z/2+Z/2, Z/2+Z/4, Z/2+Z/6 torsion) are built here, and
 torsion subgroups of arbitrary curves over Q are computed exactly:
 reduction mod good primes bounds the order, division polynomials and
 point halving locate the points, and every generator is verified by
-scalar multiplication.  The tests judge it by a Lutz-Nagell enumeration.
+scalar multiplication.  The points hold int coordinates where they are
+integers (`weierstrass.Point`).  The tests judge it by a Lutz-Nagell
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .arith import (
     square_class,
 )
 from .polyutil import (
+    exact_half,
     poly_add,
     poly_mul,
     poly_scale,
@@ -36,9 +39,9 @@ from .weierstrass import (
     Point,
     SingularModelError,
     WeierstrassModel,
+    _exact,
     check_invariant,
     curve_invariants,
-    exact_terms,
     integral_model,
     point_add,
     point_mul,
@@ -127,19 +130,21 @@ def z2z6_point(S: int, T: int) -> FamilyPoint:
     return FamilyPoint(Z2Z6, (S, T))
 
 
+def _z3_scaling_primes(a: int, b: int) -> list[int]:
+    """The primes that can divide a with their cube dividing b: those of
+    gcd(a, b), which is b when a = 0 (every prime divides 0)."""
+    g = math.gcd(a, b)
+    return [q for q, _ in factorize(g)] if g > 1 else []
+
+
 def z3_point(a: int, b: int) -> FamilyPoint:
     if b <= 0:
         raise ValueError("b must be positive")
     if a**3 == 27 * b:
         raise SingularParameterError(f"(a, b) = {(a, b)} gives a singular curve")
-    for q, _ in factorize(a) if a else []:
+    for q in _z3_scaling_primes(a, b):
         if b % q**3 == 0:
             raise ValueError(f"prime {q} divides a with q^3 | b; reduce the parameters")
-    if a == 0 and b != 1:
-        # a = 0 is divisible by every prime; insist b is cube-free then
-        for q, e in factorize(b):
-            if e >= 3:
-                raise ValueError(f"prime {q} divides a with q^3 | b; reduce the parameters")
     return FamilyPoint(Z3, (a, b))
 
 
@@ -248,8 +253,7 @@ def duplication_numerator(w: WeierstrassModel) -> list:
 
 def _halving_quartic(w: WeierstrassModel, x0) -> list:
     """phi_2(x) - x0 psi_2(x)^2, whose roots are the x(Q) with x(2Q) = x0."""
-    (x0,) = exact_terms(x0)
-    return poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -x0))
+    return poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -_exact(x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +309,21 @@ def torsion_order_bound(w: WeierstrassModel) -> int:
     return bound
 
 
-def _y_on_curve(w: WeierstrassModel, x: Fraction) -> list[Fraction]:
-    """Rational y with (x, y) on w; on ints for an integral model and x."""
+def _points_over(w: WeierstrassModel, x) -> list[Point]:
+    """The rational points (x, y) on w; on ints for an integral model and x."""
     a1, a2, a3, a4, a6 = w.ainvs
-    (x,) = exact_terms(x)
+    x = _exact(x)
     yt = a1 * x + a3
     s = rational_sqrt(yt * yt + 4 * (((x + a2) * x + a4) * x + a6))
     if s is None:
         return []
-    return sorted({(-yt + s) / 2, (-yt - s) / 2})
+    return [(x, y) for y in sorted({exact_half(-yt + s), exact_half(-yt - s)})]
 
 
 def two_torsion_points(w: WeierstrassModel) -> list:
     pts = []
-    for x in rational_roots(w.two_division_poly()):
-        y = -(w.y_terms(x)) / 2
+    for x in map(_exact, rational_roots(w.two_division_poly())):
+        y = exact_half(-w.y_terms(x))
         if w.contains(x, y):
             pts.append((x, y))
     return sorted(pts)
@@ -331,22 +335,13 @@ def halve_point(w: WeierstrassModel, P) -> list:
         xs = rational_roots(halving_quadratic(w, P))
     else:
         xs = rational_roots(_halving_quartic(w, P[0]))
-    out = []
-    for x in xs:
-        for y in _y_on_curve(w, x):
-            if point_mul(w, 2, (x, y)) == P:
-                out.append((x, y))
-    return sorted(set(out))
+    return sorted({Q for x in xs for Q in _points_over(w, x) if point_mul(w, 2, Q) == P})
 
 
 def points_of_order_n(w: WeierstrassModel, n: int) -> list:
     """Rational points of exact order n found through f_n."""
-    out = []
-    for x in rational_roots(division_poly(w, n)):
-        for y in _y_on_curve(w, x):
-            if point_order(w, (x, y), n + 1) == n:
-                out.append((x, y))
-    return sorted(set(out))
+    xs = rational_roots(division_poly(w, n))
+    return sorted({Q for x in xs for Q in _points_over(w, x) if point_order(w, Q, n + 1) == n})
 
 
 def torsion_subgroup(w: WeierstrassModel) -> TorsionGroup:
@@ -414,13 +409,12 @@ def _nine_torsion_over(w: WeierstrassModel, P3) -> Optional[tuple]:
     f3 = division_poly(w, 3)
     f4 = division_poly(w, 4)
     F = w.two_division_poly()
-    (x3,) = exact_terms(P3[0])
     num = poly_add(poly_mul([0, 1], poly_mul(f3, f3)), poly_scale(poly_mul(F, f4), -1))
-    target = poly_add(num, poly_scale(poly_mul(f3, f3), -x3))
+    target = poly_add(num, poly_scale(poly_mul(f3, f3), -_exact(P3[0])))
     for x in rational_roots(target):
-        for y in _y_on_curve(w, x):
-            if point_order(w, (x, y), 10) == 9:
-                return (x, y)
+        for Q in _points_over(w, x):
+            if point_order(w, Q, 10) == 9:
+                return Q
     return None
 
 
@@ -492,13 +486,9 @@ def z3_normalize(a: int, b: int) -> FamilyPoint:
     """Reduce (a, b) by (q, q^3) scalings until the family invariant holds."""
     if b <= 0:
         raise ValueError("b must be positive")
-    changed = True
-    while changed:
-        changed = False
-        for q, e in factorize(b) if b > 1 else []:
-            while e >= 3 and a % q == 0 and b % q**3 == 0:
-                a //= q
-                b //= q**3
-                e -= 3
-                changed = True
+    # each scaling divides a and b, so no new prime enters gcd(a, b)
+    for q in _z3_scaling_primes(a, b):
+        while a % q == 0 and b % q**3 == 0:
+            a //= q
+            b //= q**3
     return z3_point(a, b)

@@ -4,13 +4,14 @@ Degree-2 quotients by a rational 2-torsion point and degree-3 quotients
 by a rational order-3 subgroup, both via Velu's formulas; the cube
 criterion for when a 3-quotient again carries rational 3-torsion, with
 its closed-form target model; quotient chains; which side of an isogeny
-is etale (pullback scale of minimal invariant differentials).
+is etale (pullback scale of minimal invariant differentials). Kernel
+points hold ints where they are integers, so on an integral model Velu's
+formulas run on ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .arith import integer_root
@@ -19,9 +20,9 @@ from .polyutil import exact_half
 from .tate import global_data
 from .weierstrass import (
     WeierstrassModel,
+    _exact,
     check_invariant,
     curve_invariants,
-    exact_terms,
     isomorphic_over_q,
     point_neg,
     point_order,
@@ -66,21 +67,21 @@ def _velu_quotient(a: tuple, kernel_xs) -> tuple:
 
 def velu_2_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
     """Quotient by a rational 2-torsion point."""
-    P = (Fraction(P[0]), Fraction(P[1]))
+    P = (_exact(P[0]), _exact(P[1]))
     if not w.contains(*P):
         raise ValueError("kernel point is not on the curve")
     if point_order(w, P, 2) != 2:
         raise ValueError("kernel point is not 2-torsion")
-    target = WeierstrassModel.from_ainvs(_velu_quotient(w.ainvs, exact_terms(P[0])))
+    target = WeierstrassModel.from_ainvs(_velu_quotient(w.ainvs, [P[0]]))
     return IsogenyRecord(w, target, 2, (P,))
 
 
 def velu_3_isogeny(w: WeierstrassModel, P) -> IsogenyRecord:
     """Quotient by the subgroup generated by a rational point of order 3."""
-    P = (Fraction(P[0]), Fraction(P[1]))
+    P = (_exact(P[0]), _exact(P[1]))
     if not w.contains(*P):
         raise ValueError("kernel point is not on the curve")
-    a, (x,) = w.ainvs, exact_terms(P[0])
+    a, x = w.ainvs, P[0]
     b2, b4, b6, b8 = curve_invariants(a)[:4]
     # the points of order 3 are the affine points where psi_3 vanishes
     if 3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8 != 0:
@@ -123,7 +124,7 @@ def _hadano_quotient(fp: FamilyPoint) -> Union[IsogenyRecord, CubeFailure]:
     tgt = (a + 6 * t, 0, q * t, 0, 0)
     inv = curve_invariants(tgt)
     check_invariant(inv[6] == (t * q * (a - 3 * t)) ** 3, "a = {}, b = {}: wrong quotient discriminant", a, b)
-    P = (Fraction(0), Fraction(0))
+    P = (0, 0)
     rec = IsogenyRecord(src, WeierstrassModel.from_ainvs(tgt), 3, (P, point_neg(src, P)), via="hadano")
     # the closed form agrees with Velu's construction up to isomorphism
     velu = _velu_quotient(src.ainvs, [0])
@@ -164,7 +165,7 @@ def three_isogeny_chain(a: int) -> IsogenyChain:
             # terminal step: the quotient still exists (kernel is rational)
             # but its target has no rational 3-torsion point
             w = build_curve(cur)
-            records.append(velu_3_isogeny(w, (Fraction(0), Fraction(0))))
+            records.append(velu_3_isogeny(w, (0, 0)))
             break
         records.append(res)
         cur = z3_normalize(res.target.a1, res.target.a3)

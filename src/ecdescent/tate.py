@@ -2,24 +2,29 @@
 
 The full step 1-11 loop is implemented, including the I_n* sub-loop and
 the non-minimal restart, over exact integer 5-tuples: the int
-coefficients of an integral model. Each step's valuation
-condition is a divisibility test on the coefficients, as in Cremona,
-Algorithms for Modular Elliptic Curves (1997), section 3.2.
-Each step is a closed form from there, with no search over residues:
-the singular point of step 2 from a3, a4 at p = 2, from b2, b4, b6 at
-p = 3 and from b2, c4, c6 above; split or nonsplit from the tangent
-quadratic T^2 + a1 T - a2 at the node; steps 5, 7 and 8 from quadratic
-discriminants (parity at p = 2); and step 6 from the discriminant of
-its cubic, whose repeated root, when there is one, is written down.
-Every move of the model is `weierstrass.rst_change`, the [1,r,s,t] map
-that `change_variables` runs too; step 6's shear and translation are one
-such move.
+coefficients of an integral model. Each step's valuation condition is a
+divisibility test on the coefficients, as in Cremona, Algorithms for
+Modular Elliptic Curves (1997), section 3.2, and each step is a closed
+form from there, with no search over residues. Multiplicative reduction
+at an odd p is read from (c4, c6) without moving the model: it is I_n
+with n = v(disc), split iff -c6 is a square mod p (at the node
+b4 = b6 = 0 mod p, so -c6 = b2^3 there, and b2 is the discriminant of
+the tangent quadratic T^2 + a1 T - a2). Otherwise the singular point of
+step 2 comes from a3, a4 at p = 2, from b2, b4, b6 at p = 3 and from b2,
+c4, c6 above, and at p = 2 the tangent quadratic decides split or
+nonsplit; steps 5, 7 and 8 from quadratic discriminants (parity at
+p = 2); and step 6 from the discriminant of its cubic, whose repeated
+root, when there is one, is written down. Every move of the model is
+`weierstrass.rst_change`, the [1,r,s,t] map that `change_variables` runs
+too; step 6's shear and translation are one such move. The Kodaira types
+handed out are shared values, one per (family, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
 from .polyutil import fp_roots
@@ -40,7 +45,7 @@ NONSPLIT = "nonsplit-multiplicative"
 ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KodairaType:
     """Kodaira symbol: family in {I, I*, II, III, IV, IV*, III*, II*}."""
 
@@ -62,10 +67,17 @@ class KodairaType:
         return self.family
 
 
-I0 = KodairaType("I", 0)
+@cache
+def kodaira_type(family: str, n: int) -> KodairaType:
+    """The one KodairaType(family, n): Tate's algorithm hands out shared
+    values rather than building a frozen one per run."""
+    return KodairaType(family, n)
 
 
-@dataclass(frozen=True)
+I0 = kodaira_type("I", 0)
+
+
+@dataclass(frozen=True, slots=True)
 class LocalReduction:
     prime: int
     kodaira: KodairaType
@@ -157,6 +169,13 @@ def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     return tate_algorithm(*_integral_tuple(w), p)
 
 
+def _multiplicative(p: int, n: int, split: bool, u_exp: int) -> LocalReduction:
+    """Reduction of type I_n at p; c_p is n when split, else 2 or 1 as n is
+    even or odd."""
+    c = n if split else (2 if n % 2 == 0 else 1)
+    return LocalReduction(p, kodaira_type("I", n), c, 1, n, SPLIT if split else NONSPLIT, u_exp)
+
+
 def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
     """Tate's algorithm at p on the integral coefficient 5-tuple a of a
     nonsingular model, given its `curve_invariants`."""
@@ -166,6 +185,10 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         n = padic_valuation(disc, p)
         if n == 0:
             return LocalReduction(p, I0, 1, 0, 0, GOOD, u_exp)
+        if c4 % p and p != 2:
+            # multiplicative at odd p: the tangent quadratic at the node has
+            # discriminant b2, and -c6 = b2^3 mod p there (c6 is invariant)
+            return _multiplicative(p, n, kronecker_symbol(-invariants[5], p) == 1, u_exp)
 
         # Step 2: move the singular point of the reduction to (0,0).
         x0, y0 = _singular_point(a, p, invariants)
@@ -173,26 +196,20 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         a1, a2, a3, a4, a6 = a
 
         if c4 % p:
-            # multiplicative: tangent slopes T^2 + a1 T - a2 at the node;
-            # at p = 2 the node forces a1 odd and both roots lie in F_2
-            # exactly when a2 is even
-            if p == 2:
-                split = a2 % 2 == 0
-            else:
-                split = kronecker_symbol(a1 * a1 + 4 * a2, p) == 1
-            c = n if split else (2 if n % 2 == 0 else 1)
-            kind = SPLIT if split else NONSPLIT
-            return LocalReduction(p, KodairaType("I", n), c, 1, n, kind, u_exp)
+            # multiplicative at 2: the node forces a1 odd, and both tangent
+            # slopes (roots of T^2 + a1 T - a2) lie in F_2 exactly when a2
+            # is even
+            return _multiplicative(p, n, a2 % 2 == 0, u_exp)
 
         # additive from here on
         if a6 % p**2:
-            return LocalReduction(p, KodairaType("II"), 1, n, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("II", 0), 1, n, n, ADDITIVE, u_exp)
         _, _, b6, b8, _, _, _ = curve_invariants(a)
         if b8 % p**3:
-            return LocalReduction(p, KodairaType("III"), 2, n - 1, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("III", 0), 2, n - 1, n, ADDITIVE, u_exp)
         if b6 % p**3:
             c = 3 if _quad_rational_mod_p(1, a3 // p, -(a6 // p**2), p) else 1
-            return LocalReduction(p, KodairaType("IV"), c, n - 2, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("IV", 0), c, n - 2, n, ADDITIVE, u_exp)
 
         # Step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6.
         # The shear by s leaves a3 and a6 as they are, so t is read before it.
@@ -214,7 +231,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         if rep is None:
             # separable cubic: one component per rational root, plus one
             c = 1 + len(fp_roots(P, p))
-            return LocalReduction(p, KodairaType("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
         r1, mult = rep
         a = rst_change(a, p * r1, 0, 0)
         a1, a2, a3, a4, a6 = a
@@ -231,7 +248,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                 if _quad_distinct_mod_p(1, c3, -c6_, p):
                     m = 2 * j - 1
                     c = 4 if _quad_rational_mod_p(1, c3, -c6_, p) else 2
-                    return LocalReduction(p, KodairaType("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
+                    return LocalReduction(p, kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 y1 = _quad_double_root(1, c3, -c6_, p)
                 a = rst_change(a, 0, 0, p ** (j + 1) * y1)
                 a1, a2, a3, a4, a6 = a
@@ -242,7 +259,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                 if _quad_distinct_mod_p(d2, d4, d6, p):
                     m = 2 * j
                     c = 4 if _quad_rational_mod_p(d2, d4, d6, p) else 2
-                    return LocalReduction(p, KodairaType("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
+                    return LocalReduction(p, kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 x1 = _quad_double_root(d2, d4, d6, p)
                 a = rst_change(a, p ** (j + 1) * x1, 0, 0)
                 a1, a2, a3, a4, a6 = a
@@ -257,14 +274,14 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         c6_ = a6 // p**4
         if _quad_distinct_mod_p(1, c3, -c6_, p):
             c = 3 if _quad_rational_mod_p(1, c3, -c6_, p) else 1
-            return LocalReduction(p, KodairaType("IV*"), c, n - 6, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("IV*", 0), c, n - 6, n, ADDITIVE, u_exp)
         y1 = _quad_double_root(1, c3, -c6_, p)
         a = rst_change(a, 0, 0, p**2 * y1)
         a1, a2, a3, a4, a6 = a
         if a4 % p**4:
-            return LocalReduction(p, KodairaType("III*"), 2, n - 7, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("III*", 0), 2, n - 7, n, ADDITIVE, u_exp)
         if a6 % p**6:
-            return LocalReduction(p, KodairaType("II*"), 1, n - 8, n, ADDITIVE, u_exp)
+            return LocalReduction(p, kodaira_type("II*", 0), 1, n - 8, n, ADDITIVE, u_exp)
 
         # Step 11: not minimal; scale down and restart.
         if a1 % p or a2 % p**2 or a3 % p**3:

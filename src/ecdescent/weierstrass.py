@@ -1,11 +1,12 @@
 """Weierstrass models over Q.
 
-Exact coefficients, ints on an integral model and Fractions otherwise,
-the one set of b/c invariant formulas and the one [1,r,s,t] map (both
-shared with Tate's algorithm on integer tuples), [u,r,s,t] coordinate
-changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx, point
-arithmetic used by the torsion and isogeny machinery, and isomorphism
-over Q decided on integer invariants.
+Exact coefficients and point coordinates, each an int when it is an
+integer and a Fraction otherwise (`_exact` is the one normalizer, and it
+refuses floats), the one set of b/c invariant formulas and the one
+[1,r,s,t] map (both shared with Tate's algorithm on integer tuples),
+[u,r,s,t] coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx,
+point arithmetic used by the torsion and isogeny machinery, and
+isomorphism over Q decided on integer invariants.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class WeierstrassModel:
     `from_ainvs` holds the coefficients as ints when all five are integers
     and as Fractions otherwise. A model built directly with a Fraction
     among them equals, and hashes like, the one `from_ainvs` gives, but is
-    `is_integral` only when all five are ints.
+    `is_integral` only when all five are ints. A coefficient that is
+    neither an int nor a Fraction raises TypeError.
     """
 
     a1: Rational
@@ -35,14 +37,19 @@ class WeierstrassModel:
     a4: Rational
     a6: Rational
 
+    def __post_init__(self):
+        for x in (self.a1, self.a2, self.a3, self.a4, self.a6):
+            if type(x) not in _EXACT_TYPES:
+                raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
+
     @staticmethod
     def from_ainvs(ainvs: Iterable[Rational]) -> "WeierstrassModel":
         """The model with these coefficients; a float raises TypeError."""
         a = tuple(ainvs)
         if any(type(x) is not int for x in a):
-            a = tuple(Fraction(_exact(x)) for x in a)
-            if all(x.denominator == 1 for x in a):
-                a = tuple(x.numerator for x in a)
+            a = tuple(map(_exact, a))
+            if any(type(x) is not int for x in a):
+                a = tuple(map(Fraction, a))
         a1, a2, a3, a4, a6 = a
         return WeierstrassModel(a1, a2, a3, a4, a6)
 
@@ -102,7 +109,7 @@ class WeierstrassModel:
 
     def contains(self, x: Rational, y: Rational) -> bool:
         a1, a2, a3, a4, a6 = self.ainvs
-        x, y = exact_terms(Fraction(x), Fraction(y))
+        x, y = _exact(x), _exact(y)
         return y * (y + a1 * x + a3) == ((x + a2) * x + a4) * x + a6
 
     def two_division_poly(self) -> list:
@@ -132,26 +139,26 @@ def curve_invariants(a: tuple) -> tuple:
     return b2, b4, b6, b8, c4, c6, disc
 
 
-def exact_terms(*xs: Fraction) -> tuple:
-    """The rationals xs, as ints when every one of them is an integer and
-    as given otherwise.
+_EXACT_TYPES = frozenset((int, Fraction))
 
-    Polynomial formulas in them and a model's coefficients (the curve
-    equation, `rst_change`, psi_3, Velu's quotient) are exact on either,
-    and run on ints when the model is integral too.
+
+def _exact(x) -> Rational:
+    """The rational x as an int when it is an integer and as a Fraction
+    otherwise, where a coefficient or a coordinate enters.
+
+    Polynomial formulas in such terms and a model's coefficients (the
+    curve equation, `rst_change`, psi_3, Velu's quotient) are exact on
+    either, and run on ints when the model is integral too. A float raises
+    TypeError, also under `python -O`: Fraction(float) would quietly take
+    its binary value.
     """
-    if all(x.denominator == 1 for x in xs):
-        return tuple(x.numerator for x in xs)
-    return xs
-
-
-def _exact(x):
-    """x itself, where an exact rational enters. A float raises TypeError,
-    also under `python -O`: Fraction(float) would quietly take its binary
-    value."""
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float; an exact rational must be an int, a Fraction or a string")
-    return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def rst_change(a: tuple, r, s, t) -> tuple:
@@ -220,10 +227,10 @@ class CoordinateChange:
     def identity() -> "CoordinateChange":
         return _IDENTITY
 
-    def apply_point(self, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
+    def apply_point(self, x: Rational, y: Rational) -> tuple[Rational, Rational]:
         """Old-model coordinates of a point given in new-model coordinates."""
-        x, y = Fraction(x), Fraction(y)
-        return (self.u**2 * x + self.r, self.u**3 * y + self.u**2 * self.s * x + self.t)
+        x, y = _exact(x), _exact(y)
+        return _exact(self.u**2 * x + self.r), _exact(self.u**3 * y + self.u**2 * self.s * x + self.t)
 
 
 _IDENTITY = CoordinateChange.of(1)
@@ -236,8 +243,7 @@ def change_variables(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassMod
     holds ints when it is integral, as `from_ainvs` does."""
     if c.u == 0:
         raise ValueError("u must be nonzero")
-    r, s, t = exact_terms(c.r, c.s, c.t)
-    a = rst_change(w.ainvs, r, s, t)
+    a = rst_change(w.ainvs, _exact(c.r), _exact(c.s), _exact(c.t))
     if c.u != 1:
         u = Fraction(c.u)
         a = tuple(x / u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
@@ -288,30 +294,31 @@ def two_torsion_form(w: WeierstrassModel) -> tuple[Rational, Rational]:
 #: The point at infinity.
 O = None
 
-Point = Optional[tuple[Fraction, Fraction]]
+#: An affine point (x, y), each coordinate an int when it is an integer and
+#: a Fraction otherwise, or O.
+Point = Optional[tuple[Rational, Rational]]
 
 
 def point_neg(w: WeierstrassModel, P: Point) -> Point:
     if P is None:
         return None
-    x, y = P
-    return (x, -y - w.a1 * x - w.a3)
+    x, y = _exact(P[0]), _exact(P[1])
+    return (x, _exact(-y - w.a1 * x - w.a3))
 
 
 def point_add(w: WeierstrassModel, P: Point, Q: Point) -> Point:
-    """P + Q, with Fraction coordinates.
+    """P + Q, with exact coordinates.
 
     On an integral model with integral P and Q the slope is an int
     whenever its denominator divides its numerator, as it does between
     torsion points away from 2-torsion (Lutz-Nagell), and then the sum is
     computed on ints; otherwise on Fractions.
     """
-    if P is None:
-        return Q
-    if Q is None:
-        return P
+    if P is None or Q is None:
+        R = Q if P is None else P
+        return None if R is None else (_exact(R[0]), _exact(R[1]))
     a1, a2, a3, a4, a6 = w.ainvs
-    x1, y1, x2, y2 = exact_terms(*P, *Q)
+    x1, y1, x2, y2 = _exact(P[0]), _exact(P[1]), _exact(Q[0]), _exact(Q[1])
     if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:
         return None
     if x1 == x2 and y1 == y2:
@@ -322,7 +329,7 @@ def point_add(w: WeierstrassModel, P: Point, Q: Point) -> Point:
     nu = y1 - lam * x1
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
     y3 = -(lam + a1) * x3 - nu - a3
-    return (Fraction(x3), Fraction(y3))
+    return (_exact(x3), _exact(y3))
 
 
 def point_mul(w: WeierstrassModel, n: int, P: Point) -> Point:

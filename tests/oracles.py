@@ -19,7 +19,13 @@ method that shares none of the fast path's code:
 - `find_isomorphism` solves for a change [u,r,s,t] between two models for
   `weierstrass.isomorphic_over_q`, the test behind the check that the
   Hadano quotient is Velu's;
-- `hilbert_places` lists the places the Hilbert product formula runs over.
+- `hilbert_places` lists the places the Hilbert product formula runs over;
+- `multiplicative_reduction_reference` moves the node of a multiplicative
+  reduction to (0,0) and reads the tangent quadratic there, for the odd-p
+  closed form in `tate.tate_algorithm` and its p = 2 route;
+- `z3_point_reference` and `z3_normalize_reference` look for the primes
+  q with q | a and q^3 | b among the factors of a and of b, for
+  `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only.
 
 `tests/test_oracle_independence.py` checks that this module names none of
 the functions it judges.
@@ -28,6 +34,7 @@ the functions it judges.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from ecdescent.arith import (
@@ -42,7 +49,7 @@ from ecdescent.arith import (
     prime_divisors,
 )
 from ecdescent.descent2 import _int_pair, dual_params, field_discriminant
-from ecdescent.families import TorsionGroup
+from ecdescent.families import Z3, FamilyPoint, SingularParameterError, TorsionGroup
 from ecdescent.polyutil import rational_roots
 from ecdescent.tate import minimal_model
 from ecdescent.weierstrass import (
@@ -331,3 +338,76 @@ def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[Coo
         if change_variables_reference(w1, CoordinateChange(u, r, s, t)) == w2:
             return CoordinateChange(u, r, s, t)
     return None
+
+
+# ---------------------------------------------------------------------------
+# multiplicative reduction at the node
+
+
+def multiplicative_reduction_reference(w: WeierstrassModel, p: int) -> tuple:
+    """(kind, Kodaira symbol, c_p, f_p, v_min) of an integral model w whose
+    reduction at p is multiplicative.
+
+    The node is found by a search over the residues mod p and moved to
+    (0,0); there the tangent slopes are the roots of T^2 + a1 T - a2, and
+    the reduction is split when they lie in F_p. It is I_n with
+    n = v_p(disc), and c_p is n when split, else 2 or 1 as n is even or odd.
+    """
+    a1, a2, a3, a4, a6 = w.ainvs
+    x0, y0 = next(
+        (x, y)
+        for x in range(p)
+        for y in range(p)
+        if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+        and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+        and (2 * y + a1 * x + a3) % p == 0
+    )
+    m = change_variables_reference(w, CoordinateChange.of(1, x0, 0, y0))
+    split = any((t * t + m.a1 * t - m.a2) % p == 0 for t in range(p))
+    n = padic_valuation(w.discriminant, p)
+    if split:
+        return "split-multiplicative", f"I{n}", n, 1, n
+    return "nonsplit-multiplicative", f"I{n}", 2 if n % 2 == 0 else 1, 1, n
+
+
+# ---------------------------------------------------------------------------
+# Z/3 family parameters
+
+
+#: the tests sweep a grid of (a, b), so the oracles factor each a and b once
+_factors = cache(factorize)
+
+
+def z3_point_reference(a: int, b: int) -> FamilyPoint:
+    """The Z/3 family point (a, b), refused when some prime q divides a
+    with q^3 | b: the q are sought among the factors of a, and of b when
+    a = 0."""
+    if b <= 0:
+        raise ValueError("b must be positive")
+    if a**3 == 27 * b:
+        raise SingularParameterError(f"(a, b) = {(a, b)} gives a singular curve")
+    for q, _ in _factors(a) if a else []:
+        if b % q**3 == 0:
+            raise ValueError(f"prime {q} divides a with q^3 | b; reduce the parameters")
+    if a == 0 and b != 1:
+        for q, e in _factors(b):
+            if e >= 3:
+                raise ValueError(f"prime {q} divides a with q^3 | b; reduce the parameters")
+    return FamilyPoint(Z3, (a, b))
+
+
+def z3_normalize_reference(a: int, b: int) -> FamilyPoint:
+    """(a, b) divided by (q, q^3) over the prime factors q of b until no
+    such scaling applies, then `z3_point_reference`."""
+    if b <= 0:
+        raise ValueError("b must be positive")
+    changed = True
+    while changed:
+        changed = False
+        for q, e in _factors(b) if b > 1 else []:
+            while e >= 3 and a % q == 0 and b % q**3 == 0:
+                a //= q
+                b //= q**3
+                e -= 3
+                changed = True
+    return z3_point_reference(a, b)

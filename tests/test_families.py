@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,13 @@ from ecdescent.families import (
 )
 from ecdescent.tate import global_data
 from ecdescent.weierstrass import WeierstrassModel
-from oracles import count_points_kronecker, j_invariant, torsion_points_lutz_nagell
+from oracles import (
+    count_points_kronecker,
+    j_invariant,
+    torsion_points_lutz_nagell,
+    z3_normalize_reference,
+    z3_point_reference,
+)
 
 
 def W(*a):
@@ -261,9 +268,9 @@ def test_torsion_needs_no_gcd_over_q(monkeypatch):
 def test_torsion_runs_on_ints(monkeypatch):
     # the point counts read a table of squares, not a Kronecker symbol per
     # residue, and every exact-order check of a generator adds on ints
-    kron, counting, int_terms, orders = [], [], [], []
+    kron, counting, int_terms, int_adds, orders = [], [], [], [], []
     real_kron, real_count = arith.kronecker_symbol, families.count_points_mod_p
-    real_terms, real_order = weierstrass.exact_terms, families.point_order
+    real_add, real_order, real_exact = weierstrass.point_add, families.point_order, weierstrass._exact
 
     def kronecker(a, n):
         kron.append(bool(counting))
@@ -276,21 +283,30 @@ def test_torsion_runs_on_ints(monkeypatch):
         finally:
             counting.pop()
 
-    def terms(*xs):
-        out = real_terms(*xs)
-        int_terms.append(all(type(x) is int for x in out))
-        return out
+    def exact(x):
+        int_terms.append(type(x) is int)
+        return real_exact(x)
+
+    def add(w, P, Q):
+        # the four coordinates, and the sum's when it is affine, reach the
+        # normalizer as ints, and the model's five coefficients are ints
+        del int_terms[:]
+        R = real_add(w, P, Q)
+        terms = int_terms + [type(a) is int for a in w.ainvs]
+        int_adds.append(len(int_terms) == (4 if R is None else 6) and all(terms))
+        return R
 
     def order(w, P, bound=17):
-        del int_terms[:]
+        del int_adds[:]
         n = real_order(w, P, bound)
-        orders.append((P, bound, w.is_integral, list(int_terms)))
+        orders.append((P, bound, w.is_integral, list(int_adds)))
         return n
 
     monkeypatch.setattr(arith, "kronecker_symbol", kronecker)
     monkeypatch.setattr(families, "kronecker_symbol", kronecker, raising=False)
     monkeypatch.setattr(families, "count_points_mod_p", count)
-    monkeypatch.setattr(weierstrass, "exact_terms", terms)
+    monkeypatch.setattr(weierstrass, "point_add", add)
+    monkeypatch.setattr(weierstrass, "_exact", exact)
     monkeypatch.setattr(families, "point_order", order)
     cases = {
         (0, -1, 1, -10, -20): (1, 5),  # 11a1
@@ -424,3 +440,55 @@ def test_z3_normalize():
     assert z3_normalize(0, 27).params == (0, 1)
     assert z3_normalize(10, 8).params == (5, 1)
     assert z3_normalize(5, 4).params == (5, 4)
+
+
+def _z3_outcome(f, a, b):
+    try:
+        return f(a, b)
+    except ValueError as exc:  # SingularParameterError included
+        return type(exc), str(exc)
+
+
+#: (a, b) pairs with b = q^3 m beyond the grid below, a a multiple of q or not
+_Z3_CUBE_PAIRS = [
+    (a, q**e * m)
+    for q in (2, 3, 5, 7, 11, 13, 37, 101)
+    for e in (3, 4, 6, 7)
+    for m in (1, 2, 3, 5, 8, 27, q, q * q)
+    for a in (0, 1, -1, q, -q, 2 * q, -3 * q, q * q, -(q**3), 6 * q + 1)
+]
+
+
+def test_z3_gcd_normalization_matches_the_factor_b_reference():
+    # only the primes of gcd(a, b) can divide a with their cube dividing b,
+    # so the family point or the refusal is the one the reference gives
+    # when it searches the factors of a and of b
+    pairs = [(a, b) for b in range(1, 2001) for a in range(-300, 301)] + _Z3_CUBE_PAIRS
+    outcomes = {z3_point: {"refused", "singular"}, z3_normalize: {"reduced", "singular"}}
+    for f, ref in ((z3_point, z3_point_reference), (z3_normalize, z3_normalize_reference)):
+        kinds = set()
+        for a, b in pairs:
+            got = _z3_outcome(f, a, b)
+            assert got == _z3_outcome(ref, a, b), (f.__name__, a, b)
+            if isinstance(got, tuple):
+                kinds.add("singular" if got[0] is SingularParameterError else "refused")
+            else:
+                kinds.add("kept" if got.params == (a, b) else "reduced")
+        assert kinds == {"kept"} | outcomes[f], (f.__name__, kinds)
+    assert z3_normalize(2 * 3 * 5, 2**3 * 3**6 * 5**4 * 7).params == (1, 3**3 * 5 * 7)
+
+
+def test_z3_normalization_factors_only_gcd(monkeypatch):
+    seen = []
+    real = families.factorize
+    monkeypatch.setattr(families, "factorize", lambda n: seen.append(n) or real(n))
+    pairs = [(a, b) for b in range(1, 301) for a in range(-60, 61)] + _Z3_CUBE_PAIRS
+    factored = 0
+    for f in (z3_point, z3_normalize):
+        for a, b in pairs:
+            del seen[:]
+            _z3_outcome(f, a, b)
+            # gcd(0, b) = b: every prime divides a = 0
+            assert all(math.gcd(a, b) % n == 0 for n in seen), (f.__name__, a, b, seen)
+            factored += bool(seen)
+    assert factored > 1000

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ecdescent.tate import (
     local_reduction,
     minimal_model,
     model_from_c4c6,
+    tate_algorithm,
 )
 from ecdescent.weierstrass import (
     CoordinateChange,
@@ -27,6 +29,7 @@ from ecdescent.weierstrass import (
     change_variables,
     curve_invariants,
 )
+from oracles import change_variables_reference, multiplicative_reduction_reference
 
 
 def W(*ainvs):
@@ -390,3 +393,34 @@ def test_step6_cubic_matches_deflation_oracle():
                 assert _cubic_repeated_root([d, c, b, 1], p) == (repeated[0] if repeated else None), (p, b, c, d)
                 cubics += 1
     assert cubics == 536_688
+
+
+def test_multiplicative_closed_form_matches_the_node_reference():
+    # at odd p Tate reads split or nonsplit from -c6 without moving the
+    # model, and at p = 2 it still moves the node; both against a residue
+    # search for the node and the tangent quadratic there. Every eighth
+    # model is scaled up by p first, so Tate meets it after a step-11 restart
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for p in (2, 3, 5, 7, 11, 13):
+        done = 0
+        while done < 400:
+            a = tuple(rng.randint(-40, 40) for _ in range(5))
+            _, _, _, _, c4, _, disc = curve_invariants(a)
+            if disc == 0 or disc % p or c4 % p == 0:
+                continue
+            expected = multiplicative_reduction_reference(W(*a), p)
+            k = 1 if done % 8 == 0 else 0
+            if k:
+                c = CoordinateChange.of(Fraction(1, p), *(rng.randint(-9, 9) for _ in range(3)))
+                a = tuple(map(int, change_variables_reference(W(*a), c).ainvs))
+            lr = tate_algorithm(a, curve_invariants(a), p)
+            got = (lr.kind, str(lr.kodaira), lr.tamagawa, lr.conductor_exponent, lr.v_min)
+            assert (got, lr.minimal_scale_exp) == (expected, k), (a, p)
+            seen[p if p == 2 else p % 4, lr.kind, k] += 1
+            done += 1
+    assert sum(n for (r, _, _), n in seen.items() if r != 2) >= 2000
+    for r in (1, 3):
+        # the residue symbol of -1 differs at p = 1 and 3 mod 4
+        assert all(seen[r, kind, 0] for kind in (SPLIT, NONSPLIT)), seen
+    assert sum(n for (r, _, k), n in seen.items() if r != 2 and k) > 0, seen

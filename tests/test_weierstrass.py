@@ -207,6 +207,78 @@ def test_floats_are_refused_where_exact_rationals_enter(run_optimized):
     assert run_optimized(script) == ["raised"] * 2
 
 
+def test_floats_are_refused_where_points_enter(run_optimized):
+    from ecdescent.isogeny import velu_2_isogeny, velu_3_isogeny
+
+    w = WeierstrassModel.from_ainvs([0, -1, 1, -10, -20])  # 11a1: (5, 5) has order 5
+    shape = WeierstrassModel.from_ainvs([0, 5, 0, -1, 0])  # (0, 0) has order 2
+    z3 = WeierstrassModel.from_ainvs([1, 0, 1, 0, 0])  # (0, 0) has order 3
+    calls = {
+        "constructor": lambda: WeierstrassModel(0.5, 0, 1, -1, 0),
+        "constructor, integral float": lambda: WeierstrassModel(0, -1, 1, -10, -20.0),
+        "constructor, string": lambda: WeierstrassModel(0, -1, 1, -10, "-20"),
+        "contains": lambda: w.contains(5.0, 5),
+        "contains at (0, 0)": lambda: w.contains(0.0, 0.0),
+        "apply_point": lambda: CoordinateChange.of(1).apply_point(0.1, 0),
+        "point_add": lambda: point_add(w, (5, 5.0), (5, 5)),
+        "point_neg": lambda: point_neg(w, (5.0, 5)),
+        "velu_2_isogeny": lambda: velu_2_isogeny(shape, (0.0, 0)),
+        "velu_3_isogeny": lambda: velu_3_isogeny(z3, (0, 0.0)),
+    }
+    for how, call in calls.items():
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(how)
+    # and under python -O, which strips asserts
+    script = (
+        "from ecdescent.isogeny import velu_2_isogeny, velu_3_isogeny\n"
+        "from ecdescent.weierstrass import CoordinateChange, WeierstrassModel\n"
+        "w = WeierstrassModel.from_ainvs([0, -1, 1, -10, -20])\n"
+        "for call in (lambda: WeierstrassModel(0.5, 0, 1, -1, 0), lambda: w.contains(0.0, 0.0),\n"
+        "             lambda: CoordinateChange.of(1).apply_point(0.1, 0),\n"
+        "             lambda: velu_2_isogeny(WeierstrassModel.from_ainvs([0, 5, 0, -1, 0]), (0.0, 0)),\n"
+        "             lambda: velu_3_isogeny(WeierstrassModel.from_ainvs([1, 0, 1, 0, 0]), (0, 0.0))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except TypeError:\n"
+        "        print('raised')\n"
+    )
+    assert run_optimized(script) == ["raised"] * 5
+
+
+def test_int_and_fraction_forms_of_one_point_agree():
+    from ecdescent.families import halve_point
+    from ecdescent.isogeny import velu_2_isogeny, velu_3_isogeny
+
+    c = CoordinateChange.of(Fraction(1, 2), 3, -1, Fraction(5, 2))
+    cases = [
+        (WeierstrassModel.from_ainvs([0, -1, 1, -10, -20]), (5, 5)),  # 11a1, order 5
+        (WeierstrassModel.from_ainvs([1, 1, 1, -10, -10]), (-2, -2)),  # 15a1, order 4
+        (WeierstrassModel.from_ainvs([0, 0, 1, -1, 0]), (0, 0)),  # 37a1, infinite order
+        (WeierstrassModel.from_ainvs([1, 1, 1, -10, -10]), (Fraction(-13, 4), Fraction(9, 8))),  # order 2
+    ]
+    for w, P in cases:
+        F = (Fraction(P[0]), Fraction(P[1]))
+        for Q in (P, F):
+            assert w.contains(*Q)
+            assert all(map(_one_coordinate, point_neg(w, Q)))
+            for n in (-3, -1, 1, 2, 5):
+                R = point_mul(w, n, Q)
+                assert R == point_mul(w, n, P) and (R is None or all(map(_one_coordinate, R))), (w, Q, n)
+            assert point_order(w, Q, 12) == point_order(w, P, 12)
+            assert point_add(w, Q, None) == point_add(w, None, Q) == P
+            assert all(map(_one_coordinate, point_add(w, Q, None) + point_add(w, None, Q)))
+            assert c.apply_point(*Q) == c.apply_point(*P)
+            assert all(map(_one_coordinate, c.apply_point(*Q)))
+            assert halve_point(w, Q) == halve_point(w, P)
+    shape = WeierstrassModel.from_ainvs([0, 5, 0, -1, 0])
+    z3 = WeierstrassModel.from_ainvs([1, 0, 1, 0, 0])
+    for isogeny, v, P in ((velu_2_isogeny, shape, (0, 0)), (velu_3_isogeny, z3, (0, 0)), (velu_3_isogeny, z3, (0, -1))):
+        rec = isogeny(v, (Fraction(P[0]), Fraction(P[1])))
+        assert rec == isogeny(v, P) and rec.target.is_integral
+        assert all(_one_coordinate(x) for Q in rec.kernel for x in Q), rec.kernel
+
+
 @settings(max_examples=40)
 @given(units, small_fracs, small_fracs, small_fracs, units, small_fracs, small_fracs, small_fracs)
 def test_change_functoriality(u1, r1, s1, t1, u2, r2, s2, t2):
@@ -368,6 +440,12 @@ def _curves_with_points(rng):
     return out
 
 
+def _one_coordinate(c):
+    """Is c an int when it is an integer and a Fraction otherwise (so never
+    a float)?"""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def test_point_arithmetic_matches_the_fraction_reference():
     # the int paths of point_add, point_mul and point_order against the
     # chord-and-tangent formulas in Fractions
@@ -381,7 +459,7 @@ def test_point_arithmetic_matches_the_fraction_reference():
             for Q in pts + [None]:
                 R = point_add(w, P, Q)
                 assert R == point_add_reference(w, P, Q), (w, P, Q)
-                assert R is None or type(R[0]) is type(R[1]) is Fraction
+                assert R is None or all(map(_one_coordinate, R)), (w, P, Q, R)
                 integral = w.is_integral and all(c.denominator == 1 for c in P + (Q or ()))
                 if integral and R is not None and (R[0].denominator > 4 or R[1].denominator > 8):
                     seen["non-integral slope"] += 1
