@@ -6,18 +6,21 @@ coefficients of an integral model. Each step's valuation condition is a
 divisibility test on the coefficients, as in Cremona, Algorithms for
 Modular Elliptic Curves (1997), section 3.2, and each step is a closed
 form from there, with no search over residues. Multiplicative reduction
-at an odd p is read from (c4, c6) without moving the model: it is I_n
-with n = v(disc), split iff -c6 is a square mod p (at the node
-b4 = b6 = 0 mod p, so -c6 = b2^3 there, and b2 is the discriminant of
-the tangent quadratic T^2 + a1 T - a2). Otherwise the singular point of
-step 2 comes from a3, a4 at p = 2, from b2, b4, b6 at p = 3 and from b2,
-c4, c6 above, and at p = 2 the tangent quadratic decides split or
-nonsplit; steps 5, 7 and 8 from quadratic discriminants (parity at
-p = 2); and step 6 from the discriminant of its cubic, whose repeated
-root, when there is one, is written down. Every move of the model is
-`weierstrass.rst_change`, the [1,r,s,t] map that `change_variables` runs
-too; step 6's shear and translation are one such move. The Kodaira types
-handed out are shared values, one per (family, n).
+(p | disc, p not dividing c4) is read from (c4, c6) without moving the
+model: it is I_n with n = v(disc), split iff the Kronecker symbol
+(-c6 | p) is 1. At the node b4 = b6 = 0 mod p, so -c6 = b2^3 there, and
+b2 = a1^2 + 4 a2 is the discriminant of the tangent quadratic
+T^2 + a1 T - a2; at p = 2, where a1 is odd, -c6 = b2 = 1 + 4 a2 mod 8,
+and (-c6 | 2) = 1 exactly when a2 is even, that is when the quadratic
+has a root mod 2. Otherwise the reduction is additive, and the
+singular point of step 2 comes from a2, a4, a6 at p = 2, from b6 at
+p = 3 and from b2 above; steps 5, 7 and 8 from quadratic discriminants
+(parity at p = 2); and step 6 from the discriminant of its cubic, whose
+repeated root, when there is one, is written down. Every move of the
+model is `weierstrass.rst_change`, the [1,r,s,t] map that
+`change_variables` runs too; step 6's shear and translation are one such
+move. The Kodaira types handed out are shared values, one per
+(family, n).
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ class KodairaType:
 
 
 @cache
-def kodaira_type(family: str, n: int) -> KodairaType:
+def _kodaira_type(family: str, n: int) -> KodairaType:
     """The one KodairaType(family, n): Tate's algorithm hands out shared
     values rather than building a frozen one per run."""
     return KodairaType(family, n)
 
 
-I0 = kodaira_type("I", 0)
+I0 = _kodaira_type("I", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,18 +102,19 @@ class LocalReduction:
 
 
 def _singular_point(a, p, invariants):
-    """The singular point of the reduction of a mod p, as residues, given the
-    curve_invariants of a. At p > 3, x is the double root -3 c6/c4 (0 when
-    p | c4) of X^3 - 27 c4 X - 54 c6, X = 36x + 3 b2 (Cremona 1997, 3.2)."""
+    """The singular point of an additive reduction of a mod p (p | disc and
+    p | c4), as residues, given the curve_invariants of a. At p > 3, x is
+    the triple root -b2/12 of X^3 - 27 c4 X - 54 c6 = X^3 mod p,
+    X = 36x + 3 b2 (Cremona 1997, 3.2)."""
     a1, a2, a3, a4, a6 = a
-    b2, b4, b6, _, c4, c6, _ = invariants
+    b2, _, b6, _, _, _, _ = invariants
     if p == 2:
-        x0, y0 = (a3, a3 + a4) if b2 % 2 else (a4, a4 * (1 + a2 + a4) + a6)
+        x0, y0 = a4, a4 * (1 + a2 + a4) + a6
     elif p == 3:
-        x0 = -b2 * b4 if b2 % 3 else -b6
+        x0 = -b6
         y0 = a1 * x0 + a3
     else:
-        x0 = -(b2 * c4 + c6) * pow(12 * c4, -1, p) % p if c4 % p else -b2 * pow(12, -1, p) % p
+        x0 = -b2 * pow(12, -1, p) % p
         y0 = -(a1 * x0 + a3) * pow(2, -1, p)
     return x0 % p, y0 % p
 
@@ -169,13 +173,6 @@ def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     return tate_algorithm(*_integral_tuple(w), p)
 
 
-def _multiplicative(p: int, n: int, split: bool, u_exp: int) -> LocalReduction:
-    """Reduction of type I_n at p; c_p is n when split, else 2 or 1 as n is
-    even or odd."""
-    c = n if split else (2 if n % 2 == 0 else 1)
-    return LocalReduction(p, kodaira_type("I", n), c, 1, n, SPLIT if split else NONSPLIT, u_exp)
-
-
 def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
     """Tate's algorithm at p on the integral coefficient 5-tuple a of a
     nonsingular model, given its `curve_invariants`."""
@@ -185,31 +182,28 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         n = padic_valuation(disc, p)
         if n == 0:
             return LocalReduction(p, I0, 1, 0, 0, GOOD, u_exp)
-        if c4 % p and p != 2:
-            # multiplicative at odd p: the tangent quadratic at the node has
-            # discriminant b2, and -c6 = b2^3 mod p there (c6 is invariant)
-            return _multiplicative(p, n, kronecker_symbol(-invariants[5], p) == 1, u_exp)
+        if c4 % p:
+            # multiplicative, I_n: the tangent quadratic at the node has
+            # discriminant b2, and -c6 = b2^3 there, mod p (mod 8 at p = 2);
+            # c_p is n when split, else 2 or 1 as n is even or odd
+            split = kronecker_symbol(-invariants[5], p) == 1
+            c = n if split else (2 if n % 2 == 0 else 1)
+            return LocalReduction(p, _kodaira_type("I", n), c, 1, n, SPLIT if split else NONSPLIT, u_exp)
 
         # Step 2: move the singular point of the reduction to (0,0).
         x0, y0 = _singular_point(a, p, invariants)
         a = rst_change(a, x0, 0, y0)
         a1, a2, a3, a4, a6 = a
 
-        if c4 % p:
-            # multiplicative at 2: the node forces a1 odd, and both tangent
-            # slopes (roots of T^2 + a1 T - a2) lie in F_2 exactly when a2
-            # is even
-            return _multiplicative(p, n, a2 % 2 == 0, u_exp)
-
         # additive from here on
         if a6 % p**2:
-            return LocalReduction(p, kodaira_type("II", 0), 1, n, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("II", 0), 1, n, n, ADDITIVE, u_exp)
         _, _, b6, b8, _, _, _ = curve_invariants(a)
         if b8 % p**3:
-            return LocalReduction(p, kodaira_type("III", 0), 2, n - 1, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("III", 0), 2, n - 1, n, ADDITIVE, u_exp)
         if b6 % p**3:
             c = 3 if _quad_rational_mod_p(1, a3 // p, -(a6 // p**2), p) else 1
-            return LocalReduction(p, kodaira_type("IV", 0), c, n - 2, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("IV", 0), c, n - 2, n, ADDITIVE, u_exp)
 
         # Step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6.
         # The shear by s leaves a3 and a6 as they are, so t is read before it.
@@ -231,7 +225,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         if rep is None:
             # separable cubic: one component per rational root, plus one
             c = 1 + len(fp_roots(P, p))
-            return LocalReduction(p, kodaira_type("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
         r1, mult = rep
         a = rst_change(a, p * r1, 0, 0)
         a1, a2, a3, a4, a6 = a
@@ -248,7 +242,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                 if _quad_distinct_mod_p(1, c3, -c6_, p):
                     m = 2 * j - 1
                     c = 4 if _quad_rational_mod_p(1, c3, -c6_, p) else 2
-                    return LocalReduction(p, kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
+                    return LocalReduction(p, _kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 y1 = _quad_double_root(1, c3, -c6_, p)
                 a = rst_change(a, 0, 0, p ** (j + 1) * y1)
                 a1, a2, a3, a4, a6 = a
@@ -259,7 +253,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
                 if _quad_distinct_mod_p(d2, d4, d6, p):
                     m = 2 * j
                     c = 4 if _quad_rational_mod_p(d2, d4, d6, p) else 2
-                    return LocalReduction(p, kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
+                    return LocalReduction(p, _kodaira_type("I*", m), c, n - 4 - m, n, ADDITIVE, u_exp)
                 x1 = _quad_double_root(d2, d4, d6, p)
                 a = rst_change(a, p ** (j + 1) * x1, 0, 0)
                 a1, a2, a3, a4, a6 = a
@@ -274,14 +268,14 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         c6_ = a6 // p**4
         if _quad_distinct_mod_p(1, c3, -c6_, p):
             c = 3 if _quad_rational_mod_p(1, c3, -c6_, p) else 1
-            return LocalReduction(p, kodaira_type("IV*", 0), c, n - 6, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("IV*", 0), c, n - 6, n, ADDITIVE, u_exp)
         y1 = _quad_double_root(1, c3, -c6_, p)
         a = rst_change(a, 0, 0, p**2 * y1)
         a1, a2, a3, a4, a6 = a
         if a4 % p**4:
-            return LocalReduction(p, kodaira_type("III*", 0), 2, n - 7, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("III*", 0), 2, n - 7, n, ADDITIVE, u_exp)
         if a6 % p**6:
-            return LocalReduction(p, kodaira_type("II*", 0), 1, n - 8, n, ADDITIVE, u_exp)
+            return LocalReduction(p, _kodaira_type("II*", 0), 1, n - 8, n, ADDITIVE, u_exp)
 
         # Step 11: not minimal; scale down and restart.
         if a1 % p or a2 % p**2 or a3 % p**3:

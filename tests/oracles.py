@@ -21,8 +21,8 @@ method that shares none of the fast path's code:
   Hadano quotient is Velu's;
 - `hilbert_places` lists the places the Hilbert product formula runs over;
 - `multiplicative_reduction_reference` moves the node of a multiplicative
-  reduction to (0,0) and reads the tangent quadratic there, for the odd-p
-  closed form in `tate.tate_algorithm` and its p = 2 route;
+  reduction to (0,0) and reads the tangent quadratic there, for the
+  closed form in `tate.tate_algorithm`, which reads (-c6 | p);
 - `z3_point_reference` and `z3_normalize_reference` look for the primes
   q with q | a and q^3 | b among the factors of a and of b, for
   `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only.

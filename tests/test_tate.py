@@ -341,28 +341,30 @@ def _singular_residue(a, p):
 
 
 def test_singular_point_closed_form_matches_residue_search():
-    # the closed forms at 2 and 3 depend only on the residues of the
-    # coefficients, so every residue tuple with singular reduction covers them
-    singular = 0
+    # step 2 runs only on additive reduction (p | disc and p | c4); the
+    # closed forms at 2 and 3 depend only on the residues of the
+    # coefficients, so every residue tuple with additive reduction covers them
+    additive = 0
     for p in (2, 3):
         for a in itertools.product(range(p), repeat=5):
-            if curve_invariants(a)[6] % p == 0:
+            _, _, _, _, c4, _, disc = curve_invariants(a)
+            if disc % p == 0 and c4 % p == 0:
                 assert _singular_point(a, p, curve_invariants(a)) == _singular_residue(a, p), (a, p)
-                singular += 1
-    assert singular == 97
+                additive += 1
+    assert additive == 35
     rng = random.Random(1997)
     primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
-    seen = {"p | c4": 0, "p !| c4": 0}
+    additive = 0
     for _ in range(1500):
         a = tuple(rng.randint(-60, 60) for _ in range(5))
         _, _, _, _, c4, _, disc = curve_invariants(a)
         if disc == 0:
             continue
         for p in primes:
-            if disc % p == 0:
+            if disc % p == 0 and c4 % p == 0:
                 assert _singular_point(a, p, curve_invariants(a)) == _singular_residue(a, p), (a, p)
-                seen["p | c4" if c4 % p == 0 else "p !| c4"] += 1
-    assert min(seen.values()) >= 20, seen
+                additive += 1
+    assert additive >= 100
 
 
 def _root_multiplicities(f, roots, p):
@@ -396,10 +398,10 @@ def test_step6_cubic_matches_deflation_oracle():
 
 
 def test_multiplicative_closed_form_matches_the_node_reference():
-    # at odd p Tate reads split or nonsplit from -c6 without moving the
-    # model, and at p = 2 it still moves the node; both against a residue
-    # search for the node and the tangent quadratic there. Every eighth
-    # model is scaled up by p first, so Tate meets it after a step-11 restart
+    # Tate reads split or nonsplit from (-c6 | p) without moving the model,
+    # at every p; against a residue search for the node and the tangent
+    # quadratic there. Every eighth model is scaled up by p first, so Tate
+    # meets it after a step-11 restart
     rng = random.Random(20261021)
     seen = collections.Counter()
     for p in (2, 3, 5, 7, 11, 13):
@@ -420,7 +422,8 @@ def test_multiplicative_closed_form_matches_the_node_reference():
             seen[p if p == 2 else p % 4, lr.kind, k] += 1
             done += 1
     assert sum(n for (r, _, _), n in seen.items() if r != 2) >= 2000
-    for r in (1, 3):
-        # the residue symbol of -1 differs at p = 1 and 3 mod 4
+    for r in (1, 2, 3):
+        # the residue symbol of -1 differs at p = 1 and 3 mod 4, and p = 2
+        # reads (-c6 | 2) from -c6 mod 8
         assert all(seen[r, kind, 0] for kind in (SPLIT, NONSPLIT)), seen
     assert sum(n for (r, _, k), n in seen.items() if r != 2 and k) > 0, seen
