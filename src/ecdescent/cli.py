@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from .families import (
     z3_point,
     z4_point,
 )
-from .isogeny import three_isogeny_chain, velu_2_isogeny, velu_3_isogeny
+from .isogeny import etale_side, pullback_scale, three_isogeny_chain, velu_2_isogeny, velu_3_isogeny
 from .tate import global_data, local_reduction
 from .weierstrass import WeierstrassModel, point_order
 
@@ -119,8 +120,6 @@ def cmd_isogeny(args):
     if order not in (2, 3):
         raise Refusal(f"kernel point ({x}, {y}) has order {order or 'above 4'}, not 2 or 3")
     rec = velu_2_isogeny(w, (x, y)) if order == 2 else velu_3_isogeny(w, (x, y))
-    from .isogeny import etale_side, pullback_scale
-
     scale = pullback_scale(rec)
     _emit(
         {
@@ -163,7 +162,7 @@ def cmd_descent(args):
 
 def cmd_descent3(args):
     try:
-        cert = sha3_criterion(args.a, args.disc)
+        cert = sha3_criterion(args.a, args.disc, global_data(build_curve(z3_point(args.a, 1))))
     except (HypothesisFailure, SingularParameterError) as exc:
         raise Refusal(str(exc)) from None
     _emit(cert.as_dict())
@@ -185,8 +184,6 @@ def cmd_sweep(args):
     ranges = _parse_ranges(args.params_range, len(inspect.signature(maker).parameters))
     if args.limit < 0:
         raise Refusal(f"--limit {args.limit} is below 0")
-    import itertools
-
     count = 0
     for params in itertools.product(*ranges):
         if args.limit and count >= args.limit:

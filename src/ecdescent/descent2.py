@@ -21,11 +21,16 @@ m >= 0, and the disc v(X) = -2 that l = 2 needs is cleared of denominators
 by evaluating 2^6 F(X) and 2^4 F'(X), whose valuations are shifted back by 6
 and 4.  The tests judge the scan by a brute-force torsor enumeration.
 
-phi_selmer reads the curve's data once (the 2-torsion form, the integral
-dual, the integral tuple of E and disc) for the images at all places, and
+phi_selmer takes its places and E's local reductions from the curve's one
+global_data: disc = 16 B^2 B' on y^2 = x^3 + Ax^2 + Bx, so the primes of
+disc(w)'s integral model are 2 and those of the numerators and denominators
+of B and B', and Tate's algorithm runs only on the integral dual there.  It
 finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
 the finite places, in the arith.local_class coordinates that every local
 image stores, so the work grows with their number, not 2 to its power.
+The places and minimal_scale_exp of a GlobalData belong to the model it was
+computed for, so the functions here that take one (phi_intersection,
+everywhere_local_norm_dim, local_norm_index) take global_data(w) of w itself.
 
 phi_intersection builds no Selmer group of the twist E_d: it keeps the
 classes of Sel^phi(E) that lie in the image of E_d where the two images can
@@ -87,40 +92,37 @@ def _int_pair(A, B) -> tuple[int, int]:
 
 def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
     """Image of delta: E'(Q_l)/phi(E(Q_l)) -> Q_l*/Q_l*^2 for the descent
-    through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx."""
-    return _local_images(w, [place])[place]
+    through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx; Tate's algorithm runs
+    on E at that place only."""
+    if place == OO or place is None:
+        return _local_images(w, {})[OO]
+    ell = int(place)
+    return _local_images(w, {ell: tate_algorithm(*_integral_tuple(w), ell)})[ell]
 
 
-def _local_images(w: WeierstrassModel, places: list) -> dict:
-    """Local images at each of `places`, from the curve's data read once:
-    (A, B), disc(w), and the integral tuples of E and of its dual
-    [0, A', 0, B', 0] with their curve invariants."""
+def _local_images(w: WeierstrassModel, local_data: dict) -> dict:
+    """Local images at infinity and at each prime of `local_data`, E's LocalReduction
+    there by prime, from the curve's data read once: (A, B), disc(w), and the
+    integral dual [0, A', 0, B', 0] with its curve invariants."""
     A, B = two_torsion_form(w)
     if w.is_singular:
         raise SingularModelError("descent needs a nonsingular curve")
-    images, data = {}, None
-    for place in places:
-        if place == OO or place is None:
-            images[place] = LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(A, B), B))
-            continue
-        if data is None:  # the image at infinity alone needs no integral data
-            data = _integral_data(w)
-        images[place] = _finite_image(w, *data, int(place))
+    ep = _dual_data(A, B) if local_data else None  # the image at infinity alone needs no integral dual
+    images = {ell: _finite_image(w, lr, ep, ell) for ell, lr in sorted(local_data.items())}
+    images[OO] = LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(A, B), B))
     return images
 
 
-def _integral_data(w: WeierstrassModel) -> tuple:
-    """Integral tuples of E and of its dual [0, A', 0, B', 0], with their curve invariants."""
-    Ai, Bi = _int_pair(*dual_params(*two_torsion_form(w)))
+def _dual_data(A, B) -> tuple:
+    """The integral tuple of the dual [0, A', 0, B', 0] and its curve invariants."""
+    Ai, Bi = _int_pair(*dual_params(A, B))
     ap = (0, Ai, 0, Bi, 0)
-    return _integral_tuple(w), (ap, curve_invariants(ap))
+    return ap, curve_invariants(ap)
 
 
-def _image_size(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> int:
-    # e and ep as _integral_data returns them. Size 2 c_l(E')/c_l(E) l^(s'-s);
-    # E' is integral, so s' is its count of restarts, while w may not be, so
-    # s is read off disc(w)
-    lr = tate_algorithm(*e, ell)
+def _image_size(w: WeierstrassModel, lr, ep: tuple, ell: int) -> int:
+    # lr is E's LocalReduction at ell, ep as _dual_data returns it. Size 2 c_l(E')/c_l(E) l^(s'-s):
+    # E' is integral, so s' is its count of restarts, while s is read off disc(w) and v_min
     lrp = tate_algorithm(*ep, ell)
     ds = lrp.minimal_scale_exp - (padic_valuation(w.discriminant, ell) - lr.v_min) // 12
     size, rem = divmod(2 * lrp.tamagawa * ell ** max(ds, 0), lr.tamagawa * ell ** max(-ds, 0))
@@ -129,8 +131,8 @@ def _image_size(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> int:
     return size
 
 
-def _finite_image(w: WeierstrassModel, e: tuple, ep: tuple, ell: int) -> LocalSquareClassGroup:
-    size = _image_size(w, e, ep, ell)
+def _finite_image(w: WeierstrassModel, lr, ep: tuple, ell: int) -> LocalSquareClassGroup:
+    size = _image_size(w, lr, ep, ell)
     if size == _class_count(ell):
         return LocalSquareClassGroup.full(ell)
     _, Ai, _, Bi, _ = ep[0]
@@ -236,20 +238,6 @@ class SelmerGroup2:
         return cls in self.elements
 
 
-def _descent_primes(w: WeierstrassModel) -> list:
-    """Primes of the numerators and denominators of B and B' = A^2 - 4B,
-    both nonzero on a nonsingular model."""
-    A, B = two_torsion_form(w)
-    if w.is_singular:
-        raise SingularModelError("descent needs a nonsingular curve")
-    Bp = A * A - 4 * B
-    return prime_divisors(B.numerator * B.denominator * Bp.numerator * Bp.denominator)
-
-
-def descent_places(w: WeierstrassModel) -> list:
-    return sorted({2, *_descent_primes(w)}) + [OO]
-
-
 def _f2_insert(pivots: dict, r: int) -> bool:
     """Add the bitmask r, reduced by `pivots` (pivot bit -> row), as a row; True iff r was independent."""
     for bit, pr in pivots.items():
@@ -273,10 +261,15 @@ def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
     generators (Cremona 1997, 3.6): each functional vanishing on a local
     image gives one row, and Gaussian elimination gives the kernel.  The basis
     is each class, by |rep| with the negative last, independent of those before."""
-    places = descent_places(w)
-    gens = [-1] + [p for p in places if p != OO]
+    return _phi_selmer(w, global_data(w))
+
+
+def _phi_selmer(w: WeierstrassModel, gd: GlobalData) -> SelmerGroup2:
+    # gd is global_data(w): its primes are the finite descent places (see the
+    # module docstring), and its local data is E's at each of them
+    gens = [-1] + sorted(gd.local_data)
     rows = []
-    for place, img in _local_images(w, places).items():
+    for place, img in _local_images(w, gd.local_data).items():
         cols = [local_class(g, place) for g in gens]
         for f in range(1, _class_count(place)):
             if not any((f & x).bit_count() & 1 for x in img.classes):
@@ -306,10 +299,11 @@ def selmer_kernel_class(w: WeierstrassModel) -> SquareClass:
     return square_class(A * A - 4 * B)
 
 
-def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
+def everywhere_local_norm_dim(w: WeierstrassModel, d: int, gd: GlobalData) -> int:
     """Lower bound for dim_F2 of the everywhere-local norm group:
-    dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>."""
-    inter = phi_intersection(w, d)
+    dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>;
+    gd is global_data(w)."""
+    inter = phi_intersection(w, d, gd)
     n = len(inter)
     if not n or n & (n - 1):
         raise ArithmeticError(f"{w}, d = {d}: the {n} classes of Sel^phi(E) and Sel^phi(E_d) in common are not a group")
@@ -318,22 +312,24 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int) -> int:
     return n.bit_length() - 1 - drop
 
 
-def phi_intersection(w: WeierstrassModel, d: int) -> frozenset:
+def phi_intersection(w: WeierstrassModel, d: int, gd: GlobalData) -> frozenset:
     """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d,
     from Sel^phi(E) and the images of E_d where they can differ from E's (see
-    the module docstring).  Refuses what phi_selmer(w) and quadratic_twist(w, d)
-    refuse, and raises ArithmeticError when an image's size is not Tate's."""
-    sel = phi_selmer(w)
+    the module docstring); gd is global_data(w).  Refuses what phi_selmer(w)
+    and quadratic_twist(w, d) refuse, and raises ArithmeticError when an
+    image's size is not Tate's."""
+    sel = _phi_selmer(w, gd)
     wd = quadratic_twist(w, d)
     (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)
-    bad, data = _descent_primes(w), _integral_data(wd)
+    ed, epd = _integral_tuple(wd), _dual_data(Ad, Bd)
     images = [LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(Ad, Bd), Bd))]
-    odd = {p for p in prime_divisors(d) + bad if p != 2 and kronecker_symbol(d % p, p) != 1}
+    odd = {p for p in prime_divisors(d) + list(gd.local_data) if p != 2 and kronecker_symbol(d % p, p) != 1}
     for ell in ([] if d % 8 == 1 else [2]) + sorted(odd):
-        if ell == 2 or ell in bad:
-            images.append(_finite_image(wd, *data, ell))
+        lr = tate_algorithm(*ed, ell)
+        if ell == 2 or ell in gd.local_data:
+            images.append(_finite_image(wd, lr, epd, ell))
             continue
-        img, size = _ramified_twist_image(A, B, d, ell), _image_size(wd, *data, ell)
+        img, size = _ramified_twist_image(A, B, d, ell), _image_size(wd, lr, epd, ell)
         if len(img) != size:
             raise ArithmeticError(f"{wd} at {ell}: closed form {sorted(img.elements)}, Tate predicts {size}")
         images.append(img)
@@ -464,7 +460,7 @@ def kramer_sha2_bound(w: WeierstrassModel, d: int) -> DescentCertificate:
     gd = global_data(w)
     check_heegner_field(gd, d)
     total, i_map = sum_local_norm_indices(w, d, gd)
-    dim_phi = everywhere_local_norm_dim(w, d)
+    dim_phi = everywhere_local_norm_dim(w, d, gd)
     lower = total + dim_phi - 3
     cert = DescentCertificate(
         curve=w,

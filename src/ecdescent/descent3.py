@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import padic_valuation, prime_divisors
 from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
-from .families import build_curve, z3_point
+from .families import build_curve, z3_normalize, z3_point
 from .isogeny import IsogenyRecord, _hadano_quotient
 from .tate import SPLIT, GlobalData, global_data, local_reduction
 from .weierstrass import WeierstrassModel, check_invariant, point_order
@@ -65,15 +65,17 @@ class CasselsLedger:
         }
 
 
-def cassels_ledger(a: int, d: int) -> CasselsLedger:
+def cassels_ledger(a: int, d: int, gd: GlobalData) -> CasselsLedger:
     """Selmer-size ledger for E: y^2 + axy + y = x^3 over K = Q(sqrt(d)).
 
-    Raises ThreeDividesTamagawa when 3 | C(E) (nothing to do), and
-    HypothesisFailure when d is inadmissible.
+    gd is the global_data of any model of E: only its model-free fields are
+    read (c_p, the bad primes, N and the scale), once gd.scale(E) has checked
+    that E is a model of that curve.  Raises ThreeDividesTamagawa when
+    3 | C(E) (nothing to do), and HypothesisFailure when d is inadmissible.
     """
     fp = z3_point(a, 1)
     E = build_curve(fp)
-    gd = global_data(E)
+    u = gd.scale(E)
     if gd.tamagawa_product % 3 == 0:
         raise ThreeDividesTamagawa(E, gd)
     try:
@@ -101,7 +103,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     torsion_ratio = 3
     check_invariant(point_order(E, (0, 0), 3) == 3, "a = {}: (0, 0) does not have order 3", a)
     # pullback_scale(rec) / 3, read off the scales of both sides
-    arch = gdp.scale(Ep) / (3 * gd.scale(E))
+    arch = gdp.scale(Ep) / (3 * u)
     check_invariant(arch in (Fraction(1), Fraction(1, 3)), "a = {}: archimedean factor {} is not 1 or 1/3", a, arch)
     sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):
@@ -157,16 +159,15 @@ def criterion_witnesses(a: int) -> tuple[list[int], list[int]]:
     when 27 | a^2+3a+9 the factor 3 is scaled away and witnesses nothing).
     Second list: primes p | (a-3) with p = 1 mod 3.
     """
-    from .families import z3_normalize
-
     b_eff = z3_normalize(a + 6, a * a + 3 * a + 9).params[1]
     divs = prime_divisors(b_eff) if b_eff > 1 else []
     near = [p for p in prime_divisors(a - 3) if p % 3 == 1] if a != 3 else []
     return divs, near
 
 
-def sha3_criterion(a: int, d: int) -> Sha3Certificate:
-    """Certify 3 | C or dim Sha(E/K)[3] >= 2 for E: y^2 + axy + y = x^3.
+def sha3_criterion(a: int, d: int, gd: GlobalData) -> Sha3Certificate:
+    """Certify 3 | C or dim Sha(E/K)[3] >= 2 for E: y^2 + axy + y = x^3,
+    given the global_data gd of a model of E, as cassels_ledger takes it.
 
     Route one: 3 | C directly.  Route two: two split places of K with
     Tamagawa number divisible by 3 on the quotient curve push
@@ -175,7 +176,7 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
     and leaves dim Sha[3] >= 2, hence 3 | sqrt(#Sha(E/K)).
     """
     try:
-        ledger = cassels_ledger(a, d)
+        ledger = cassels_ledger(a, d, gd)
     except ThreeDividesTamagawa as short:
         return Sha3Certificate(
             curve=short.curve,

@@ -24,6 +24,7 @@ from .arith import (
     padic_valuation,
     rational_sqrt,
     square_class,
+    squarefree_part,
 )
 from .polyutil import (
     exact_half,
@@ -200,7 +201,7 @@ def division_poly(w: WeierstrassModel, n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    b2, b4, b6, b8 = curve_invariants(w.ainvs)[:4]
+    b2, b4, b6, b8 = w.b2, w.b4, w.b6, w.b8
     F = [b6, 2 * b4, b2, 4]  # psi_2^2
     FF = poly_mul(F, F)
     cache: dict[int, list] = {
@@ -247,7 +248,7 @@ def division_poly(w: WeierstrassModel, n: int) -> list:
 
 def duplication_numerator(w: WeierstrassModel) -> list:
     """phi_2(x) = x^4 - b4 x^2 - 2 b6 x - b8; x(2P) = phi_2 / psi_2^2."""
-    _, b4, b6, b8 = curve_invariants(w.ainvs)[:4]
+    b4, b6, b8 = w.b4, w.b6, w.b8
     return [-b8, -2 * b6, -b4, 0, 1]
 
 
@@ -283,7 +284,7 @@ def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
     """#E(F_p) for an odd prime of good reduction on an integral model:
     p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6), the quadratic
     character read from a table of the squares mod p."""
-    b2, b4, b6 = (int(b) % p for b in (w.b2, w.b4, w.b6))
+    b2, b4, b6 = (b % p for b in (w.b2, w.b4, w.b6))
     chi = [-1] * p
     for y in range(1, p // 2 + 1):
         chi[y * y % p] = 1
@@ -293,7 +294,7 @@ def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
 
 def torsion_order_bound(w: WeierstrassModel) -> int:
     """gcd of #E(F_p) over up to eight good odd primes; a multiple of #tors."""
-    disc = int(w.discriminant)
+    disc = w.discriminant
     bound = 0
     count = 0
     p = 3
@@ -471,8 +472,6 @@ def torsion_growth(w: WeierstrassModel, d: int) -> GrowthReport:
     halving quadratics, so full rational 2-torsion contributes exactly
     the three factor discriminants.
     """
-    from .arith import squarefree_part
-
     if squarefree_part(d) != d:
         raise ValueError("d must be squarefree")
     two_polys = [w.two_division_poly(), division_poly(w, 4)]

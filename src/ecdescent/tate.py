@@ -298,10 +298,14 @@ class GlobalData:
         return sorted(p for p, lr in self.local_data.items() if lr.conductor_exponent > 0)
 
     def scale(self, w: WeierstrassModel) -> Fraction:
-        """|u| with disc(w) = u^12 disc_min: the scaling from w, a model of this curve, to the minimal model."""
-        roots = _rational_twelfth_roots(w.discriminant / self.delta_min)
+        """|u| with disc(w) = u^12 disc_min, c4(w) = u^4 c4_min and
+        c6(w) = u^6 c6_min: the scaling from w to the minimal model.  Raises
+        InvariantViolation when w is not a model of this curve."""
+        roots = _rational_twelfth_roots(Fraction(w.discriminant, self.delta_min))
         check_invariant(bool(roots), "{}: disc / disc_min is not a twelfth power", w)
-        return roots[0]
+        u, m = roots[0], self.minimal_model
+        check_invariant(w.c4 == u**4 * m.c4 and w.c6 == u**6 * m.c6, "{}: not a model of {} (c4, c6)", w, m)
+        return u
 
 
 def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:

@@ -497,8 +497,9 @@ def phi2_table(rep: Report):
     found = []
     for A in As:
         w = WeierstrassModel.from_ainvs([0, A, 0, -1, 0])
-        for d in heegner_field_scan(w, 150):
-            inter = phi_intersection(w, d)
+        gd = global_data(w)
+        for d in heegner_field_scan(w, 150, gd):
+            inter = phi_intersection(w, d, gd)
             if square_class(2) in inter and square_class(2) != selmer_kernel_class(w):
                 found.append([A, d])
                 break
@@ -662,11 +663,12 @@ def selmer_rows(rep: Report):
         if len(divs) < 2 and not near:
             continue
         E = build_curve(z3_point(a, 1))
-        if global_data(E).tamagawa_product % 3 == 0:
+        gd = global_data(E)
+        if gd.tamagawa_product % 3 == 0:
             continue
         try:
-            ds = [d for d in heegner_field_scan(E, 100) if d != -3]
-            cert = sha3_criterion(a, ds[0]) if ds else None
+            ds = [d for d in heegner_field_scan(E, 100, gd) if d != -3]
+            cert = sha3_criterion(a, ds[0], gd) if ds else None
         except Exception as exc:
             err = {"raised": type(exc).__name__, "message": str(exc)}
             rep.add(f"s9-sha-{a}", {"a": a}, err, "a Cassels certificate", "Selmer-ratio lower bound", False)

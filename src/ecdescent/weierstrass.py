@@ -60,35 +60,36 @@ class WeierstrassModel:
     # -- invariants ---------------------------------------------------------
 
     @cached_property
-    def _invariants(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, curve_invariants(self.ainvs)))
+    def _invariants(self) -> tuple[Rational, ...]:
+        """`curve_invariants` of the coefficients: ints on an integral model, else Fractions."""
+        return curve_invariants(self.ainvs)
 
     @property
-    def b2(self) -> Fraction:
+    def b2(self) -> Rational:
         return self._invariants[0]
 
     @property
-    def b4(self) -> Fraction:
+    def b4(self) -> Rational:
         return self._invariants[1]
 
     @property
-    def b6(self) -> Fraction:
+    def b6(self) -> Rational:
         return self._invariants[2]
 
     @property
-    def b8(self) -> Fraction:
+    def b8(self) -> Rational:
         return self._invariants[3]
 
     @property
-    def c4(self) -> Fraction:
+    def c4(self) -> Rational:
         return self._invariants[4]
 
     @property
-    def c6(self) -> Fraction:
+    def c6(self) -> Rational:
         return self._invariants[5]
 
     @property
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> Rational:
         return self._invariants[6]
 
     @property
@@ -115,7 +116,7 @@ class WeierstrassModel:
     def two_division_poly(self) -> list:
         """4x^3 + b2 x^2 + 2 b4 x + b6, whose roots are the 2-torsion x's;
         int coefficients on an integral model."""
-        b2, b4, b6 = curve_invariants(self.ainvs)[:3]
+        b2, b4, b6 = self._invariants[:3]
         return [b6, 2 * b4, b2, 4]
 
     def __str__(self) -> str:

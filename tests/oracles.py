@@ -287,7 +287,7 @@ def j_invariant(w: WeierstrassModel) -> Fraction:
     d = w.discriminant
     if d == 0:
         raise SingularModelError("j undefined: discriminant is zero")
-    return w.c4**3 / d
+    return Fraction(w.c4**3, d)
 
 
 def change_variables_reference(w: WeierstrassModel, c: CoordinateChange) -> WeierstrassModel:
@@ -329,7 +329,7 @@ def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[Coo
     """A change c taking w1 to w2, if one exists over Q."""
     if w1.is_singular or w2.is_singular:
         raise SingularModelError("isomorphism testing needs nonsingular models")
-    ratio = w1.discriminant / w2.discriminant
+    ratio = Fraction(w1.discriminant, w2.discriminant)
     # u^12 = disc1/disc2
     for u in _rational_twelfth_roots(ratio):
         s = (w2.a1 * u - w1.a1) / 2

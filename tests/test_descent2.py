@@ -6,7 +6,7 @@ from math import isqrt, prod
 
 import pytest
 
-from ecdescent import descent2
+from ecdescent import descent2, tate
 from ecdescent.arith import (
     OO,
     LocalSquareClassGroup,
@@ -23,7 +23,6 @@ from ecdescent.descent2 import (
     FullTwoTorsionError,
     InadmissibleField,
     check_heegner_field,
-    descent_places,
     dual_params,
     everywhere_local_norm_dim,
     field_discriminant,
@@ -49,6 +48,14 @@ def W(*a):
 def beta_even_curve(p, z):
     # y^2 = x^3 + (p^2z + 8) x^2 + 16 x, the working model for beta = p^2z
     return W(0, p ** (2 * z) + 8, 0, 16, 0)
+
+
+def descent_places(w):
+    """2, the primes of the numerators and denominators of B and B' = A^2 - 4B,
+    and infinity: the places of Sel^phi, read off the 2-torsion form."""
+    A, B = Fraction(w.a2), Fraction(w.a4)
+    Bp = A * A - 4 * B
+    return sorted({2, *prime_divisors(B.numerator * B.denominator * Bp.numerator * Bp.denominator)}) + [OO]
 
 
 def test_image_at_infinity_cases():
@@ -237,6 +244,40 @@ def test_heegner_scan_takes_global_data():
     assert heegner_field_scan(w, 150, global_data(w)) == heegner_field_scan(w, 150)
 
 
+def test_selmer_places_are_the_primes_of_global_data():
+    # disc = 16 B^2 B', so the primes of global_data(w) are the finite descent
+    # places, on integral models and on A'-odd models with an integral dual
+    odd_dual = [(a, b) for a in range(-25, 26, 2) for b in range(-25, 26) if b and a * a != 4 * b]
+    curves = [W(0, A, 0, B, 0) for A, B in _z2_box(12)]
+    curves += [W(0, Fraction(-a, 2), 0, Fraction(a * a - 4 * b, 16), 0) for a, b in random.Random(2024).sample(odd_dual, 200)]
+    for w in curves:
+        assert sorted(global_data(w).local_data) + [OO] == descent_places(w), w
+
+
+def test_kramer_runs_tate_on_E_only_inside_its_global_data(monkeypatch):
+    # E's local data comes from the one global_data: the Tate runs that
+    # descent2 makes itself are on the dual, the twist and the twist's dual
+    w = W(0, 1, 0, 3, 0)
+    d = heegner_field_scan(w, 300)[0]
+    real_tate, real_global = descent2.tate_algorithm, descent2.global_data
+    runs, gds = [], []
+
+    def tate_algorithm(a, invariants, p):
+        runs.append(tuple(a))
+        return real_tate(a, invariants, p)
+
+    def counted(v, *args):
+        gds.append(v)
+        return real_global(v, *args)
+
+    monkeypatch.setattr(descent2, "tate_algorithm", tate_algorithm)
+    monkeypatch.setattr(descent2, "global_data", counted)
+    kramer_sha2_bound(w, d)
+    assert gds == [w]
+    assert w.ainvs not in runs
+    assert {(0, -2, 0, -11, 0), quadratic_twist(w, d).ainvs} <= set(runs), runs
+
+
 def _miscount(real, curve, ell, tamagawa):
     # Tate's algorithm with one wrong Tamagawa number: c_ell of the integral
     # tuple of E, not of its dual [0, A', 0, B', 0]
@@ -265,7 +306,8 @@ def test_wrong_tamagawa_number_raises(monkeypatch):
     monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 11, 4))
     with pytest.raises(ArithmeticError):
         local_image(w, 11)
-    # phi_selmer reads the same images
+    # phi_selmer reads the same images, with c_11(E) from global_data
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 11, 4))
     with pytest.raises(ArithmeticError):
         phi_selmer(w)
 
@@ -311,8 +353,9 @@ def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
         "descent2.tate_algorithm = lambda a, inv, p: (\n"
         "    dataclasses.replace(real(a, inv, p), tamagawa=4) if (list(a), p) == ([0, -7, 0, 147, 0], 7) else real(a, inv, p)\n"
         ")\n"
+        "w = WeierstrassModel.from_ainvs([0, 1, 0, 3, 0])\n"
         "try:\n"
-        "    descent2.phi_intersection(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), -7)\n"
+        "    descent2.phi_intersection(w, -7, descent2.global_data(w))\n"
         "except ArithmeticError:\n"
         "    print('raised')\n"
     )
@@ -325,9 +368,10 @@ def test_norm_dim_of_a_non_group_raises_under_optimize(run_optimized):
         "from ecdescent import descent2\n"
         "from ecdescent.arith import SquareClass\n"
         "from ecdescent.weierstrass import WeierstrassModel\n"
-        "descent2.phi_intersection = lambda w, d: frozenset(map(SquareClass, (1, -1, 2)))\n"
+        "descent2.phi_intersection = lambda w, d, gd: frozenset(map(SquareClass, (1, -1, 2)))\n"
+        "w = WeierstrassModel.from_ainvs([0, 1, 0, 3, 0])\n"
         "try:\n"
-        "    descent2.everywhere_local_norm_dim(WeierstrassModel.from_ainvs([0, 1, 0, 3, 0]), -7)\n"
+        "    descent2.everywhere_local_norm_dim(w, -7, descent2.global_data(w))\n"
         "except ArithmeticError:\n"
         "    print('raised')\n"
     )
@@ -501,7 +545,7 @@ def test_kramer_certificate_beta_family():
         assert cert.dim_phi_lower >= 1, (p, cert.as_dict())
         assert cert.sha2_dim_lower >= 1
         assert cert.two_divides_sha_sqrt
-        inter = phi_intersection(w, -2)
+        inter = phi_intersection(w, -2, global_data(w))
         assert square_class(p) in inter
         done += 1
     assert done >= 2
@@ -512,12 +556,12 @@ def test_B_minus_one_A_2_mod_4_image_of_two():
     found = 0
     for A in [6, 10, 14, 18]:
         w = W(0, A, 0, -1, 0)
-        N = global_data(w).conductor
-        for d in heegner_field_scan(w, 120):
-            inter = phi_intersection(w, d)
+        gd = global_data(w)
+        for d in heegner_field_scan(w, 120, gd):
+            inter = phi_intersection(w, d, gd)
             g = selmer_kernel_class(w)
             if square_class(2) in inter and square_class(2) != g:
-                assert everywhere_local_norm_dim(w, d) >= 1
+                assert everywhere_local_norm_dim(w, d, gd) >= 1
                 found += 1
                 break
     assert found >= 2
@@ -563,13 +607,13 @@ def _branch_spy(monkeypatch):
         seen["B square"] += local_square_rep(B, ell) == 1
         return img
 
-    def scan(wd, e, ep, ell):
+    def scan(wd, lr, ep, ell):
         caller = sys._getframe(1)
         if caller.f_code.co_name == "phi_intersection":
             d = caller.f_locals["d"]
             key = "scan at 2" if ell == 2 else "scan at odd l | d" if d % ell == 0 else "scan at odd l, d nonsquare"
             seen[key] += 1
-        return real_scan(wd, e, ep, ell)
+        return real_scan(wd, lr, ep, ell)
 
     monkeypatch.setattr(descent2, "_ramified_twist_image", closed)
     monkeypatch.setattr(descent2, "_finite_image", scan)
@@ -583,8 +627,9 @@ def test_phi_intersection_matches_reference_on_every_d(monkeypatch):
     ds = [d for d in range(-1, -301, -1) if squarefree_part(d) == d]
     for A, B in random.Random(2018).sample(_z2_box(12), 16):
         w = W(0, A, 0, B, 0)
+        gd = global_data(w)
         for d in ds:
-            assert phi_intersection(w, d) == phi_intersection_reference(w, d), (A, B, d)
+            assert phi_intersection(w, d, gd) == phi_intersection_reference(w, d), (A, B, d)
     assert all(seen.values()), seen
 
 
@@ -598,8 +643,9 @@ def test_phi_intersection_matches_reference_on_heegner_fields(monkeypatch):
     curves += [W(0, Fraction(-a, 2), 0, Fraction(a * a - 4 * b, 16), 0) for a, b in rng.sample(odd_dual, 20)]
     pairs = 0
     for w in curves:
-        for d in heegner_field_scan(w, 300):
-            assert phi_intersection(w, d) == phi_intersection_reference(w, d), (w, d)
+        gd = global_data(w)
+        for d in heegner_field_scan(w, 300, gd):
+            assert phi_intersection(w, d, gd) == phi_intersection_reference(w, d), (w, d)
             pairs += 1
     assert pairs > 600 and seen["closed form"] and seen["B square"] and seen["scan at 2"], (pairs, seen)
 
@@ -625,17 +671,18 @@ def test_phi_intersection_checks_closed_form_against_tate(monkeypatch):
     real = descent2.tate_algorithm
     w, d = W(0, 1, 0, 3, 0), -7  # at 7: B = 3 and B' = -11 are nonsquares, image {1, 3}
     assert descent2._ramified_twist_image(Fraction(1), Fraction(3), d, 7).elements == {1, 3}
-    expect = phi_intersection(w, d)
+    gd = global_data(w)
+    expect = phi_intersection(w, d, gd)
     # c_7(E_d) = 4 makes Tate's size 2 * 2 / 4 = 1
     monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, quadratic_twist(w, d), 7, 4))
     with pytest.raises(ArithmeticError, match="Tate predicts 1"):
-        phi_intersection(w, d)
+        phi_intersection(w, d, gd)
     # c_7(E_d) = 3 gives no image size at all
     monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, quadratic_twist(w, d), 7, 3))
     with pytest.raises(ArithmeticError, match="is not an image size"):
-        phi_intersection(w, d)
+        phi_intersection(w, d, gd)
     monkeypatch.setattr(descent2, "tate_algorithm", real)
-    assert phi_intersection(w, d) == expect
+    assert phi_intersection(w, d, gd) == expect
 
 
 def test_phi_intersection_refuses_as_the_reference_does():
@@ -649,7 +696,7 @@ def test_phi_intersection_refuses_as_the_reference_does():
     ]
     for w, d in cases:
         raised = []
-        for route in (phi_intersection, phi_intersection_reference):
+        for route in (lambda w, d: phi_intersection(w, d, global_data(w)), phi_intersection_reference):
             with pytest.raises(ValueError) as exc:
                 route(w, d)
             raised.append(type(exc.value))

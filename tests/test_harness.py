@@ -107,11 +107,11 @@ def test_verify_section_9_records_a_failed_heegner_scan(monkeypatch):
 
     real, calls = verify.heegner_field_scan, []
 
-    def fail_once(w, bound):
+    def fail_once(w, bound, gd):
         calls.append(bound)
         if len(calls) == 1:
             raise ZeroDivisionError("scan failed")
-        return real(w, bound)
+        return real(w, bound, gd)
 
     monkeypatch.setattr(verify, "heegner_field_scan", fail_once)
     rep = verify_section(9, bound=10)
@@ -170,6 +170,27 @@ def test_audit_transfer_route(monkeypatch):
 def test_audit_cassels_route():
     cert = main_theorem_audit(build_curve(z3_point(10, 1)))
     assert cert.holds and cert.route == "cassels"
+
+
+def test_audit_cassels_route_computes_each_curve_once(monkeypatch):
+    # one global_data on the audited curve, which the ledger reads too, and
+    # one on the quotient
+    from ecdescent import descent3
+
+    calls = []
+
+    def counted(w, *args):
+        calls.append(w)
+        return global_data(w, *args)
+
+    monkeypatch.setattr(audit, "global_data", counted)
+    monkeypatch.setattr(descent3, "global_data", counted)
+    for w in (build_curve(z3_point(10, 1)), change_variables(build_curve(z3_point(10, 1)), CoordinateChange.of(Fraction(1, 2), 1))):
+        calls.clear()
+        cert = main_theorem_audit(w)
+        assert cert.holds and cert.route == "cassels"
+        (ledger,) = [step["ledger"] for step in cert.evidence if step["step"] == "sha3"]
+        assert [str(v) for v in calls] == [str(w), ledger["quotient"]]
 
 
 def _audited_torsion(fp):

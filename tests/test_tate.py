@@ -28,6 +28,7 @@ from ecdescent.weierstrass import (
     WeierstrassModel,
     change_variables,
     curve_invariants,
+    quadratic_twist,
 )
 from oracles import change_variables_reference, multiplicative_reduction_reference
 
@@ -252,6 +253,20 @@ def test_scale_reads_u_off_the_discriminant():
         global_data(W(0, 0, 0, -1, 0)).scale(W(0, 0, 0, -4, 0))
     with pytest.raises(InvariantViolation, match="twelfth power"):
         gd.scale(W(0, 0, 1, -1, 0))
+
+
+def test_scale_refuses_a_twist_with_the_same_discriminant():
+    # E and its twist by -1 share disc = -1584 (so u = 1 is a twelfth root)
+    # but not c6, and their conductors are 132 and 528
+    w = W(0, 1, 0, 3, 0)
+    tw = quadratic_twist(w, -1)
+    assert tw.discriminant == w.discriminant == -1584
+    assert (global_data(w).conductor, global_data(tw).conductor) == (132, 528)
+    assert global_data(w).scale(w) == global_data(tw).scale(tw) == 1
+    with pytest.raises(InvariantViolation, match="not a model"):
+        global_data(w).scale(tw)
+    with pytest.raises(InvariantViolation, match="not a model"):
+        global_data(tw).scale(w)
 
 
 def test_minimal_model_reduced_form():
