@@ -11,15 +11,14 @@ from ecdescent import build_curve, cassels_ledger, global_data, sha3_criterion, 
 
 a, d = 10, -10
 E = build_curve(z3_point(a, 1))
-gd = global_data(E)
-print("E =", E, " N =", gd.conductor)
+print("E =", E, " N =", global_data(E).conductor)
 
-led = cassels_ledger(a, d, gd)
+led = cassels_ledger(a, d)
 print("\nledger over Q(sqrt(-10)):")
 for key, val in led.as_dict().items():
     print(f"  {key}: {val}")
 
-cert = sha3_criterion(a, d, gd)
+cert = sha3_criterion(a, d)
 print("\ncertificate:", cert.conclusion, "with dim Sha[3] >=", cert.sha3_dim_lower)
 print("witness Tamagawa numbers on the quotient:", cert.witnesses)
 
@@ -27,8 +26,8 @@ print("witness Tamagawa numbers on the quotient:", cert.witnesses)
 for aa in range(2, 40):
     if aa == 3:
         continue
-    gd = global_data(build_curve(z3_point(aa, 1)))
-    if gd.tamagawa_product % 3 == 0:
-        cert = sha3_criterion(aa, -7, gd)
+    E = build_curve(z3_point(aa, 1))
+    if global_data(E).tamagawa_product % 3 == 0:
+        cert = sha3_criterion(aa, -7)
         print(f"\na = {aa}: {cert.conclusion} (route {cert.route})")
         break

@@ -191,7 +191,7 @@ def _audit_with_d(gd: GlobalData, tg: TorsionGroup, d: int | None) -> AuditCerti
             cert.evidence.append({"step": "note", "why": "b != 1 yet 3 does not divide C"})
             return cert
         try:
-            scert = sha3_criterion(a3, d, gd)
+            scert = sha3_criterion(a3, d)
             cert.evidence.append({"step": "sha3", **scert.as_dict()})
             cert.route, cert.holds = "cassels", True
             cert.hypotheses += scert.hypotheses

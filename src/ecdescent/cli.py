@@ -162,7 +162,7 @@ def cmd_descent(args):
 
 def cmd_descent3(args):
     try:
-        cert = sha3_criterion(args.a, args.disc, global_data(build_curve(z3_point(args.a, 1))))
+        cert = sha3_criterion(args.a, args.disc)
     except (HypothesisFailure, SingularParameterError) as exc:
         raise Refusal(str(exc)) from None
     _emit(cert.as_dict())

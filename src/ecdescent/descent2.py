@@ -22,15 +22,18 @@ by evaluating 2^6 F(X) and 2^4 F'(X), whose valuations are shifted back by 6
 and 4.  The tests judge the scan by a brute-force torsor enumeration.
 
 phi_selmer takes its places and E's local reductions from the curve's one
-global_data: disc = 16 B^2 B' on y^2 = x^3 + Ax^2 + Bx, so the primes of
-disc(w)'s integral model are 2 and those of the numerators and denominators
-of B and B', and Tate's algorithm runs only on the integral dual there.  It
-finds Sel^phi as the kernel of an F_2-linear map on the generators -1 and
-the finite places, in the arith.local_class coordinates that every local
-image stores, so the work grows with their number, not 2 to its power.
+global_data.  The descent needs the dual [0, -2A, 0, A^2 - 4B, 0] integral,
+so only 2 divides the denominators of A and B, and an integral model of w
+differs from w only at 2; as disc = 16 B^2 B', the primes of its
+discriminant are 2 and the odd primes of B and B', the finite descent
+places.  Tate's algorithm runs there only on the integral dual.  It finds
+Sel^phi as the kernel of an F_2-linear map on the generators -1 and the
+finite places, in the arith.local_class coordinates that every local image
+stores, so the work grows with their number, not 2 to its power.
 The places and minimal_scale_exp of a GlobalData belong to the model it was
-computed for, so the functions here that take one (phi_intersection,
-everywhere_local_norm_dim, local_norm_index) take global_data(w) of w itself.
+computed for, so the functions here that take one take global_data(w) of w
+itself; phi_intersection, and so everywhere_local_norm_dim, checks that gd
+is of w's curve and that its primes cover the places of w.
 
 phi_intersection builds no Selmer group of the twist E_d: it keeps the
 classes of Sel^phi(E) that lie in the image of E_d where the two images can
@@ -67,10 +70,11 @@ from .arith import (
     squarefree_part,
 )
 from .polyutil import _fp_sqrt
-from .tate import GlobalData, _integral_tuple, global_data, tate_algorithm
+from .tate import GlobalData, _integral_tuple, global_data, local_reduction, tate_algorithm
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
+    check_invariant,
     curve_invariants,
     quadratic_twist,
     two_torsion_form,
@@ -97,13 +101,12 @@ def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
     if place == OO or place is None:
         return _local_images(w, {})[OO]
     ell = int(place)
-    return _local_images(w, {ell: tate_algorithm(*_integral_tuple(w), ell)})[ell]
+    return _local_images(w, {ell: local_reduction(w, ell)})[ell]
 
 
 def _local_images(w: WeierstrassModel, local_data: dict) -> dict:
-    """Local images at infinity and at each prime of `local_data`, E's LocalReduction
-    there by prime, from the curve's data read once: (A, B), disc(w), and the
-    integral dual [0, A', 0, B', 0] with its curve invariants."""
+    """Local images at infinity and at each prime of `local_data` (E's LocalReduction
+    by prime), from (A, B), disc(w) and the integral dual [0, A', 0, B', 0], each read once."""
     A, B = two_torsion_form(w)
     if w.is_singular:
         raise SingularModelError("descent needs a nonsingular curve")
@@ -265,8 +268,7 @@ def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
 
 
 def _phi_selmer(w: WeierstrassModel, gd: GlobalData) -> SelmerGroup2:
-    # gd is global_data(w): its primes are the finite descent places (see the
-    # module docstring), and its local data is E's at each of them
+    # gd is global_data(w): its primes are the finite places (see the module docstring)
     gens = [-1] + sorted(gd.local_data)
     rows = []
     for place, img in _local_images(w, gd.local_data).items():
@@ -301,8 +303,7 @@ def selmer_kernel_class(w: WeierstrassModel) -> SquareClass:
 
 def everywhere_local_norm_dim(w: WeierstrassModel, d: int, gd: GlobalData) -> int:
     """Lower bound for dim_F2 of the everywhere-local norm group:
-    dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>;
-    gd is global_data(w)."""
+    dim of (Sel^phi(E) intersect Sel^phi(E_d)) modulo <class(A^2-4B)>; gd is global_data(w)."""
     inter = phi_intersection(w, d, gd)
     n = len(inter)
     if not n or n & (n - 1):
@@ -313,11 +314,14 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int, gd: GlobalData) -> in
 
 
 def phi_intersection(w: WeierstrassModel, d: int, gd: GlobalData) -> frozenset:
-    """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d,
-    from Sel^phi(E) and the images of E_d where they can differ from E's (see
-    the module docstring); gd is global_data(w).  Refuses what phi_selmer(w)
-    and quadratic_twist(w, d) refuse, and raises ArithmeticError when an
-    image's size is not Tate's."""
+    """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d, from
+    Sel^phi(E) and the images of E_d where they can differ from E's (see the
+    module docstring).  gd is global_data(w): InvariantViolation when it is of
+    another curve or misses a place of w.  Refuses what phi_selmer(w) and
+    quadratic_twist(w, d) refuse; ArithmeticError when an image's size is not Tate's."""
+    gd.scale(w)
+    disc = abs(_integral_tuple(w)[1][6])  # a prime p | disc has v_p(disc) < its bit length
+    check_invariant(pow(prod(gd.local_data), disc.bit_length(), disc) == 0, "{}: gd misses a place of this model", w)
     sel = _phi_selmer(w, gd)
     wd = quadratic_twist(w, d)
     (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)

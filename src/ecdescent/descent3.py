@@ -65,17 +65,15 @@ class CasselsLedger:
         }
 
 
-def cassels_ledger(a: int, d: int, gd: GlobalData) -> CasselsLedger:
+def cassels_ledger(a: int, d: int) -> CasselsLedger:
     """Selmer-size ledger for E: y^2 + axy + y = x^3 over K = Q(sqrt(d)).
 
-    gd is the global_data of any model of E: only its model-free fields are
-    read (c_p, the bad primes, N and the scale), once gd.scale(E) has checked
-    that E is a model of that curve.  Raises ThreeDividesTamagawa when
-    3 | C(E) (nothing to do), and HypothesisFailure when d is inadmissible.
+    Raises ThreeDividesTamagawa when 3 | C(E) (nothing to do), and
+    HypothesisFailure when d is inadmissible.
     """
     fp = z3_point(a, 1)
     E = build_curve(fp)
-    u = gd.scale(E)
+    gd = global_data(E)
     if gd.tamagawa_product % 3 == 0:
         raise ThreeDividesTamagawa(E, gd)
     try:
@@ -103,7 +101,7 @@ def cassels_ledger(a: int, d: int, gd: GlobalData) -> CasselsLedger:
     torsion_ratio = 3
     check_invariant(point_order(E, (0, 0), 3) == 3, "a = {}: (0, 0) does not have order 3", a)
     # pullback_scale(rec) / 3, read off the scales of both sides
-    arch = gdp.scale(Ep) / (3 * u)
+    arch = gdp.scale(Ep) / (3 * gd.scale(E))
     check_invariant(arch in (Fraction(1), Fraction(1, 3)), "a = {}: archimedean factor {} is not 1 or 1/3", a, arch)
     sel_lower = padic_valuation(torsion_ratio, 3) + (ord3_target - ord3_source)
     if arch == Fraction(1, 3):
@@ -165,9 +163,8 @@ def criterion_witnesses(a: int) -> tuple[list[int], list[int]]:
     return divs, near
 
 
-def sha3_criterion(a: int, d: int, gd: GlobalData) -> Sha3Certificate:
-    """Certify 3 | C or dim Sha(E/K)[3] >= 2 for E: y^2 + axy + y = x^3,
-    given the global_data gd of a model of E, as cassels_ledger takes it.
+def sha3_criterion(a: int, d: int) -> Sha3Certificate:
+    """Certify 3 | C or dim Sha(E/K)[3] >= 2 for E: y^2 + axy + y = x^3.
 
     Route one: 3 | C directly.  Route two: two split places of K with
     Tamagawa number divisible by 3 on the quotient curve push
@@ -176,7 +173,7 @@ def sha3_criterion(a: int, d: int, gd: GlobalData) -> Sha3Certificate:
     and leaves dim Sha[3] >= 2, hence 3 | sqrt(#Sha(E/K)).
     """
     try:
-        ledger = cassels_ledger(a, d, gd)
+        ledger = cassels_ledger(a, d)
     except ThreeDividesTamagawa as short:
         return Sha3Certificate(
             curve=short.curve,

@@ -298,9 +298,8 @@ class GlobalData:
         return sorted(p for p, lr in self.local_data.items() if lr.conductor_exponent > 0)
 
     def scale(self, w: WeierstrassModel) -> Fraction:
-        """|u| with disc(w) = u^12 disc_min, c4(w) = u^4 c4_min and
-        c6(w) = u^6 c6_min: the scaling from w to the minimal model.  Raises
-        InvariantViolation when w is not a model of this curve."""
+        """|u| with disc(w) = u^12 disc_min, c4(w) = u^4 c4_min and c6(w) = u^6 c6_min: the
+        scaling from w to the minimal model; InvariantViolation when w is not a model of this curve."""
         roots = _rational_twelfth_roots(Fraction(w.discriminant, self.delta_min))
         check_invariant(bool(roots), "{}: disc / disc_min is not a twelfth power", w)
         u, m = roots[0], self.minimal_model

@@ -668,7 +668,7 @@ def selmer_rows(rep: Report):
             continue
         try:
             ds = [d for d in heegner_field_scan(E, 100, gd) if d != -3]
-            cert = sha3_criterion(a, ds[0], gd) if ds else None
+            cert = sha3_criterion(a, ds[0]) if ds else None
         except Exception as exc:
             err = {"raised": type(exc).__name__, "message": str(exc)}
             rep.add(f"s9-sha-{a}", {"a": a}, err, "a Cassels certificate", "Selmer-ratio lower bound", False)

@@ -37,7 +37,7 @@ from ecdescent.descent2 import (
     sum_local_norm_indices,
 )
 from ecdescent.tate import global_data
-from ecdescent.weierstrass import SingularModelError, WeierstrassModel, quadratic_twist
+from ecdescent.weierstrass import InvariantViolation, SingularModelError, WeierstrassModel, quadratic_twist
 from oracles import local_image_bruteforce, splits_in_oracle
 
 
@@ -252,6 +252,24 @@ def test_selmer_places_are_the_primes_of_global_data():
     curves += [W(0, Fraction(-a, 2), 0, Fraction(a * a - 4 * b, 16), 0) for a, b in random.Random(2024).sample(odd_dual, 200)]
     for w in curves:
         assert sorted(global_data(w).local_data) + [OO] == descent_places(w), w
+    # an integral dual leaves only powers of 2 in the denominators of A and B;
+    # a model with 3 in them has no integral dual and is refused
+    with pytest.raises(ValueError, match="integral"):
+        phi_selmer(W(0, Fraction(1, 9), 0, Fraction(2, 81), 0))
+
+
+def test_phi_intersection_refuses_global_data_of_another_model():
+    # 15a1 with its 2-torsion point at (0, 0): the minimal model's global_data
+    # lacks the place 2 (disc_min = 3^4 5^4), and the twist by -1 is another curve
+    w = W(0, -7, 0, -144, 0)
+    gd = global_data(w)
+    d = heegner_field_scan(w, 100)[0]
+    assert sorted(gd.local_data) == [2, 3, 5] and phi_intersection(w, d, gd)
+    for other in (global_data(gd.minimal_model), global_data(quadratic_twist(w, -1))):
+        with pytest.raises(InvariantViolation):
+            phi_intersection(w, d, other)
+        with pytest.raises(InvariantViolation):
+            everywhere_local_norm_dim(w, d, other)
 
 
 def test_kramer_runs_tate_on_E_only_inside_its_global_data(monkeypatch):
@@ -271,6 +289,7 @@ def test_kramer_runs_tate_on_E_only_inside_its_global_data(monkeypatch):
         return real_global(v, *args)
 
     monkeypatch.setattr(descent2, "tate_algorithm", tate_algorithm)
+    monkeypatch.setattr(descent2, "local_reduction", lambda v, p: runs.append(v.ainvs) or tate.local_reduction(v, p))
     monkeypatch.setattr(descent2, "global_data", counted)
     kramer_sha2_bound(w, d)
     assert gds == [w]
@@ -295,19 +314,18 @@ def test_wrong_tamagawa_number_raises(monkeypatch):
     w = W(0, 1, 0, 3, 0)  # image {1} at 3: c_3(E) = 2, c_3(E') = 1
     assert local_image(w, 3).elements == {1}
     # ratio 2 * 1 / 3 is no image size
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 3, 3))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 3, 3))
     with pytest.raises(ArithmeticError):
         local_image(w, 3)
     # ratio 2 * 1 / 1 = 2, but the scan finds a single class
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 3, 1))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 3, 1))
     with pytest.raises(ArithmeticError):
         local_image(w, 3)
     # ratio 2 * 2 / 4 = 1 at 11, but the class of B' = -11 is nontrivial there
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 11, 4))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 11, 4))
     with pytest.raises(ArithmeticError):
         local_image(w, 11)
     # phi_selmer reads the same images, with c_11(E) from global_data
-    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 11, 4))
     with pytest.raises(ArithmeticError):
         phi_selmer(w)
 
@@ -317,18 +335,18 @@ def test_wrong_tamagawa_number_raises_at_2(monkeypatch):
     w = W(0, 1, 0, 3, 0)  # image {1, 5} at 2: c_2(E) = c_2(E') = 1
     assert local_image(w, 2).elements == {1, 5}
     # ratio 2 * 1 / 3 is no image size
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 3))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 2, 3))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
     # ratio 2 * 1 / 2 = 1, but the class of B' = -11 is 5 at 2
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 2))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 2, 2))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
     # image {1} at 2 with c_2(E) = 4, c_2(E') = 2; ratio 2 * 2 / 2 = 2, but the
     # scan finds a single class
     w = W(0, 5, 0, 4, 0)
     assert local_image(w, 2).elements == {1}
-    monkeypatch.setattr(descent2, "tate_algorithm", _miscount(real, w, 2, 2))
+    monkeypatch.setattr(tate, "tate_algorithm", _miscount(real, w, 2, 2))
     with pytest.raises(ArithmeticError):
         local_image(w, 2)
 
@@ -338,17 +356,18 @@ def test_tamagawa_mismatch_raises_under_optimize(run_optimized):
     # a wrong c_7 on a twist where phi_intersection uses the closed form
     script = (
         "import dataclasses\n"
-        "from ecdescent import descent2\n"
+        "from ecdescent import descent2, tate\n"
         "from ecdescent.weierstrass import WeierstrassModel\n"
         "real = descent2.tate_algorithm\n"
         "for ainvs, ell in [([0, 1, 0, 3, 0], 3), ([0, 5, 0, 4, 0], 2)]:\n"
-        "    descent2.tate_algorithm = lambda a, inv, p: (\n"
+        "    tate.tate_algorithm = lambda a, inv, p: (\n"
         "        dataclasses.replace(real(a, inv, p), tamagawa=1) if list(a) == ainvs else real(a, inv, p)\n"
         "    )\n"
         "    try:\n"
         "        descent2.local_image(WeierstrassModel.from_ainvs(ainvs), ell)\n"
         "    except ArithmeticError:\n"
         "        print('raised')\n"
+        "tate.tate_algorithm = real\n"
         "# c_7 = 4 on the twist by -7, against the closed form's two classes at 7\n"
         "descent2.tate_algorithm = lambda a, inv, p: (\n"
         "    dataclasses.replace(real(a, inv, p), tamagawa=4) if (list(a), p) == ([0, -7, 0, 147, 0], 7) else real(a, inv, p)\n"

@@ -15,16 +15,11 @@ from ecdescent.descent3 import (
 from ecdescent.families import build_curve, z3_point
 from ecdescent.isogeny import hadano_quotient, pullback_scale
 from ecdescent.tate import global_data, local_reduction
-from ecdescent.weierstrass import CoordinateChange, InvariantViolation, WeierstrassModel, change_variables
+from ecdescent.weierstrass import WeierstrassModel
 
 
 def W(*a):
     return WeierstrassModel.from_ainvs(a)
-
-
-def gd_of(a):
-    """global_data of y^2 + axy + y = x^3, as the ledger's callers hold it."""
-    return global_data(build_curve(z3_point(a, 1)))
 
 
 def find_heegner_d(a, bound=200):
@@ -41,21 +36,18 @@ def test_ledger_torsion_ratio_and_arch():
     a = 1
     d = find_heegner_d(a)
     assert d is not None
-    led = cassels_ledger(a, d, gd_of(a))
+    led = cassels_ledger(a, d)
     assert led.torsion_ratio == 3
     assert led.archimedean_factor in (Fraction(1), Fraction(1, 3))
     # the factor read off the two global data is pullback_scale / 3
     seen = set()
     for a in range(-60, 61):
-        if a == 3:
-            continue
-        gd = gd_of(a)
-        if gd.tamagawa_product % 3 == 0:
+        if a == 3 or global_data(build_curve(z3_point(a, 1))).tamagawa_product % 3 == 0:
             continue
         d = find_heegner_d(a, 300)
         if d is None:
             continue
-        arch = cassels_ledger(a, d, gd).archimedean_factor
+        arch = cassels_ledger(a, d).archimedean_factor
         assert arch == Fraction(pullback_scale(hadano_quotient(a, 1)), 3), a
         seen.add(arch)
     assert seen == {Fraction(1), Fraction(1, 3)}
@@ -74,7 +66,7 @@ def test_ledger_two_witness_bound():
         if d is None:
             continue
         try:
-            led = cassels_ledger(a, d, gd_of(a))
+            led = cassels_ledger(a, d)
         except ThreeDividesTamagawa:
             continue
         assert led.sel_phi_dim_lower >= 4, (a, d, led.as_dict())
@@ -99,7 +91,7 @@ def test_sha3_certificate_cassels_route():
         if d is None:
             continue
         try:
-            cert = sha3_criterion(a, d, gd_of(a))
+            cert = sha3_criterion(a, d)
         except (HypothesisFailure, ThreeDividesTamagawa):
             continue
         if cert.route != "cassels":
@@ -125,7 +117,7 @@ def test_sha3_short_circuit_tamagawa():
             hit = a
             break
     assert hit is not None
-    cert = sha3_criterion(hit, -7, gd_of(hit))
+    cert = sha3_criterion(hit, -7)
     assert cert.route == "tamagawa"
     assert cert.conclusion == "3 | C"
     assert cert.witnesses
@@ -137,32 +129,16 @@ def test_sha3_refusals():
     divs, near = criterion_witnesses(a)
     if len(divs) < 2 and not near:
         with pytest.raises(HypothesisFailure, match="prime power"):
-            sha3_criterion(a, d, gd_of(a))
+            sha3_criterion(a, d)
 
 
 def test_sha3_rejects_minus_three():
     for a in [2, 5]:
-        gd = gd_of(a)
-        if gd.tamagawa_product % 3 == 0:
+        E = build_curve(z3_point(a, 1))
+        if global_data(E).tamagawa_product % 3 == 0:
             continue
         with pytest.raises(HypothesisFailure, match="u_K"):
-            cassels_ledger(a, -3, gd)
-
-
-def test_ledger_reads_global_data_of_any_model_of_its_curve():
-    # the minimal model and a rescaled model give the ledger that E's own
-    # global_data gives; the global_data of another curve is refused before
-    # its Tamagawa product is read (3 | C for a = 12)
-    a, d = 10, -10
-    E = build_curve(z3_point(a, 1))
-    expect = cassels_ledger(a, d, global_data(E)).as_dict()
-    for model in (global_data(E).minimal_model, change_variables(E, CoordinateChange.of(Fraction(1, 6), 1, 2, 3))):
-        assert cassels_ledger(a, d, global_data(model)).as_dict() == expect
-    for other in (gd_of(12), gd_of(17)):
-        with pytest.raises(InvariantViolation):
-            cassels_ledger(a, d, other)
-        with pytest.raises(InvariantViolation):
-            sha3_criterion(a, d, other)
+            cassels_ledger(a, -3)
 
 
 def test_tamagawa_of_quotient_has_split_witness():
@@ -194,7 +170,7 @@ def test_witness_checks_hold_under_optimize(run_optimized):
         "real = descent3.local_reduction\n"
         "descent3.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
         "try:\n"
-        "    descent3.sha3_criterion(10, -10, descent3.global_data(descent3.build_curve(descent3.z3_point(10, 1))))\n"
+        "    descent3.sha3_criterion(10, -10)\n"
         "except InvariantViolation:\n"
         "    print('raised')\n"
     )

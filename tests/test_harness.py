@@ -172,27 +172,6 @@ def test_audit_cassels_route():
     assert cert.holds and cert.route == "cassels"
 
 
-def test_audit_cassels_route_computes_each_curve_once(monkeypatch):
-    # one global_data on the audited curve, which the ledger reads too, and
-    # one on the quotient
-    from ecdescent import descent3
-
-    calls = []
-
-    def counted(w, *args):
-        calls.append(w)
-        return global_data(w, *args)
-
-    monkeypatch.setattr(audit, "global_data", counted)
-    monkeypatch.setattr(descent3, "global_data", counted)
-    for w in (build_curve(z3_point(10, 1)), change_variables(build_curve(z3_point(10, 1)), CoordinateChange.of(Fraction(1, 2), 1))):
-        calls.clear()
-        cert = main_theorem_audit(w)
-        assert cert.holds and cert.route == "cassels"
-        (ledger,) = [step["ledger"] for step in cert.evidence if step["step"] == "sha3"]
-        assert [str(v) for v in calls] == [str(w), ledger["quotient"]]
-
-
 def _audited_torsion(fp):
     """The torsion group the audit routes on: that of the minimal model."""
     return torsion_subgroup(global_data(build_curve(fp)).minimal_model)
