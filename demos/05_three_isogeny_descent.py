@@ -28,6 +28,6 @@ for aa in range(2, 40):
         continue
     E = build_curve(z3_point(aa, 1))
     if global_data(E).tamagawa_product % 3 == 0:
-        cert = sha3_criterion(aa, -7)
+        cert = sha3_criterion(aa, -5)
         print(f"\na = {aa}: {cert.conclusion} (route {cert.route})")
         break

@@ -17,7 +17,7 @@ from .arith import padic_valuation, prime_divisors
 from .descent2 import InadmissibleField, check_heegner_field, field_discriminant, splits_in
 from .families import build_curve, z3_normalize, z3_point
 from .isogeny import IsogenyRecord, _hadano_quotient
-from .tate import SPLIT, GlobalData, global_data, local_reduction
+from .tate import SPLIT, GlobalData, global_data
 from .weierstrass import WeierstrassModel, check_invariant, point_order
 
 
@@ -49,6 +49,7 @@ class CasselsLedger:
     ord3_source_over_K: int
     witnesses: dict  # prime -> ord_3 C'_p over Q
     sel_phi_dim_lower: int
+    quotient_data: GlobalData  # global_data(quotient), whose c_p the witnesses read
     hypotheses: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -68,21 +69,22 @@ class CasselsLedger:
 def cassels_ledger(a: int, d: int) -> CasselsLedger:
     """Selmer-size ledger for E: y^2 + axy + y = x^3 over K = Q(sqrt(d)).
 
-    Raises ThreeDividesTamagawa when 3 | C(E) (nothing to do), and
-    HypothesisFailure when d is inadmissible.
+    Raises HypothesisFailure when d is inadmissible, and then
+    ThreeDividesTamagawa when 3 | C(E) (nothing to do); d = -3 is refused
+    only past that point, where the torsion ratio needs it.
     """
     fp = z3_point(a, 1)
     E = build_curve(fp)
     gd = global_data(E)
-    if gd.tamagawa_product % 3 == 0:
-        raise ThreeDividesTamagawa(E, gd)
     try:
         field_discriminant(d)
-        if d == -3:
+        if d == -3 and gd.tamagawa_product % 3:
             raise HypothesisFailure("d = -3 has u_K = 3; the torsion ratio argument needs u_K != 3")
         check_heegner_field(gd, d)
     except InadmissibleField as exc:
         raise HypothesisFailure(str(exc)) from exc
+    if gd.tamagawa_product % 3 == 0:
+        raise ThreeDividesTamagawa(E, gd)
     rec = _hadano_quotient(fp)
     check_invariant(isinstance(rec, IsogenyRecord), "a = {}: no 3-isogeny quotient", a)
     Ep = rec.target
@@ -116,6 +118,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
         ord3_source_over_K=ord3_source,
         witnesses=witnesses,
         sel_phi_dim_lower=sel_lower,
+        quotient_data=gdp,
         hypotheses=[
             f"K = Q(sqrt({d})) satisfies the Heegner condition",
             "E'(K)[dual] = 0 since d != -3",
@@ -198,17 +201,13 @@ def sha3_criterion(a: int, d: int) -> Sha3Certificate:
             "prime power (or trivial) and no prime p = 1 mod 3 divides a-3; "
             "these parameters are settled through the optimal-curve route instead"
         )
-    Ep = ledger.quotient
-    confirmed = {}
-    if cond_i:
-        for p in divs[:2]:
-            confirmed[p] = local_reduction(Ep, p).tamagawa
-    else:
-        p = near[0]
-        lr = local_reduction(Ep, p)
-        check_invariant(lr.kind == SPLIT and lr.v_min % 3 == 0, "a = {}: the quotient at {} is not split I_3k", a, p)
-        q = next(q for q in divs if q != p)
-        confirmed[p], confirmed[q] = lr.tamagawa, local_reduction(Ep, q).tamagawa
+    local = ledger.quotient_data.local_data
+    primes = divs[:2] if cond_i else [near[0], next(q for q in divs if q != near[0])]
+    check_invariant(set(primes) <= set(local), "a = {}: the quotient's local data misses a witness prime in {}", a, primes)
+    if not cond_i:
+        lr = local[near[0]]
+        check_invariant(lr.kind == SPLIT and lr.v_min % 3 == 0, "a = {}: the quotient at {} is not split I_3k", a, near[0])
+    confirmed = {p: local[p].tamagawa for p in primes}
     check_invariant(all(c % 3 == 0 for c in confirmed.values()), "a = {}: a witness c_p in {} is prime to 3", a, confirmed)
     check_invariant(ledger.sel_phi_dim_lower >= 4, "a = {}, d = {}: Selmer lower bound below 4", a, d)
     # Sel^phi embeds in Sel^3 (the dual kernel has no K-point), and rank 1

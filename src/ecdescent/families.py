@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .arith import (
     factorize,
     is_prime,
     is_square,
-    padic_valuation,
     rational_sqrt,
     square_class,
     squarefree_part,
@@ -29,10 +27,10 @@ from .arith import (
 from .polyutil import (
     exact_half,
     poly_add,
+    poly_eval,
     poly_mul,
     poly_scale,
     poly_sqrt_monic_quartic,
-    quadratic_rational_factors,
     rational_roots,
 )
 from .weierstrass import (
@@ -63,16 +61,6 @@ Z3 = "z3"
 
 FAMILIES = (Z2Z4, Z4, Z2Z2, Z2, Z2Z6, Z3)
 
-#: Advertised generic torsion structure of each family.
-ADVERTISED = {
-    Z2Z4: (2, 4),
-    Z4: (1, 4),
-    Z2Z2: (2, 2),
-    Z2: (1, 2),
-    Z2Z6: (2, 6),
-    Z3: (1, 3),
-}
-
 
 @dataclass(frozen=True)
 class FamilyPoint:
@@ -99,19 +87,22 @@ def z4_point(beta: int) -> FamilyPoint:
     return FamilyPoint(Z4, (beta,))
 
 
+def _common_primes(a: int, b: int) -> list[int]:
+    """The primes dividing both a and b: those of gcd(a, b), which is |b|
+    when a = 0 (every prime divides 0)."""
+    g = math.gcd(a, b)
+    return [q for q, _ in factorize(g)] if g > 1 else []
+
+
 def z2z2_point(a: int, b: int) -> FamilyPoint:
     if a == b or a == 0 or b == 0:
         raise SingularParameterError(f"(a, b) = {(a, b)} gives a singular curve")
-    # normalize so that min(ord_p a, ord_p b) <= 1 at every common prime
-    changed = True
-    while changed:
-        changed = False
-        g = math.gcd(a, b)
-        for p, _ in factorize(g) if g > 1 else []:
-            while padic_valuation(a, p) >= 2 and padic_valuation(b, p) >= 2:
-                a //= p * p
-                b //= p * p
-                changed = True
+    # normalize so that min(ord_p a, ord_p b) <= 1 at every common prime; a
+    # division by p^2 adds no prime to gcd(a, b) and moves no other valuation
+    for p in _common_primes(a, b):
+        while a % (p * p) == 0 and b % (p * p) == 0:
+            a //= p * p
+            b //= p * p
     return FamilyPoint(Z2Z2, (a, b))
 
 
@@ -131,19 +122,12 @@ def z2z6_point(S: int, T: int) -> FamilyPoint:
     return FamilyPoint(Z2Z6, (S, T))
 
 
-def _z3_scaling_primes(a: int, b: int) -> list[int]:
-    """The primes that can divide a with their cube dividing b: those of
-    gcd(a, b), which is b when a = 0 (every prime divides 0)."""
-    g = math.gcd(a, b)
-    return [q for q, _ in factorize(g)] if g > 1 else []
-
-
 def z3_point(a: int, b: int) -> FamilyPoint:
     if b <= 0:
         raise ValueError("b must be positive")
     if a**3 == 27 * b:
         raise SingularParameterError(f"(a, b) = {(a, b)} gives a singular curve")
-    for q in _z3_scaling_primes(a, b):
+    for q in _common_primes(a, b):
         if b % q**3 == 0:
             raise ValueError(f"prime {q} divides a with q^3 | b; reduce the parameters")
     return FamilyPoint(Z3, (a, b))
@@ -436,22 +420,6 @@ class GrowthReport:
     gains_2_possible: bool
 
 
-def _quadratic_growth_classes(w: WeierstrassModel, polys) -> set:
-    classes = set()
-    for f in polys:
-        f = [Fraction(c) for c in f]
-        for quad in quadratic_rational_factors(f):
-            disc = quad[1] ** 2 - 4 * quad[0] * quad[2]
-            if disc != 0 and not is_square(disc):
-                classes.add(square_class(disc))
-        for x in rational_roots(f):
-            yt = w.y_terms(x)
-            disc = yt * yt + 4 * w.rhs(x)
-            if disc != 0 and not is_square(disc):
-                classes.add(square_class(disc))
-    return classes
-
-
 def halving_quadratic(w: WeierstrassModel, T) -> list:
     """For T of order 2: the quadratic q with q(x(Q))=0 iff 2Q = T.
 
@@ -465,20 +433,41 @@ def halving_quadratic(w: WeierstrassModel, T) -> list:
 def torsion_growth(w: WeierstrassModel, d: int) -> GrowthReport:
     """Can E(K)_tors gain 2-power order over K = Q(sqrt(d))?
 
-    Tests whether the quadratic factors of the 2- and 4-division
-    polynomials (and the y-coordinate quadratics over their rational
-    roots) split over K, by square-class comparison of discriminants.
-    The 4-division polynomial is handled through the per-torsion-point
-    halving quadratics, so full rational 2-torsion contributes exactly
-    the three factor discriminants.
+    The classes come from two sources, F = 4x^3 + b2 x^2 + 2 b4 x + b6
+    being the 2-division polynomial.  When exactly one point T0 of order 2
+    is rational, the quadratic cofactor of F by x - x(T0) gives its
+    discriminant's class.  Each rational T of order 2 gives its halving
+    quadratic q_T: the class of disc(q_T) when q_T has no rational root,
+    and otherwise the classes of F(x), the curve's discriminant in y, at
+    its rational roots x.
+
+    The 4-division polynomial f_4 adds no class.  Up to a constant, f_4 is
+    the product of q_T over the three T of order 2 over Qbar, and x(2Q) is
+    a rational function of x(Q), so a root of f_4 generates a field that
+    holds x(T) for its T.  A rational root or a rational quadratic factor
+    of f_4 therefore either belongs to a rational q_T or lies over an
+    irrational T; in the second case x(T) generates the field of F's
+    quadratic cofactor, and an irreducible F leaves nothing.  The rational
+    quadratic factors of a product of two irreducible q_T are those q_T,
+    because the only Galois-stable pairs of its roots are the conjugate
+    pairs.
     """
     if squarefree_part(d) != d:
         raise ValueError("d must be squarefree")
-    two_polys = [w.two_division_poly(), division_poly(w, 4)]
-    for T in two_torsion_points(w):
-        two_polys.append(halving_quadratic(w, T))
-    two_classes = _quadratic_growth_classes(w, two_polys)
-    return GrowthReport(two_power_classes=two_classes, d=d, gains_2_possible=square_class(d) in two_classes)
+    F = w.two_division_poly()
+    ts = two_torsion_points(w)
+    discs = []
+    if len(ts) == 1:
+        # F = (x - x0)(4x^2 + c1 x + c0) by synthetic division
+        x0 = ts[0][0]
+        c1 = F[2] + 4 * x0
+        discs.append(c1 * c1 - 16 * (F[1] + c1 * x0))
+    for T in ts:
+        q = halving_quadratic(w, T)
+        xs = rational_roots(q)
+        discs += [poly_eval(F, x) for x in xs] if xs else [q[1] ** 2 - 4 * q[0] * q[2]]
+    classes = {square_class(D) for D in discs if not is_square(D)}
+    return GrowthReport(two_power_classes=classes, d=d, gains_2_possible=square_class(d) in classes)
 
 
 def z3_normalize(a: int, b: int) -> FamilyPoint:
@@ -486,7 +475,7 @@ def z3_normalize(a: int, b: int) -> FamilyPoint:
     if b <= 0:
         raise ValueError("b must be positive")
     # each scaling divides a and b, so no new prime enters gcd(a, b)
-    for q in _z3_scaling_primes(a, b):
+    for q in _common_primes(a, b):
         while a % q == 0 and b % q**3 == 0:
             a //= q
             b //= q**3

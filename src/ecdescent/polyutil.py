@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import rational_sqrt
-
 
 def poly_trim(f: list) -> list:
     while f and f[-1] == 0:
@@ -361,56 +359,3 @@ def poly_sqrt_monic_quartic(f: Sequence) -> list | None:
     if 2 * c1 * c0 == a1 and c0 * c0 == a0:
         return [c0, c1, 1]
     return None
-
-
-def quadratic_rational_factors(f: Sequence) -> list[list[Fraction]]:
-    """Monic irreducible quadratic factors over Q of a polynomial.
-
-    Works degree by degree: strips rational roots, then splits quartics via
-    the resolvent cubic.  Degrees beyond 4 are reduced only through their
-    rational roots (enough for the division polynomials this package uses,
-    where higher-degree parts are handled separately).
-    """
-    g = [Fraction(c) for c in poly_primitive(list(f))]
-    lead = g[-1]
-    g = [c / lead for c in g]
-    for r in rational_roots(g):
-        while True:
-            q, rem = poly_divmod_q(g, [-r, Fraction(1)])
-            if rem:
-                break
-            g = q
-    out = []
-    deg = len(g) - 1
-    if deg == 2:
-        out.append(g)
-    elif deg == 4:
-        split = _split_quartic(g)
-        if split is not None:
-            out.extend(split)
-    return out
-
-
-def _split_quartic(g: list[Fraction]) -> list[list[Fraction]] | None:
-    """Monic quartic with no rational roots -> two monic rational quadratics."""
-    p3, q2, r_, s = g[3], g[2], g[1], g[0]
-    # (x^2+ax+b)(x^2+cx+d): resolvent cubic in u = b + d
-    resolvent = [
-        -(p3 * p3 * s - 4 * q2 * s + r_ * r_),
-        p3 * r_ - 4 * s,
-        -q2,
-        Fraction(1),
-    ]
-    for u in rational_roots(resolvent):
-        # a + c = p3, ac = q2 - u, b + d = u, ad + bc = r_, bd = s
-        sq, sq2 = rational_sqrt(p3 * p3 - 4 * (q2 - u)), rational_sqrt(u * u - 4 * s)
-        if sq is None or sq2 is None:
-            continue
-        for a in {(p3 + sq) / 2, (p3 - sq) / 2}:
-            c = p3 - a
-            for b in {(u + sq2) / 2, (u - sq2) / 2}:
-                d = u - b
-                if a * d + b * c == r_ and b * d == s:
-                    return [[b, a, Fraction(1)], [d, c, Fraction(1)]]
-    return None
-

@@ -292,11 +292,8 @@ def two_torsion_form(w: WeierstrassModel) -> tuple[Rational, Rational]:
 
 # -- point arithmetic -------------------------------------------------------
 
-#: The point at infinity.
-O = None
-
 #: An affine point (x, y), each coordinate an int when it is an integer and
-#: a Fraction otherwise, or O.
+#: a Fraction otherwise, or None for the point at infinity.
 Point = Optional[tuple[Rational, Rational]]
 
 

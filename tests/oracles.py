@@ -25,7 +25,14 @@ method that shares none of the fast path's code:
   closed form in `tate.tate_algorithm`, which reads (-c6 | p);
 - `z3_point_reference` and `z3_normalize_reference` look for the primes
   q with q | a and q^3 | b among the factors of a and of b, for
-  `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only.
+  `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only;
+- `torsion_growth_classes_reference` reads the growth classes from the
+  rational quadratic factors of the 2- and 4-division polynomials and of
+  the halving quadratics, splitting quartics through the resolvent cubic
+  (`quadratic_rational_factors`), for `families.torsion_growth`, which
+  reads them from the halving quadratics alone;
+- `ADVERTISED` is the generic torsion structure of each family, which
+  the family sweeps of `families.torsion_subgroup` must contain.
 
 `tests/test_oracle_independence.py` checks that this module names none of
 the functions it judges.
@@ -44,13 +51,27 @@ from ecdescent.arith import (
     _as_integer_squareclass,
     _class_reps,
     factorize,
+    is_square,
     kronecker_symbol,
     padic_valuation,
     prime_divisors,
+    rational_sqrt,
+    square_class,
 )
 from ecdescent.descent2 import _int_pair, dual_params, field_discriminant
-from ecdescent.families import Z3, FamilyPoint, SingularParameterError, TorsionGroup
-from ecdescent.polyutil import rational_roots
+from ecdescent.families import (
+    Z2,
+    Z2Z2,
+    Z2Z4,
+    Z2Z6,
+    Z3,
+    Z4,
+    FamilyPoint,
+    SingularParameterError,
+    TorsionGroup,
+    division_poly,
+)
+from ecdescent.polyutil import poly_add, poly_primitive, poly_scale, rational_roots
 from ecdescent.tate import minimal_model
 from ecdescent.weierstrass import (
     CoordinateChange,
@@ -411,3 +432,99 @@ def z3_normalize_reference(a: int, b: int) -> FamilyPoint:
                 e -= 3
                 changed = True
     return z3_point_reference(a, b)
+
+
+# ---------------------------------------------------------------------------
+# family torsion
+
+#: Advertised generic torsion structure of each family.
+ADVERTISED = {
+    Z2Z4: (2, 4),
+    Z4: (1, 4),
+    Z2Z2: (2, 2),
+    Z2: (1, 2),
+    Z2Z6: (2, 6),
+    Z3: (1, 3),
+}
+
+
+# ---------------------------------------------------------------------------
+# torsion growth through the 4-division polynomial
+
+
+def quadratic_rational_factors(f, roots=None) -> list[list[Fraction]]:
+    """Monic irreducible quadratic factors over Q of a polynomial, given its
+    rational roots or finding them.
+
+    Works degree by degree: strips rational roots, then splits quartics via
+    the resolvent cubic.  Degrees beyond 4 are reduced only through their
+    rational roots.
+    """
+    g = poly_primitive(list(f))
+    for r in rational_roots(g) if roots is None else roots:
+        while (h := _divide_linear(g, r.numerator, r.denominator)) is not None:
+            g = h
+    g = [Fraction(c, g[-1]) for c in g]
+    if len(g) == 3:
+        return [g]
+    return (_split_quartic(g) or []) if len(g) == 5 else []
+
+
+def _divide_linear(g: list[int], u: int, v: int) -> Optional[list[int]]:
+    """g / (v x - u) when it is an integer polynomial, else None."""
+    h = [0] * (len(g) - 1)
+    carry = 0
+    for i in range(len(g) - 1, 0, -1):
+        # g_i = v h_(i-1) - u h_i
+        num = g[i] + u * carry
+        if num % v:
+            return None
+        h[i - 1] = carry = num // v
+    return h if g[0] == -u * carry else None
+
+
+def _split_quartic(g: list[Fraction]) -> Optional[list[list[Fraction]]]:
+    """Monic quartic with no rational roots -> two monic rational quadratics."""
+    p3, q2, r_, s = g[3], g[2], g[1], g[0]
+    # (x^2+ax+b)(x^2+cx+d): resolvent cubic in u = b + d
+    resolvent = [
+        -(p3 * p3 * s - 4 * q2 * s + r_ * r_),
+        p3 * r_ - 4 * s,
+        -q2,
+        Fraction(1),
+    ]
+    for u in rational_roots(resolvent):
+        # a + c = p3, ac = q2 - u, b + d = u, ad + bc = r_, bd = s
+        sq, sq2 = rational_sqrt(p3 * p3 - 4 * (q2 - u)), rational_sqrt(u * u - 4 * s)
+        if sq is None or sq2 is None:
+            continue
+        for a in {(p3 + sq) / 2, (p3 - sq) / 2}:
+            c = p3 - a
+            for b in {(u + sq2) / 2, (u - sq2) / 2}:
+                d = u - b
+                if a * d + b * c == r_ and b * d == s:
+                    return [[b, a, Fraction(1)], [d, c, Fraction(1)]]
+    return None
+
+
+def torsion_growth_classes_reference(w: WeierstrassModel) -> set:
+    """The square classes of the quadratic fields over which E's 2-power
+    torsion can grow: the discriminants of the rational quadratic factors
+    of F = 4x^3 + b2 x^2 + 2 b4 x + b6, of f_4 and of the halving quadratic
+    q_T of each rational T of order 2, and the y-discriminants over their
+    rational roots.  q_T is the square root of phi_2 - x(T) F, with
+    phi_2 = x^4 - b4 x^2 - 2 b6 x - b8 the numerator of x(2Q)."""
+    F = w.two_division_poly()
+    polys = [F, division_poly(w, 4)]
+    for x0 in rational_roots(F):
+        a0, a1, a2, a3, _ = poly_add([-w.b8, -2 * w.b6, -w.b4, 0, 1], poly_scale(F, -x0))
+        c1 = Fraction(a3) / 2
+        c0 = (a2 - c1 * c1) / 2
+        assert 2 * c1 * c0 == a1 and c0 * c0 == a0, (w, x0)
+        polys.append([c0, c1, Fraction(1)])
+    discs = []
+    for f in polys:
+        roots = rational_roots(f)
+        discs += [quad[1] ** 2 - 4 * quad[0] * quad[2] for quad in quadratic_rational_factors(f, roots)]
+        discs += [w.y_terms(x) ** 2 + 4 * w.rhs(x) for x in roots]
+    return {square_class(D) for D in discs if D != 0 and not is_square(D)}

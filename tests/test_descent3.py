@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ecdescent import tate
 from ecdescent.descent2 import heegner_field_scan
 from ecdescent.descent3 import (
     CasselsLedger,
@@ -117,7 +118,7 @@ def test_sha3_short_circuit_tamagawa():
             hit = a
             break
     assert hit is not None
-    cert = sha3_criterion(hit, -7)
+    cert = sha3_criterion(hit, -5)
     assert cert.route == "tamagawa"
     assert cert.conclusion == "3 | C"
     assert cert.witnesses
@@ -165,13 +166,27 @@ def test_witness_checks_hold_under_optimize(run_optimized):
     # a doctored c_p of 1 must still be refused with the asserts compiled out
     script = (
         "import dataclasses\n"
-        "from ecdescent import descent3\n"
+        "from ecdescent import descent3, tate\n"
         "from ecdescent.weierstrass import InvariantViolation\n"
-        "real = descent3.local_reduction\n"
-        "descent3.local_reduction = lambda w, p: dataclasses.replace(real(w, p), tamagawa=1)\n"
+        "real = tate.tate_algorithm\n"
+        "tate.tate_algorithm = lambda a, inv, p: dataclasses.replace(real(a, inv, p), tamagawa=1)\n"
         "try:\n"
         "    descent3.sha3_criterion(10, -10)\n"
-        "except InvariantViolation:\n"
-        "    print('raised')\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised', 'prime to 3' in str(exc))\n"
     )
-    assert run_optimized(script) == ["raised"]
+    assert run_optimized(script) == ["raised", "True"]
+
+
+def test_criterion_reads_the_quotient_data_of_its_ledger(monkeypatch):
+    # the witnesses' c_p come from the ledger's global_data of the quotient,
+    # so the certificate runs Tate's algorithm no more often than its ledger
+    real, calls = tate.tate_algorithm, []
+    monkeypatch.setattr(tate, "tate_algorithm", lambda *args: calls.append(1) or real(*args))
+    for a, d in [(10, -10), (16, -1)]:
+        calls.clear()
+        cassels_ledger(a, d)
+        ledger_runs = len(calls)
+        calls.clear()
+        assert sha3_criterion(a, d).route == "cassels"
+        assert len(calls) <= ledger_runs

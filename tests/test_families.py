@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from ecdescent import arith, families, polyutil, weierstrass
 from ecdescent.arith import is_prime, square_class
 from ecdescent.families import (
-    ADVERTISED,
     FAMILIES,
     SingularParameterError,
     TorsionGroup,
@@ -30,8 +30,10 @@ from ecdescent.families import (
     z4_point,
 )
 from ecdescent.tate import global_data
-from ecdescent.weierstrass import WeierstrassModel
+from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables
+import oracles
 from oracles import (
+    ADVERTISED,
     count_points_kronecker,
     j_invariant,
     torsion_points_lutz_nagell,
@@ -114,6 +116,16 @@ def test_z2z2_normalization():
     for a, b in [z2z2_point(16, 48).params, z2z2_point(250, 150).params]:
         for p in (2, 3, 5):
             assert min(padic_valuation(a, p), padic_valuation(b, p)) <= 1
+    # one pass over the primes of gcd(a, b) reaches the same fixed point
+    rng = random.Random(7)
+    for _ in range(500):
+        m2 = rng.randint(1, 30) ** 2
+        a, b = rng.randint(-40, 40) * m2, rng.randint(-40, 40) * m2
+        if a == b or 0 in (a, b):
+            continue
+        a2, b2 = z2z2_point(a, b).params
+        assert a % a2 == 0 and math.isqrt(a // a2) ** 2 == a // a2 and a2 * b == a * b2
+        assert all(a2 % (p * p) or b2 % (p * p) for p, _ in arith.factorize(math.gcd(a2, b2)))
 
 
 def test_division_poly_values():
@@ -434,6 +446,44 @@ def test_torsion_growth_exceptional_quotient():
         admissible_no_growth = [d for d in (-7, -11, -15) if square_class(d) not in classes]
         for d in admissible_no_growth:
             assert not torsion_growth(Ep, d).gains_2_possible
+
+
+def test_torsion_growth_matches_the_four_division_reference(monkeypatch):
+    # the reference also splits f_4 and its quartic remainders; every class
+    # it finds must be one the halving quadratics already give
+    rng = random.Random(25)
+    makers = [
+        (120, lambda: build_curve(z2z4_point(rng.randint(1, 20), rng.randint(1, 20)))),
+        (380, lambda: build_curve(z2z2_point(rng.randint(-20, 20), rng.randint(-20, 20)))),
+        (500, lambda: build_curve(z2_point(rng.randint(-20, 20), rng.randint(-20, 20)))),
+        (1000, lambda: W(*(rng.randint(-3, 3) for _ in range(5)))),
+    ]
+    real, splits = oracles._split_quartic, []
+
+    def split_quartic(g):
+        splits.append(real(g))
+        return splits[-1]
+
+    monkeypatch.setattr(oracles, "_split_quartic", split_quartic)
+    seen, two_torsion = set(), Counter()
+    for count, make in makers:
+        done = 0
+        while done < count:
+            try:
+                w = make()
+            except (ValueError, SingularParameterError):
+                continue
+            if w.is_singular or w.ainvs in seen:
+                continue
+            seen.add(w.ainvs)
+            if done % 10 == 0:
+                w = change_variables(w, CoordinateChange.of(2, 1, 0, 0))
+            expected = oracles.torsion_growth_classes_reference(w)
+            assert torsion_growth(w, -1).two_power_classes == expected, w
+            two_torsion[len(two_torsion_points(w))] += 1
+            done += 1
+    assert len(seen) == 2000 and min(two_torsion[k] for k in (0, 1, 3)) >= 100, two_torsion
+    assert sum(f is not None for f in splits) >= 100
 
 
 def test_z3_normalize():

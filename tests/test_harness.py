@@ -362,8 +362,19 @@ def test_cli_audit_refuses_a_disc_that_is_not_negative_squarefree(capsys):
         (["descent", "--curve", "5,-1", "--disc", "-4"], "negative squarefree"),
         (["descent3", "--a", "10", "--disc", "-2"], "Heegner condition"),
         (["descent3", "--a", "10", "--disc", "7"], "negative squarefree"),
+        (["descent3", "--a", "-15", "--disc", "5"], "negative squarefree"),
+        (["descent3", "--a", "-15", "--disc", "0"], "negative squarefree"),
+        (["descent3", "--a", "-15", "--disc", "-7"], "Heegner condition"),
     ],
-    ids=["descent-heegner", "descent-squarefree", "descent3-heegner", "descent3-squarefree"],
+    ids=[
+        "descent-heegner",
+        "descent-squarefree",
+        "descent3-heegner",
+        "descent3-squarefree",
+        "descent3-3-divides-C-positive",
+        "descent3-3-divides-C-zero",
+        "descent3-3-divides-C-heegner",
+    ],
 )
 def test_cli_descent_commands_refuse_a_bad_disc(capsys, argv, reason):
     assert reason in _refusal(capsys, argv)

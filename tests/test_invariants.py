@@ -6,7 +6,6 @@ import random
 from ecdescent.arith import OO, smallest_nonresidue
 from ecdescent.descent2 import local_image, phi_selmer
 from ecdescent.families import (
-    ADVERTISED,
     SingularParameterError,
     build_curve,
     torsion_subgroup,
@@ -20,7 +19,7 @@ from ecdescent.families import (
 from ecdescent.isogeny import velu_2_isogeny
 from ecdescent.tate import global_data, local_reduction
 from ecdescent.weierstrass import WeierstrassModel
-from oracles import find_isomorphism
+from oracles import ADVERTISED, find_isomorphism
 
 
 def W(*a):

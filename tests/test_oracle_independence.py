@@ -39,6 +39,8 @@ JUDGED = {
     "tate_algorithm",
     "z3_point",
     "z3_normalize",
+    "torsion_growth",
+    "halving_quadratic",
 }
 
 

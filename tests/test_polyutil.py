@@ -14,10 +14,10 @@ from ecdescent.polyutil import (
     poly_gcd_q,
     poly_mul,
     poly_sqrt_monic_quartic,
-    quadratic_rational_factors,
     rational_roots,
     squarefree_part_poly,
 )
+from oracles import quadratic_rational_factors
 
 
 def poly_from_roots(roots, lead=1):
