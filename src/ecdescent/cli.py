@@ -216,16 +216,13 @@ def cmd_sweep(args):
 
 
 def cmd_verify_paper(args):
-    takes = verify_mod.section_options(args.section)
-    if args.bound is not None and args.bound < 1:
-        raise Refusal(f"--bound {args.bound} is below 1")
     opts = {}
-    for flag, key, value in [("--seed", "seed", args.seed), ("--bound", "bound", args.bound)]:
-        if value is None:
-            continue
-        if key not in takes:
-            raise Refusal(f"section {args.section} takes no {flag}")
-        opts[key] = value
+    if args.bound is not None:
+        if args.bound < 1:
+            raise Refusal(f"--bound {args.bound} is below 1")
+        if "bound" not in verify_mod.section_options(args.section):
+            raise Refusal(f"section {args.section} takes no --bound")
+        opts["bound"] = args.bound
     rep = verify_mod.verify_section(args.section, **opts)
     rep.dump_jsonl(sys.stdout)
     return 0 if rep.failed == 0 else 1
@@ -262,7 +259,6 @@ def cmd_ingest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ecdescent", description=__doc__)
-    ap.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tate", help="local reduction data")

@@ -30,7 +30,6 @@ from .polyutil import (
     poly_eval,
     poly_mul,
     poly_scale,
-    poly_sqrt_monic_quartic,
     rational_roots,
 )
 from .weierstrass import (
@@ -305,6 +304,20 @@ def _points_over(w: WeierstrassModel, x) -> list[Point]:
     return [(x, y) for y in sorted({exact_half(-yt + s), exact_half(-yt - s)})]
 
 
+def _halving_xs(w: WeierstrassModel, x0) -> tuple:
+    """F'(x0) and the x(Q) with 2Q = T, for T of order 2 over a rational root
+    x0 of F = 4x^3 + b2 x^2 + 2 b4 x + b6: x0 +- sqrt(F'(x0))/2, none when
+    F'(x0) is not a rational square.  With eta = 2y + a1 x + a3 the curve is
+    eta^2 = F = 4 prod (x - e_i); the halves of (e_1, 0) have x = e_1 +-
+    sqrt((e_1 - e_2)(e_1 - e_3)) (Silverman, AEC X.1), and F'(e_1) = 4 (e_1 - e_2)(e_1 - e_3)."""
+    D = (12 * x0 + 2 * w.b2) * x0 + 2 * w.b4
+    s = rational_sqrt(D)
+    if s is None:
+        return D, []
+    h = exact_half(s)
+    return D, [x0 - h, x0 + h]
+
+
 def two_torsion_points(w: WeierstrassModel) -> list:
     pts = []
     for x in map(_exact, rational_roots(w.two_division_poly())):
@@ -317,7 +330,7 @@ def two_torsion_points(w: WeierstrassModel) -> list:
 def halve_point(w: WeierstrassModel, P) -> list:
     """All rational Q with 2Q = P."""
     if point_order(w, P, 2) == 2:
-        xs = rational_roots(halving_quadratic(w, P))
+        xs = _halving_xs(w, P[0])[1]
     else:
         xs = rational_roots(_halving_quartic(w, P[0]))
     return sorted({Q for x in xs for Q in _points_over(w, x) if point_mul(w, 2, Q) == P})
@@ -420,52 +433,37 @@ class GrowthReport:
     gains_2_possible: bool
 
 
-def halving_quadratic(w: WeierstrassModel, T) -> list:
-    """For T of order 2: the quadratic q with q(x(Q))=0 iff 2Q = T.
-
-    The preimages pair up, so the halving quartic is the square of q."""
-    quartic = _halving_quartic(w, T[0])
-    q = poly_sqrt_monic_quartic(quartic)
-    check_invariant(q is not None, "{}: the halving quartic of {} is not a square", w, T)
-    return q
-
-
 def torsion_growth(w: WeierstrassModel, d: int) -> GrowthReport:
     """Can E(K)_tors gain 2-power order over K = Q(sqrt(d))?
 
-    The classes come from two sources, F = 4x^3 + b2 x^2 + 2 b4 x + b6
-    being the 2-division polynomial.  When exactly one point T0 of order 2
-    is rational, the quadratic cofactor of F by x - x(T0) gives its
-    discriminant's class.  Each rational T of order 2 gives its halving
-    quadratic q_T: the class of disc(q_T) when q_T has no rational root,
-    and otherwise the classes of F(x), the curve's discriminant in y, at
-    its rational roots x.
+    The classes are closed forms in F = 4x^3 + b2 x^2 + 2 b4 x + b6, the
+    2-division polynomial.  When exactly one point of order 2, over x0, is
+    rational, F = (x - x0) g with g an irreducible quadratic, and
+    disc F = 16 disc(E) = F'(x0)^2 disc(g), so disc(g) has the class of the
+    curve's discriminant.  Each rational T of order 2 over x0 has the
+    halving quadratic q_T = (x - x0)^2 - F'(x0)/4 (`_halving_xs`): it gives
+    the class of F'(x0) when that is not a square, and otherwise the
+    classes of F, the curve's discriminant in y, at the two halves
+    x0 +- sqrt(F'(x0))/2.
 
     The 4-division polynomial f_4 adds no class.  Up to a constant, f_4 is
     the product of q_T over the three T of order 2 over Qbar, and x(2Q) is
     a rational function of x(Q), so a root of f_4 generates a field that
     holds x(T) for its T.  A rational root or a rational quadratic factor
     of f_4 therefore either belongs to a rational q_T or lies over an
-    irrational T; in the second case x(T) generates the field of F's
-    quadratic cofactor, and an irreducible F leaves nothing.  The rational
-    quadratic factors of a product of two irreducible q_T are those q_T,
-    because the only Galois-stable pairs of its roots are the conjugate
-    pairs.
+    irrational T; in the second case x(T) generates the field of g, and an
+    irreducible F leaves nothing.  The rational quadratic factors of a
+    product of two irreducible q_T are those q_T, because the only
+    Galois-stable pairs of its roots are the conjugate pairs.
     """
     if squarefree_part(d) != d:
         raise ValueError("d must be squarefree")
     F = w.two_division_poly()
     ts = two_torsion_points(w)
-    discs = []
-    if len(ts) == 1:
-        # F = (x - x0)(4x^2 + c1 x + c0) by synthetic division
-        x0 = ts[0][0]
-        c1 = F[2] + 4 * x0
-        discs.append(c1 * c1 - 16 * (F[1] + c1 * x0))
-    for T in ts:
-        q = halving_quadratic(w, T)
-        xs = rational_roots(q)
-        discs += [poly_eval(F, x) for x in xs] if xs else [q[1] ** 2 - 4 * q[0] * q[2]]
+    discs = [w.discriminant] if len(ts) == 1 else []
+    for x0, _ in ts:
+        D, xs = _halving_xs(w, x0)
+        discs += [poly_eval(F, x) for x in xs] if xs else [D]
     classes = {square_class(D) for D in discs if not is_square(D)}
     return GrowthReport(two_power_classes=classes, d=d, gains_2_possible=square_class(d) in classes)
 

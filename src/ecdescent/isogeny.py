@@ -23,7 +23,7 @@ from .weierstrass import (
     _exact,
     check_invariant,
     curve_invariants,
-    isomorphic_over_q,
+    isomorphism_scale,
     point_neg,
     point_order,
 )
@@ -127,8 +127,8 @@ def _hadano_quotient(fp: FamilyPoint) -> Union[IsogenyRecord, CubeFailure]:
     P = (0, 0)
     rec = IsogenyRecord(src, WeierstrassModel.from_ainvs(tgt), 3, (P, point_neg(src, P)), via="hadano")
     # the closed form agrees with Velu's construction up to isomorphism
-    velu = _velu_quotient(src.ainvs, [0])
-    check_invariant(isomorphic_over_q(curve_invariants(velu), inv), "a = {}, b = {}: the quotient is not Velu's", a, b)
+    velu = curve_invariants(_velu_quotient(src.ainvs, [0]))
+    check_invariant(isomorphism_scale(velu[4:], inv[4:]) is not None, "a = {}, b = {}: the quotient is not Velu's", a, b)
     return rec
 
 

@@ -346,16 +346,3 @@ def exact_half(c):
     """c / 2 for an int or a Fraction c: an int when c is even."""
     return c // 2 if c % 2 == 0 else Fraction(c, 2)
 
-
-def poly_sqrt_monic_quartic(f: Sequence) -> list | None:
-    """Exact square root of a monic quartic, i.e. q with q^2 = f, or None.
-
-    Exact on int and Fraction coefficients alike."""
-    if len(poly_trim(list(f))) != 5 or f[4] != 1:
-        return None
-    a0, a1, a2, a3 = f[:4]
-    c1 = exact_half(a3)
-    c0 = exact_half(a2 - c1 * c1)
-    if 2 * c1 * c0 == a1 and c0 * c0 == a0:
-        return [c0, c1, 1]
-    return None

@@ -35,10 +35,10 @@ from .weierstrass import (
     InvariantViolation,
     SingularModelError,
     WeierstrassModel,
-    _rational_twelfth_roots,
     check_invariant,
     curve_invariants,
     integral_model,
+    isomorphism_scale,
     rst_change,
 )
 
@@ -300,10 +300,10 @@ class GlobalData:
     def scale(self, w: WeierstrassModel) -> Fraction:
         """|u| with disc(w) = u^12 disc_min, c4(w) = u^4 c4_min and c6(w) = u^6 c6_min: the
         scaling from w to the minimal model; InvariantViolation when w is not a model of this curve."""
-        roots = _rational_twelfth_roots(Fraction(w.discriminant, self.delta_min))
-        check_invariant(bool(roots), "{}: disc / disc_min is not a twelfth power", w)
-        u, m = roots[0], self.minimal_model
-        check_invariant(w.c4 == u**4 * m.c4 and w.c6 == u**6 * m.c6, "{}: not a model of {} (c4, c6)", w, m)
+        m = self.minimal_model
+        u = isomorphism_scale((w.c4, w.c6, w.discriminant), (m.c4, m.c6, m.discriminant))
+        why = "{}: not a model of {}: disc / disc_min is no twelfth power u^12 with c4, c6 scaled by u^4, u^6"
+        check_invariant(u is not None, why, w, m)
         return u
 
 

@@ -5,8 +5,8 @@ integer and a Fraction otherwise (`_exact` is the one normalizer, and it
 refuses floats), the one set of b/c invariant formulas and the one
 [1,r,s,t] map (both shared with Tate's algorithm on integer tuples),
 [u,r,s,t] coordinate changes, quadratic twists of y^2 = x^3 + Ax^2 + Bx,
-point arithmetic used by the torsion and isogeny machinery, and
-isomorphism over Q decided on integer invariants.
+point arithmetic used by the torsion and isogeny machinery, and the
+scale u of an isomorphism over Q, read from c4, c6 and the discriminant.
 """
 
 from __future__ import annotations
@@ -357,30 +357,20 @@ def point_order(w: WeierstrassModel, P: Point, bound: int) -> int:
 # -- isomorphism testing ----------------------------------------------------
 
 
-def isomorphic_over_q(inv1: tuple, inv2: tuple) -> bool:
-    """Are two nonsingular curves isomorphic over Q, given the
-    `curve_invariants` of integral models of them?
-
-    They are when some rational u with u^12 = disc1/disc2 has
-    c4 = u^4 c4' and c6 = u^6 c6' (Cremona 1997, section 3.1): a twelfth
-    root is unique up to sign, which neither equation sees.
-    """
-    _, _, _, _, c4, c6, d = inv1
-    _, _, _, _, c4p, c6p, dp = inv2
+def isomorphism_scale(inv1: tuple, inv2: tuple) -> Optional[Fraction]:
+    """The u > 0 with disc = u^12 disc', c4 = u^4 c4' and c6 = u^6 c6', given
+    the (c4, c6, disc) of two nonsingular models, int or Fraction; None when
+    there is none, that is when the models are not isomorphic over Q
+    (Cremona 1997, section 3.1).  A twelfth root is unique up to sign, which
+    neither c4 nor c6 sees.  Int invariants build no Fraction but the u
+    returned."""
+    c4, c6, d = inv1
+    c4p, c6p, dp = inv2
     if d == 0 or dp == 0:
         raise SingularModelError("isomorphism testing needs nonsingular models")
-    g = math.gcd(d, dp) * (1 if dp > 0 else -1)
-    n, m = integer_root(d // g, 12), integer_root(dp // g, 12)  # u = n/m
-    return n is not None and m is not None and c4 * m**4 == c4p * n**4 and c6 * m**6 == c6p * n**6
-
-
-def _rational_twelfth_roots(q: Fraction) -> list[Fraction]:
-    if q <= 0:
-        return []
-    num = integer_root(q.numerator, 12)
-    den = integer_root(q.denominator, 12)
-    if num is None or den is None:
-        return []
-    u = Fraction(num, den)
-    return [u, -u]
-
+    num, den = d.numerator * dp.denominator, d.denominator * dp.numerator
+    g = math.gcd(num, den) * (1 if den > 0 else -1)
+    n, m = integer_root(num // g, 12), integer_root(den // g, 12)  # u = n/m
+    if n is None or m is None or c4 * m**4 != c4p * n**4 or c6 * m**6 != c6p * n**6:
+        return None
+    return Fraction(n, m)

@@ -16,9 +16,10 @@ method that shares none of the fast path's code:
   throughout, for `weierstrass.change_variables` and the [1,r,s,t] map
   `rst_change` that it shares with Tate's algorithm; `compose` and
   `inverse` are the group law on changes that its tests use;
-- `find_isomorphism` solves for a change [u,r,s,t] between two models for
-  `weierstrass.isomorphic_over_q`, the test behind the check that the
-  Hadano quotient is Velu's;
+- `find_isomorphism` solves for a change [u,r,s,t] between two models,
+  taking u from its own twelfth-root search, for
+  `weierstrass.isomorphism_scale`, the scale behind the check that the
+  Hadano quotient is Velu's and behind `tate.GlobalData.scale`;
 - `hilbert_places` lists the places the Hilbert product formula runs over;
 - `multiplicative_reduction_reference` moves the node of a multiplicative
   reduction to (0,0) and reads the tangent quadratic there, for the
@@ -26,11 +27,14 @@ method that shares none of the fast path's code:
 - `z3_point_reference` and `z3_normalize_reference` look for the primes
   q with q | a and q^3 | b among the factors of a and of b, for
   `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only;
+- `halves_reference` halves a point T of order 2 through the halving
+  quadratic q_T, the square root of phi_2 - x(T) F, for
+  `families.halve_point`, which reads the halves off F'(x(T));
 - `torsion_growth_classes_reference` reads the growth classes from the
   rational quadratic factors of the 2- and 4-division polynomials and of
   the halving quadratics, splitting quartics through the resolvent cubic
   (`quadratic_rational_factors`), for `families.torsion_growth`, which
-  reads them from the halving quadratics alone;
+  reads them from closed forms in F, F'(x(T)) and the discriminant;
 - `ADVERTISED` is the generic torsion structure of each family, which
   the family sweeps of `families.torsion_subgroup` must contain.
 
@@ -40,6 +44,7 @@ the functions it judges.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -77,7 +82,6 @@ from ecdescent.weierstrass import (
     CoordinateChange,
     SingularModelError,
     WeierstrassModel,
-    _rational_twelfth_roots,
     two_torsion_form,
 )
 
@@ -346,13 +350,29 @@ def inverse(c: CoordinateChange) -> CoordinateChange:
 # isomorphism over Q
 
 
+def _twelfth_root(n: int) -> Optional[int]:
+    """The r >= 0 with r^12 = n, as the cube root, by bisection, of the
+    fourth root taken by two integer square roots."""
+    if n < 0:
+        return None
+    s = math.isqrt(math.isqrt(n))
+    lo, hi = 0, s
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**3 <= s else (lo, mid - 1)
+    return lo if lo**12 == n else None
+
+
 def find_isomorphism(w1: WeierstrassModel, w2: WeierstrassModel) -> Optional[CoordinateChange]:
     """A change c taking w1 to w2, if one exists over Q."""
     if w1.is_singular or w2.is_singular:
         raise SingularModelError("isomorphism testing needs nonsingular models")
     ratio = Fraction(w1.discriminant, w2.discriminant)
     # u^12 = disc1/disc2
-    for u in _rational_twelfth_roots(ratio):
+    n, m = _twelfth_root(ratio.numerator), _twelfth_root(ratio.denominator)
+    if n is None or m is None:
+        return None
+    for u in (Fraction(n, m), Fraction(-n, m)):
         s = (w2.a1 * u - w1.a1) / 2
         r = (w2.a2 * u**2 - w1.a2 + s * w1.a1 + s * s) / 3
         t = (w2.a3 * u**3 - w1.a3 - r * w1.a1) / 2
@@ -507,6 +527,30 @@ def _split_quartic(g: list[Fraction]) -> Optional[list[list[Fraction]]]:
     return None
 
 
+def _halving_quadratic_reference(w: WeierstrassModel, x0) -> list:
+    """q_T for the point T of order 2 over x0: the monic square root of
+    phi_2 - x0 F, with phi_2 = x^4 - b4 x^2 - 2 b6 x - b8 the numerator of
+    x(2Q) and F = 4x^3 + b2 x^2 + 2 b4 x + b6 its denominator."""
+    a0, a1, a2, a3, _ = poly_add([-w.b8, -2 * w.b6, -w.b4, 0, 1], poly_scale(w.two_division_poly(), -x0))
+    c1 = Fraction(a3) / 2
+    c0 = (a2 - c1 * c1) / 2
+    assert 2 * c1 * c0 == a1 and c0 * c0 == a0, (w, x0)
+    return [c0, c1, Fraction(1)]
+
+
+def halves_reference(w: WeierstrassModel, T) -> list:
+    """The rational Q with 2Q = T, for T of order 2: the points over the
+    rational roots of q_T, kept when the chord-and-tangent 2Q is T."""
+    found = set()
+    for x in rational_roots(_halving_quadratic_reference(w, T[0])):
+        yt = w.y_terms(x)
+        s = rational_sqrt(yt * yt + 4 * w.rhs(x))
+        for y in () if s is None else {Fraction(-yt + s, 2), Fraction(-yt - s, 2)}:
+            if point_mul_reference(w, 2, (x, y)) == T:
+                found.add((x, y))
+    return sorted(found)
+
+
 def torsion_growth_classes_reference(w: WeierstrassModel) -> set:
     """The square classes of the quadratic fields over which E's 2-power
     torsion can grow: the discriminants of the rational quadratic factors
@@ -516,12 +560,7 @@ def torsion_growth_classes_reference(w: WeierstrassModel) -> set:
     phi_2 = x^4 - b4 x^2 - 2 b6 x - b8 the numerator of x(2Q)."""
     F = w.two_division_poly()
     polys = [F, division_poly(w, 4)]
-    for x0 in rational_roots(F):
-        a0, a1, a2, a3, _ = poly_add([-w.b8, -2 * w.b6, -w.b4, 0, 1], poly_scale(F, -x0))
-        c1 = Fraction(a3) / 2
-        c0 = (a2 - c1 * c1) / 2
-        assert 2 * c1 * c0 == a1 and c0 * c0 == a0, (w, x0)
-        polys.append([c0, c1, Fraction(1)])
+    polys += [_halving_quadratic_reference(w, x0) for x0 in rational_roots(F)]
     discs = []
     for f in polys:
         roots = rational_roots(f)

@@ -14,7 +14,7 @@ from ecdescent.families import (
     build_curve,
     count_points_mod_p,
     division_poly,
-    halving_quadratic,
+    halve_point,
     points_of_order_n,
     torsion_growth,
     torsion_order_bound,
@@ -372,23 +372,46 @@ def test_random_family_sweep_contains_advertised():
             done += 1
 
 
-def test_halving_quadratics_on_full_two_torsion():
-    # on a curve with full rational 2-torsion each 2-torsion point carries
-    # a rational halving quadratic
-    w = W(0, 0, 0, -1, 0)
-    pts = two_torsion_points(w)
-    assert len(pts) == 3
-    for T in pts:
-        q = halving_quadratic(w, T)
-        assert len(q) == 3
+def test_halve_point_at_two_torsion_matches_the_halving_quadratic_reference():
+    # the halves x(T) +- sqrt(F'(x(T)))/2 against the points over the roots
+    # of q_T, the square root of phi_2 - x(T) F, at every rational T of
+    # order 2 of seeded family members and random models, every fifth of
+    # them moved to a non-integral model
+    rng = random.Random(26)
+    makers = [
+        (200, lambda: build_curve(z2z4_point(rng.randint(1, 30), rng.randint(1, 30)))),
+        (200, lambda: build_curve(z4_point(rng.randint(-500, 500)))),
+        (200, lambda: build_curve(z2z2_point(rng.randint(-30, 30), rng.randint(-30, 30)))),
+        (200, lambda: build_curve(z2_point(rng.randint(-30, 30), rng.randint(-30, 30)))),
+        (200, lambda: W(*(rng.randint(-5, 5) for _ in range(5)))),
+    ]
+    seen, halvable, non_integral = set(), 0, 0
+    for count, make in makers:
+        done = 0
+        while done < count:
+            try:
+                w = make()
+            except (ValueError, SingularParameterError):
+                continue
+            if w.is_singular or w.ainvs in seen:
+                continue
+            seen.add(w.ainvs)
+            if done % 5 == 0:
+                w = change_variables(w, CoordinateChange.of(2, 1, 0, 0))
+                non_integral += not w.is_integral
+            for T in two_torsion_points(w):
+                halves = halve_point(w, T)
+                assert halves == oracles.halves_reference(w, T), (w, T)
+                halvable += bool(halves)
+            done += 1
+    assert len(seen) == 1000 and non_integral >= 150 and halvable >= 200, (non_integral, halvable)
 
 
 def test_checks_hold_under_optimize(run_optimized):
     # a doctored order test on the integral model, the same on a non-integral
     # input model (the check after the change back), a Z/6 generator of the
-    # wrong order whose order check runs on ints, a doctored change back to
-    # an integral input model and a doctored square root trip the checks in
-    # turn
+    # wrong order whose order check runs on ints and a doctored change back
+    # to an integral input model trip the checks in turn
     script = (
         "from ecdescent import families, weierstrass\n"
         "from ecdescent.weierstrass import CoordinateChange, InvariantViolation, WeierstrassModel, change_variables\n"
@@ -409,10 +432,8 @@ def test_checks_hold_under_optimize(run_optimized):
         "families.point_add = weierstrass.point_add\n"
         "families.integral_model = lambda v: (v, CoordinateChange.of(1, 1))\n"
         "attempt(lambda: families.torsion_subgroup(w))\n"
-        "families.poly_sqrt_monic_quartic = lambda f: None\n"
-        "attempt(lambda: families.halving_quadratic(WeierstrassModel.from_ainvs([0, 0, 0, -1, 0]), (0, 0)))\n"
     )
-    assert run_optimized(script) == ["raised"] * 5
+    assert run_optimized(script) == ["raised"] * 4
 
 
 def test_torsion_growth_classes():

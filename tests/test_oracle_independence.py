@@ -28,7 +28,7 @@ JUDGED = {
     "two_torsion_points",
     "splits_in",
     "heegner_field_scan",
-    "isomorphic_over_q",
+    "isomorphism_scale",
     "_velu_quotient",
     "point_add",
     "point_mul",
@@ -40,7 +40,7 @@ JUDGED = {
     "z3_point",
     "z3_normalize",
     "torsion_growth",
-    "halving_quadratic",
+    "_halving_xs",
 }
 
 

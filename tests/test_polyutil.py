@@ -13,7 +13,6 @@ from ecdescent.polyutil import (
     poly_eval,
     poly_gcd_q,
     poly_mul,
-    poly_sqrt_monic_quartic,
     rational_roots,
     squarefree_part_poly,
 )
@@ -169,13 +168,6 @@ def test_poly_gcd():
     g = poly_from_roots([2, 3, 5])
     d = poly_gcd_q(f, g)
     assert d == [Fraction(6), Fraction(-5), Fraction(1)]  # (x-2)(x-3)
-
-
-def test_poly_sqrt_quartic():
-    q = [Fraction(3), Fraction(-2), Fraction(1)]
-    f = poly_mul(q, q)
-    assert poly_sqrt_monic_quartic(f) == q
-    assert poly_sqrt_monic_quartic([1, 1, 1, 0, 1]) is None
 
 
 def test_quadratic_factors_of_quartic():

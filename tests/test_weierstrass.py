@@ -15,7 +15,7 @@ from ecdescent.weierstrass import (
     change_variables,
     curve_invariants,
     integral_model,
-    isomorphic_over_q,
+    isomorphism_scale,
     parse_model,
     point_add,
     point_mul,
@@ -481,14 +481,19 @@ def test_find_isomorphism():
     assert find_isomorphism(w, other) is None
 
 
-def _integral_invariants(w):
-    return curve_invariants(integral_model(w)[0].ainvs)
+def _scale_invariants(w):
+    return (w.c4, w.c6, w.discriminant)
 
 
 def _agrees_with_oracle(w1, w2):
-    fast = isomorphic_over_q(_integral_invariants(w1), _integral_invariants(w2))
-    assert fast == (find_isomorphism(w1, w2) is not None), (str(w1), str(w2))
-    return fast
+    # the scale on the models' own invariants, Fractions included, is the |u|
+    # of the oracle's change; on integral models it exists just as often
+    found = find_isomorphism(w1, w2)
+    u = isomorphism_scale(_scale_invariants(w1), _scale_invariants(w2))
+    assert u == (None if found is None else abs(found.u)), (str(w1), str(w2))
+    fast = isomorphism_scale(_scale_invariants(integral_model(w1)[0]), _scale_invariants(integral_model(w2)[0]))
+    assert (fast is None) == (found is None), (str(w1), str(w2))
+    return found is not None
 
 
 def test_isomorphic_over_q_under_random_changes():
@@ -550,9 +555,9 @@ def test_isomorphic_over_q_at_j_0_and_1728():
 
 
 def test_isomorphic_over_q_needs_nonsingular_models():
-    good = curve_invariants((0, 0, 1, -1, 0))
+    good = curve_invariants((0, 0, 1, -1, 0))[4:]
     with pytest.raises(SingularModelError):
-        isomorphic_over_q(good, curve_invariants((0, 0, 0, 0, 0)))
+        isomorphism_scale(good, curve_invariants((0, 0, 0, 0, 0))[4:])
 
 
 def test_j_of_singular():
