@@ -342,7 +342,7 @@ def local_class(q: Rational, place) -> int:
     if q == 0:
         raise ValueError("square class of 0 undefined")
     n = _as_integer_squareclass(q)
-    if place == OO or place is None:
+    if place == OO:
         return int(n < 0)
     p = int(place)
     v = padic_valuation(n, p)
@@ -355,7 +355,7 @@ def local_class(q: Rational, place) -> int:
 @functools.cache
 def _class_reps(place) -> tuple:
     """Canonical reps indexed by local_class: products of the basis elements its bits select."""
-    p = None if place == OO or place is None else int(place)
+    p = None if place == OO else int(place)
     basis = (-1,) if p is None else (2, -1, 5) if p == 2 else (p, smallest_nonresidue(p))
     reps = (1,)
     for g in basis:
@@ -390,7 +390,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     rows of G are bitmasks, and below a = p^alpha u and b = p^beta v.
     """
     x, y = local_class(a, place), local_class(b, place)  # ValueError on 0
-    if place == OO or place is None:
+    if place == OO:
         gram = (0b1,)  # [a < 0][b < 0]
     elif int(place) == 2:
         gram = (0b100, 0b010, 0b001)  # alpha omega(v) + eps(u) eps(v) + beta omega(u)

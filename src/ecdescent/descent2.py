@@ -80,9 +80,6 @@ from .weierstrass import (
     two_torsion_form,
 )
 
-_BIG = 10**9
-
-
 def dual_params(A: Fraction, B: Fraction) -> tuple[Fraction, Fraction]:
     """(A', B') of the quotient curve E' = E/<(0,0)>."""
     return -2 * A, A * A - 4 * B
@@ -98,7 +95,7 @@ def local_image(w: WeierstrassModel, place) -> LocalSquareClassGroup:
     """Image of delta: E'(Q_l)/phi(E(Q_l)) -> Q_l*/Q_l*^2 for the descent
     through the 2-isogeny of y^2 = x^3 + Ax^2 + Bx; Tate's algorithm runs
     on E at that place only."""
-    if place == OO or place is None:
+    if place == OO:
         return _local_images(w, {})[OO]
     ell = int(place)
     return _local_images(w, {ell: local_reduction(w, ell)})[ell]
@@ -202,7 +199,7 @@ def _image_scan(Ap: int, Bi: int, ell: int, size: int) -> set:
                 continue
             vF = padic_valuation(val, ell) - 3 * j
             dval = 3 * x * x + 2 * As * x + Bs
-            vdF = padic_valuation(dval, ell) - 2 * j if dval else _BIG
+            vdF = padic_valuation(dval, ell) - 2 * j if dval else OO
             if vF > 2 * vdF and vF - vdF >= m + k:
                 # Newton converges to a root at distance >= vF - vdF, hence
                 # inside this residue disc; X - root then varies freely there
@@ -402,7 +399,7 @@ def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -
 def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData) -> int:
     """Kramer's i_l for E(Q)[2] = Z/2 over K = Q(sqrt(d)); gd is global_data(w)."""
     _check_z2_two_torsion(w)
-    if place == OO or place is None:
+    if place == OO:
         return 1 if gd.delta_min > 0 else 0
     p = int(place)
     disc = field_discriminant(d)

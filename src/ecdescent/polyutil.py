@@ -5,13 +5,16 @@ root extraction works on integer polynomials of modest degree (division
 polynomials up to order 12) whose coefficients may be hundreds of digits;
 it lifts roots modulo an auxiliary prime and reconstructs u/w exactly,
 so no divisor enumeration of the constant term is ever needed.  The
-auxiliary prime q is the first of a fixed list, starting with small
-primes, that leaves the polynomial squarefree with a unit leading
-coefficient mod q; that already proves it squarefree over Q, and its
-roots mod a small q need no x^q powering modulo a large prime.  The gcd
-with the derivative over Q runs only when no listed prime passes, which
-needs a repeated factor or a discriminant that every listed prime
-divides.
+auxiliary prime q is found in two stages.  The first tries the 25 primes
+31-149 on the polynomial itself and takes the first that leaves it
+squarefree with a unit leading coefficient mod q, which already proves
+it squarefree over Q.  Only when none passes, which needs a repeated
+factor or a discriminant that all 25 divide, is the polynomial stripped
+of its repeated factors by a gcd with its derivative over Q, and the
+stripped one searched through the rest of the primes below 10^4.  Every
+q is small enough that its roots mod q are found by evaluation at each
+residue.  Tate's algorithm only counts roots mod p, by the degree of
+gcd(x^p - x, f) at p >= 60, and never splits that gcd.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
+
+from .arith import SMALL_PRIMES
 
 
 def poly_trim(f: list) -> list:
@@ -172,52 +177,21 @@ def fp_mulmod(f: list[int], g: list[int], h: list[int], p: int) -> list[int]:
 
 
 def fp_roots(f: list[int], p: int) -> list[int]:
-    """All roots of f in F_p (each once), any degree, any p."""
+    """All roots of f in F_p, in increasing order, by evaluation at every residue."""
     f = fp_trim(f[:], p)
     if not f:
         raise ValueError("zero polynomial")
-    roots = []
-    if f[0] == 0:
-        roots.append(0)
-        while f and f[0] == 0:
-            f = f[1:]
-    if len(f) <= 1:
-        return roots
-    if p < 60 or len(f) - 1 >= p:
-        roots += [x for x in range(1, p) if poly_eval(f, x) % p == 0]
-        return sorted(set(roots))
-    # split off the part with roots in F_p: gcd(x^p - x, f)
+    return [x for x in range(p) if poly_eval(f, x) % p == 0]
+
+
+def fp_root_count(f: list[int], p: int) -> int:
+    """The number of distinct roots of a nonzero f in F_p, none of them found:
+    evaluation below 60, else deg gcd(x^p - x, f) (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.4)."""
+    if p < 60:
+        return len(fp_roots(f, p))
     xp = fp_powmod_poly([0, 1], p, f, p)
-    xp_minus_x = fp_trim(poly_add(xp, [0, -1]), p)
-    g = fp_gcd(xp_minus_x, f, p)
-    roots += _fp_split_linear(g, p, 0)
-    return sorted(set(roots))
-
-
-def _fp_split_linear(g: list[int], p: int, shift: int) -> list[int]:
-    # g is squarefree and splits into distinct linear factors over F_p; shift
-    # is the depth of this attempt in the recursion and picks its c
-    g = fp_trim(g[:], p)
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    if deg == 2:
-        a, b, c = g[2], g[1], g[0]
-        disc = (b * b - 4 * a * c) % p
-        s = _fp_sqrt(disc, p)
-        inv2a = pow(2 * a, -1, p)
-        return [((-b + s) * inv2a) % p, ((-b - s) * inv2a) % p]
-    # random-shift equal-degree splitting by (x+c)^((p-1)/2) - 1
-    c = (shift * 7919 + 1) % p
-    h = fp_powmod_poly([c, 1], (p - 1) // 2, g, p)
-    h = fp_trim(poly_add(h, [-1]), p)
-    d = fp_gcd(h, g, p)
-    if 0 < len(d) - 1 < deg:
-        other = fp_divmod(g, d, p)[0]
-        return _fp_split_linear(d, p, shift + 1) + _fp_split_linear(other, p, shift + 1)
-    return _fp_split_linear(g, p, shift + 1)
+    return len(fp_gcd(poly_add(xp, [0, -1]), f, p)) - 1
 
 
 def fp_powmod_poly(base: list[int], e: int, h: list[int], p: int) -> list[int]:
@@ -283,17 +257,17 @@ def _vanishes_at(g: Sequence[int], u: int, w: int) -> bool:
     return acc == 0
 
 
-#: Auxiliary primes of `rational_roots`, in the order tried: small primes,
-#: where `fp_roots` is cheap, then large ones for polynomials whose
-#: discriminant every small prime divides.
-AUX_PRIMES = (31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-LARGE_AUX_PRIMES = (30011, 30013, 30029, 30047, 30059, 30071, 30089, 30091, 30097, 30103)
+#: Auxiliary primes of `rational_roots`, in the order tried: the primes
+#: above 30 and below 10^4, at each of which `fp_roots` evaluates.
+AUX_PRIMES = tuple(q for q in SMALL_PRIMES if q > 30)
+#: How many of them `rational_roots` tries before it strips repeated factors.
+_FIRST_STAGE = 25
 
 
-def _auxiliary_prime(g: list[int]) -> int | None:
-    """The first listed prime q with q not dividing lead(g) and gcd(g, g') = 1 mod q."""
+def _auxiliary_prime(g: list[int], primes: Sequence[int]) -> int | None:
+    """The first q of `primes` with q not dividing lead(g) and gcd(g, g') = 1 mod q."""
     dg = poly_deriv(g)
-    for q in AUX_PRIMES + LARGE_AUX_PRIMES:
+    for q in primes:
         if g[-1] % q and len(fp_gcd(g, dg, q)) == 1:
             return q
     return None
@@ -314,12 +288,13 @@ def rational_roots(f: Sequence) -> list[Fraction]:
         return roots
     if len(f) == 2:
         return sorted(roots + [Fraction(-f[0], f[1])])
-    g, q = f, _auxiliary_prime(f)
+    g, q = f, _auxiliary_prime(f, AUX_PRIMES[:_FIRST_STAGE])
     if q is None:
-        # no listed prime shows f squarefree: strip its repeated factors over Q
+        # no first-stage prime shows f squarefree: strip its repeated factors
+        # over Q and search the rest of the list
         g = squarefree_part_poly(f)
-        q = _auxiliary_prime(g)
-        if q is None:  # pragma: no cover - 25 bad primes for a squarefree g
+        q = _auxiliary_prime(g, AUX_PRIMES[_FIRST_STAGE:])
+        if q is None:  # pragma: no cover - every prime in (149, 10^4) divides lead(g) disc(g)
             raise ArithmeticError("no good auxiliary prime found")
     residues = fp_roots(g, q)
     ubound, wbound = abs(g[0]), abs(g[-1])

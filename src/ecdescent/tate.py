@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import kronecker_symbol, padic_valuation, prime_divisors
-from .polyutil import fp_roots
+from .polyutil import fp_root_count
 from .weierstrass import (
     InvariantViolation,
     SingularModelError,
@@ -224,7 +224,7 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
         rep = _cubic_repeated_root(P, p)
         if rep is None:
             # separable cubic: one component per rational root, plus one
-            c = 1 + len(fp_roots(P, p))
+            c = 1 + fp_root_count(P, p)
             return LocalReduction(p, _kodaira_type("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
         r1, mult = rep
         a = rst_change(a, p * r1, 0, 0)

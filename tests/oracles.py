@@ -111,7 +111,7 @@ def local_image_bruteforce(w: WeierstrassModel, place, cap: int = 500_000) -> Lo
     integral dual."""
     A, B = two_torsion_form(w)
     Ap, Bp = dual_params(A, B)
-    if place == OO or place is None:
+    if place == OO:
         return _group_of_reps(OO, _infty_oracle(Ap, Bp))
     ell = int(place)
     Ai, Bi = _int_pair(Ap, Bp)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ecdescent import polyutil
 from ecdescent.polyutil import (
     AUX_PRIMES,
-    LARGE_AUX_PRIMES,
+    fp_root_count,
     fp_roots,
     poly_eval,
     poly_gcd_q,
@@ -111,8 +111,8 @@ def _oracle_cases():
         h = _random_poly(rng, rng.randint(1, 2))
         cases.append(poly_mul(poly_mul(h, h), _random_poly(rng, rng.randint(0, 2))))
     for _ in range(40):
-        # leading coefficient divisible by small auxiliary primes
-        lead = math.prod(rng.sample(AUX_PRIMES, rng.randint(1, 3)))
+        # leading coefficient divisible by small auxiliary primes, 31-97
+        lead = math.prod(rng.sample(AUX_PRIMES[:15], rng.randint(1, 3)))
         f = poly_mul([rng.randint(-12, 12), lead], _random_poly(rng, rng.randint(1, 3)))
         cases.append(f)
     cases.append(poly_mul(poly_from_roots([7, 7, 7]), poly_from_roots([-2])))
@@ -127,13 +127,24 @@ def test_rational_roots_match_rational_root_theorem_oracle():
 
 
 def test_rational_roots_falls_back_to_large_prime(monkeypatch):
-    # the discriminant P^2 of (x - 1)(x - 1 - P) rules out every small prime
+    # the discriminant P^2 of (x - 1)(x - 1 - P) rules out the first 15 primes
     gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
     fp_calls = _count_calls(monkeypatch, "fp_roots")
-    P = math.prod(AUX_PRIMES)
+    P = math.prod(AUX_PRIMES[:15])
     f = poly_from_roots([1, 1 + P])
     assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
-    assert gcd_calls == [] and [p for _, p in fp_calls] == [LARGE_AUX_PRIMES[0]]
+    assert gcd_calls == [] and [p for _, p in fp_calls] == [101]
+
+
+def test_rational_roots_searches_the_rest_after_stripping(monkeypatch):
+    # every one of the 25 first-stage primes 31-149 divides the discriminant
+    # P^2: the polynomial is stripped over Q and the search goes on from 151
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
+    fp_calls = _count_calls(monkeypatch, "fp_roots")
+    P = math.prod(AUX_PRIMES[:25])
+    f = poly_from_roots([1, 1 + P])
+    assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
+    assert gcd_calls and [p for _, p in fp_calls] == [151]
 
 
 def test_fp_roots_small_and_large():
@@ -142,6 +153,33 @@ def test_fp_roots_small_and_large():
     p = 10007
     f = poly_from_roots([5, 17, p - 3])
     assert fp_roots(f, p) == sorted([5, 17, p - 3])
+
+
+def _cubic_disc(c, b, a):
+    # discriminant of T^3 + a T^2 + b T + c
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
+def test_fp_root_count_matches_evaluation():
+    # Tate's step 6 cubics are monic and separable mod p; below 60 the count
+    # is evaluation, from 60 up deg gcd(x^p - x, f), judged here by evaluation
+    rng = random.Random(20261020)
+    primes = (2, 3, 5, 7, 13, 31, 53, 59, 61, 67, 97, 1009, 10007, 10009, 30011)
+    seen = set()
+    cubics = 0
+    for p in primes:
+        done = 0
+        while done < (60 if p > 10**4 else 160):
+            c, b, a = (rng.randrange(p) for _ in range(3))
+            if _cubic_disc(c, b, a) % p == 0:
+                continue
+            expected = sum(1 for x in range(p) if ((x + a) * x + b) * x % p == -c % p)
+            assert fp_root_count([c, b, a, 1], p) == expected, (p, a, b, c)
+            seen.add((p >= 60, expected))
+            done += 1
+        cubics += done
+    assert cubics >= 2000
+    assert seen == {(big, n) for big in (False, True) for n in (0, 1, 3)}
 
 
 def test_squarefree_part_poly():

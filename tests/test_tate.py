@@ -412,6 +412,24 @@ def test_step6_cubic_matches_deflation_oracle():
     assert cubics == 536_688
 
 
+@pytest.mark.parametrize(
+    "p, a, c",
+    [
+        (61, (0, 0, 0, -(61**2), 0), 4),  # T^3 - T splits
+        (61, (0, 0, 0, -2 * 61**2, 0), 2),  # T(T^2 - 2): 2 is a nonresidue mod 61
+        (61, (0, 0, 0, 0, -2 * 61**3), 1),  # T^3 - 2: 2 is not a cube mod 61
+        (10007, (0, 0, 0, -(10007**2), 0), 4),
+        (10007, (0, 0, 0, -5 * 10007**2, 0), 2),  # 5 is a nonresidue mod 10007
+        (10007, (0, 0, 0, 10007**2, 10007**3), 1),  # T^3 + T + 1 has no root mod 10007
+    ],
+)
+def test_i0_star_at_a_large_prime_counts_the_cubic_roots(p, a, c):
+    # y^2 = x^3 + p^2 a4 x + p^3 a6 with T^3 + a4 T + a6 separable mod p is
+    # I0*, and c_p is one more than the number of roots of that cubic mod p
+    lr = tate_algorithm(a, curve_invariants(a), p)
+    assert (str(lr.kodaira), lr.tamagawa, lr.conductor_exponent, lr.v_min) == ("I0*", c, 2, 6)
+
+
 def test_multiplicative_closed_form_matches_the_node_reference():
     # Tate reads split or nonsplit from (-c6 | p) without moving the model,
     # at every p; against a residue search for the node and the tangent
