@@ -69,7 +69,6 @@ from .arith import (
     square_class,
     squarefree_part,
 )
-from .polyutil import _fp_sqrt
 from .tate import GlobalData, _integral_tuple, global_data, local_reduction, tate_algorithm
 from .weierstrass import (
     SingularModelError,
@@ -142,6 +141,31 @@ def _finite_image(w: WeierstrassModel, lr, ep: tuple, ell: int) -> LocalSquareCl
     if not grp.is_subgroup():
         raise ArithmeticError(f"{w} at {ell}: local image {sorted(grp.elements)} is not a subgroup")
     return grp
+
+
+def _fp_sqrt(a: int, p: int) -> int:
+    """Square root mod odd prime p (Tonelli-Shanks); a must be a QR."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _ramified_twist_image(A, B, d: int, ell: int) -> LocalSquareClassGroup:
@@ -391,8 +415,9 @@ def heegner_field_scan(w: WeierstrassModel, bound: int, gd: GlobalData = None) -
             # 2 splits iff the field discriminant is d itself and d = 1 mod 8
             ds = [d for d in ds if d % 8 == 1]
         else:
-            # (4d|p) = (d|p), whatever d mod 4 is
-            ds = [d for d in ds if kronecker_symbol(d % p, p) == 1]
+            # (4d|p) = (d|p), whatever d mod 4 is, by Euler's criterion
+            e = (p - 1) // 2
+            ds = [d for d in ds if pow(d, e, p) == 1]
     return ds
 
 

@@ -72,6 +72,11 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     Raises HypothesisFailure when d is inadmissible, and then
     ThreeDividesTamagawa when 3 | C(E) (nothing to do); d = -3 is refused
     only past that point, where the torsion ratio needs it.
+
+    The quotient E' has the primes of E: `_hadano_quotient` checks
+    disc(E') = (q (a - 3))^3 with q = a^2 + 3a + 9, and q (a - 3) = a^3 - 27
+    = disc(E), so global_data(E') takes E's primes as its hint and factors
+    nothing.
     """
     fp = z3_point(a, 1)
     E = build_curve(fp)
@@ -88,7 +93,7 @@ def cassels_ledger(a: int, d: int) -> CasselsLedger:
     rec = _hadano_quotient(fp)
     check_invariant(isinstance(rec, IsogenyRecord), "a = {}: no 3-isogeny quotient", a)
     Ep = rec.target
-    gdp = global_data(Ep)
+    gdp = global_data(Ep, bad_prime_hint=sorted(gd.local_data))
     check_invariant(gdp.conductor == gd.conductor, "a = {}: isogenous curves of different conductors", a)
     # all bad primes split in K (Heegner), so Tamagawa numbers over K are
     # the squares of the rational ones; ramified or inert bad primes are

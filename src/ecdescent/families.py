@@ -12,6 +12,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -263,15 +264,22 @@ class TorsionGroup:
         return self.structure[0] * self.structure[1]
 
 
-def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
-    """#E(F_p) for an odd prime of good reduction on an integral model:
-    p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6), the quadratic
-    character read from a table of the squares mod p."""
-    b2, b4, b6 = (b % p for b in (w.b2, w.b4, w.b6))
+@functools.cache
+def _quadratic_character(p: int) -> tuple:
+    """The table of (x | p) for x mod an odd prime p, read off the squares."""
     chi = [-1] * p
     for y in range(1, p // 2 + 1):
         chi[y * y % p] = 1
     chi[0] = 0
+    return tuple(chi)
+
+
+def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
+    """#E(F_p) for an odd prime of good reduction on an integral model:
+    p + 1 + sum over x of chi(4x^3 + b2 x^2 + 2 b4 x + b6), the quadratic
+    character read from a table of the squares mod p, built once per p."""
+    b2, b4, b6 = (b % p for b in (w.b2, w.b4, w.b6))
+    chi = _quadratic_character(p)
     return p + 1 + sum(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
 

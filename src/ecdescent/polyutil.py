@@ -4,16 +4,19 @@ Polynomials are lists of coefficients, lowest degree first.  Rational
 root extraction works on integer polynomials of modest degree (division
 polynomials up to order 12) whose coefficients may be hundreds of digits;
 it lifts roots modulo an auxiliary prime and reconstructs u/w exactly,
-so no divisor enumeration of the constant term is ever needed.  The
-auxiliary prime q is found in two stages.  The first tries the 25 primes
-31-149 on the polynomial itself and takes the first that leaves it
-squarefree with a unit leading coefficient mod q, which already proves
-it squarefree over Q.  Only when none passes, which needs a repeated
-factor or a discriminant that all 25 divide, is the polynomial stripped
-of its repeated factors by a gcd with its derivative over Q, and the
-stripped one searched through the rest of the primes below 10^4.  Every
-q is small enough that its roots mod q are found by evaluation at each
-residue.  Tate's algorithm only counts roots mod p, by the degree of
+so no divisor enumeration of the constant term is ever needed.  An
+auxiliary prime q is accepted when q does not divide the leading
+coefficient and g'(r) != 0 mod q at every root r of g mod q, which the
+evaluation of g at each residue finds: each such root is simple, so it
+lifts to one q-adic root, and every rational root reduces to one of
+them.  No gcd(g, g') mod q is taken, and a rejected q costs one
+evaluation at its q residues.  The search runs in two stages.  The first
+tries the 25 primes 31-149 on the polynomial itself.  Only when none
+passes, as at a repeated rational root (a multiple root mod every q) or
+a discriminant that all 25 divide, is the polynomial stripped of its
+repeated factors by a gcd with its derivative over Q, and the stripped
+one searched through the rest of the primes below 10^4, at O(q) per
+rejected q.  Tate's algorithm only counts roots mod p, by the degree of
 gcd(x^p - x, f) at p >= 60, and never splits that gcd.
 """
 
@@ -205,31 +208,6 @@ def fp_powmod_poly(base: list[int], e: int, h: list[int], p: int) -> list[int]:
     return result
 
 
-def _fp_sqrt(a: int, p: int) -> int:
-    """Square root mod odd prime p (Tonelli-Shanks); a must be a QR."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 # ---------------------------------------------------------------------------
 # exact rational roots of integer polynomials
 
@@ -264,12 +242,15 @@ AUX_PRIMES = tuple(q for q in SMALL_PRIMES if q > 30)
 _FIRST_STAGE = 25
 
 
-def _auxiliary_prime(g: list[int], primes: Sequence[int]) -> int | None:
-    """The first q of `primes` with q not dividing lead(g) and gcd(g, g') = 1 mod q."""
+def _auxiliary_prime(g: list[int], primes: Sequence[int]) -> tuple[int, list[int]] | None:
+    """(q, the roots of g mod q) for the first q of `primes` with q not
+    dividing lead(g) and g'(r) != 0 mod q at every root r; else None."""
     dg = poly_deriv(g)
     for q in primes:
-        if g[-1] % q and len(fp_gcd(g, dg, q)) == 1:
-            return q
+        if g[-1] % q:
+            roots = fp_roots(g, q)
+            if all(poly_eval(dg, r) % q for r in roots):
+                return q, roots
     return None
 
 
@@ -288,15 +269,15 @@ def rational_roots(f: Sequence) -> list[Fraction]:
         return roots
     if len(f) == 2:
         return sorted(roots + [Fraction(-f[0], f[1])])
-    g, q = f, _auxiliary_prime(f, AUX_PRIMES[:_FIRST_STAGE])
-    if q is None:
-        # no first-stage prime shows f squarefree: strip its repeated factors
-        # over Q and search the rest of the list
+    g, found = f, _auxiliary_prime(f, AUX_PRIMES[:_FIRST_STAGE])
+    if found is None:
+        # every first-stage prime meets a root of f mod q that is not simple:
+        # strip its repeated factors over Q and search the rest of the list
         g = squarefree_part_poly(f)
-        q = _auxiliary_prime(g, AUX_PRIMES[_FIRST_STAGE:])
-        if q is None:  # pragma: no cover - every prime in (149, 10^4) divides lead(g) disc(g)
+        found = _auxiliary_prime(g, AUX_PRIMES[_FIRST_STAGE:])
+        if found is None:  # pragma: no cover - every prime in (149, 10^4) divides lead(g) disc(g)
             raise ArithmeticError("no good auxiliary prime found")
-    residues = fp_roots(g, q)
+    q, residues = found
     ubound, wbound = abs(g[0]), abs(g[-1])
     target = 2 * ubound * wbound + 1
     prec = 1

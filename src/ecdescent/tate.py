@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import kronecker_symbol, padic_valuation, prime_divisors
+from .arith import is_prime, kronecker_symbol, padic_valuation, prime_divisors
 from .polyutil import fp_root_count
 from .weierstrass import (
     InvariantViolation,
@@ -312,12 +312,15 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
 
     `bad_prime_hint` may list the primes dividing the discriminant of the
     integral model (family sweeps know them without factoring); it is
-    verified cheaply, so a wrong hint fails loudly.
+    verified cheaply, so a hint with an entry that is not prime, or one
+    that does not cover the discriminant, fails loudly.
     """
     a, invariants = _integral_tuple(w)
     _, _, _, _, c4, c6, disc = invariants
     if bad_prime_hint is not None:
         primes = sorted(set(int(p) for p in bad_prime_hint))
+        if not all(map(is_prime, primes)):
+            raise ValueError(f"bad_prime_hint has an entry that is not prime: {primes}")
         rem = abs(disc)
         for p in primes:
             while rem % p == 0:

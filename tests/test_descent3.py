@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ecdescent import tate
+from ecdescent import arith, descent2, descent3, tate
 from ecdescent.descent2 import heegner_field_scan
 from ecdescent.descent3 import (
     CasselsLedger,
@@ -190,3 +191,40 @@ def test_criterion_reads_the_quotient_data_of_its_ledger(monkeypatch):
         calls.clear()
         assert sha3_criterion(a, d).route == "cassels"
         assert len(calls) <= ledger_runs
+
+
+def test_ledger_takes_the_quotient_primes_from_its_source(monkeypatch):
+    # disc(E') = disc(E)^3 at b = 1, so the ledger hands E's primes to
+    # global_data(E') and never factors disc(E'); the quotient data equal
+    # an unhinted global_data(E'), keys in the same order
+    real, seen = arith.prime_divisors, []
+
+    def divisors(n):
+        seen.append(abs(n))
+        return real(n)
+
+    rng = random.Random(20261021)
+    checked = 0
+    for a in rng.sample(range(-400, 400), 60):
+        if a == 3:
+            continue
+        d = find_heegner_d(a)
+        if d is None:
+            continue
+        for mod in (arith, tate, descent2, descent3):
+            monkeypatch.setattr(mod, "prime_divisors", divisors)
+        seen.clear()
+        try:
+            led = cassels_ledger(a, d)
+        except ThreeDividesTamagawa:
+            continue
+        finally:
+            monkeypatch.undo()
+        disc_q = abs(led.quotient.discriminant)
+        assert disc_q == abs(a**3 - 27) ** 3, a
+        assert disc_q not in seen, a
+        unhinted = global_data(led.quotient)
+        assert led.quotient_data == unhinted, a
+        assert list(led.quotient_data.local_data) == list(unhinted.local_data), a
+        checked += 1
+    assert checked >= 10

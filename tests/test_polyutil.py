@@ -127,13 +127,15 @@ def test_rational_roots_match_rational_root_theorem_oracle():
 
 
 def test_rational_roots_falls_back_to_large_prime(monkeypatch):
-    # the discriminant P^2 of (x - 1)(x - 1 - P) rules out the first 15 primes
+    # the discriminant P^2 of (x - 1)(x - 1 - P) rules out the first 15
+    # primes, at each of which 1 is a double root; each costs one evaluation
     gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
     fp_calls = _count_calls(monkeypatch, "fp_roots")
     P = math.prod(AUX_PRIMES[:15])
     f = poly_from_roots([1, 1 + P])
     assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
-    assert gcd_calls == [] and [p for _, p in fp_calls] == [101]
+    assert AUX_PRIMES[15] == 101
+    assert gcd_calls == [] and [p for _, p in fp_calls] == list(AUX_PRIMES[:16])
 
 
 def test_rational_roots_searches_the_rest_after_stripping(monkeypatch):
@@ -144,7 +146,28 @@ def test_rational_roots_searches_the_rest_after_stripping(monkeypatch):
     P = math.prod(AUX_PRIMES[:25])
     f = poly_from_roots([1, 1 + P])
     assert rational_roots(f) == [Fraction(1), Fraction(1 + P)]
-    assert gcd_calls and [p for _, p in fp_calls] == [151]
+    assert gcd_calls and [p for _, p in fp_calls] == list(AUX_PRIMES[:25]) + [151]
+
+
+def test_rational_roots_accepts_a_prime_where_only_the_irrational_factor_repeats(monkeypatch):
+    # (x^2 + 1)^2 (2x - 3) is not squarefree, but x^2 + 1 has no root mod
+    # 31 = 3 mod 4, and the one root 3/2 mod 31 is simple: no stripping
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
+    fp_calls = _count_calls(monkeypatch, "fp_roots")
+    f = poly_mul(poly_mul([1, 0, 1], [1, 0, 1]), [-3, 2])
+    assert rational_roots(f) == [Fraction(3, 2)] == rational_roots_oracle(f)
+    assert gcd_calls == [] and [p for _, p in fp_calls] == [31]
+
+
+def test_rational_roots_strips_a_repeated_rational_root(monkeypatch):
+    # 2 is a double root of (x - 2)^2 (x + 5) mod every prime, so all 25
+    # first-stage primes are tried; the stripped (x - 2)(x + 5) has
+    # discriminant 49 and passes at 151, the first prime after them
+    gcd_calls = _count_calls(monkeypatch, "poly_gcd_q")
+    fp_calls = _count_calls(monkeypatch, "fp_roots")
+    f = poly_from_roots([2, 2, -5])
+    assert rational_roots(f) == [Fraction(-5), Fraction(2)] == rational_roots_oracle(f)
+    assert gcd_calls and [p for _, p in fp_calls] == list(AUX_PRIMES[:25]) + [151]
 
 
 def test_fp_roots_small_and_large():

@@ -342,6 +342,17 @@ def test_bad_prime_hint_validation():
     assert global_data(w, bad_prime_hint=[11, 3]).conductor == 11
 
 
+def test_bad_prime_hint_refuses_an_entry_that_is_not_prime():
+    # disc = 289 = 17^2: the hint [289] covers it, but 289 is no prime, and
+    # Tate's algorithm run "at 289" would report conductor 289
+    w = W(1, -1, 1, -6, -4)
+    assert global_data(w).conductor == 17
+    for hint in ([289], [17, 289], [1, 17], [17, -17], [0, 17]):
+        with pytest.raises(ValueError, match="not prime"):
+            global_data(w, bad_prime_hint=hint)
+    assert global_data(w, bad_prime_hint=[17]) == global_data(w)
+
+
 def _singular_residue(a, p):
     # brute force: the residue pair where the reduction and both partials vanish
     a1, a2, a3, a4, a6 = a
