@@ -349,7 +349,7 @@ def local_class(q: Rational, place) -> int:
     u = n // p**v
     if p == 2:
         return v & 1 | (u % 4 == 3) << 1 | (u % 8 in (3, 5)) << 2
-    return v & 1 | (kronecker_symbol(u, p) == -1) << 1
+    return v & 1 | (pow(u, (p - 1) // 2, p) == p - 1) << 1  # Euler's criterion
 
 
 @functools.cache

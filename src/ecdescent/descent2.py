@@ -26,25 +26,28 @@ global_data.  The descent needs the dual [0, -2A, 0, A^2 - 4B, 0] integral,
 so only 2 divides the denominators of A and B, and an integral model of w
 differs from w only at 2; as disc = 16 B^2 B', the primes of its
 discriminant are 2 and the odd primes of B and B', the finite descent
-places.  Tate's algorithm runs there only on the integral dual.  It finds
-Sel^phi as the kernel of an F_2-linear map on the generators -1 and the
-finite places, in the arith.local_class coordinates that every local image
-stores, so the work grows with their number, not 2 to its power.
+places.  Tate's algorithm runs there only on the integral dual.  One
+kernel, _selmer_span, turns local images into Selmer classes: an F_2-linear
+map on the generators -1 and the finite places, in the arith.local_class
+coordinates that every local image stores, with one row per functional
+vanishing on a proper image, so the work grows with their number, not 2 to
+its power.
 The places and minimal_scale_exp of a GlobalData belong to the model it was
 computed for, so the functions here that take one take global_data(w) of w
 itself; phi_intersection, and so everywhere_local_norm_dim, checks that gd
 is of w's curve and that its primes cover the places of w.
 
-phi_intersection builds no Selmer group of the twist E_d: it keeps the
-classes of Sel^phi(E) that lie in the image of E_d where the two images can
-differ.  Those are infinity, 2 unless d = 1 mod 8, the odd l | d, and the
+phi_intersection builds no Selmer group, of E or of the twist E_d: it takes
+one kernel over the images of E and, where the two images can differ, those
+of E_d.  Those places are infinity, 2 unless d = 1 mod 8, the odd l | d, and the
 odd l | B B' at which d is not a square.  At any other odd l, either d is
 in Q_l*^2, so E_d = E over Q_l, or both curves have good reduction and
 both images are the unramified classes.  At an odd l | d prime to B B', E
 is good and E_d additive, so the image comes from 2-torsion: it is spanned
 by the class of B'_d = d^2 B' and, when B = r^2 mod l, by d(A +- 2r), the
 other roots of X^2 + A'_d X + B'_d (Schaefer-Stoll 2004, section 3; Kramer
-1981).  Its size is still checked against Tate's count on E_d.
+1981).  Its size is still checked against Tate's count on E_d, and that it
+is a subgroup, as the kernel needs.
 """
 
 from __future__ import annotations
@@ -277,24 +280,21 @@ def _f2_insert(pivots: dict, r: int) -> bool:
     return True
 
 
-def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
-    """Sel^phi(E/Q): the classes supported on -1 and the finite descent places
-    whose restriction lies in the local image at every place.
+def _selmer_span(gens: list, images) -> dict:
+    """The classes supported on `gens`, -1 and distinct primes, that lie in
+    every local image of `images`, each a subgroup: {F_2 vector over gens: rep}.
 
     It is the kernel of F_2^k -> sum_v (Q_v*/Q_v*^2)/im delta_v on the k
-    generators (Cremona 1997, 3.6): each functional vanishing on a local
-    image gives one row, and Gaussian elimination gives the kernel.  The basis
-    is each class, by |rep| with the negative last, independent of those before."""
-    return _phi_selmer(w, global_data(w))
-
-
-def _phi_selmer(w: WeierstrassModel, gd: GlobalData) -> SelmerGroup2:
-    # gd is global_data(w): its primes are the finite places (see the module docstring)
-    gens = [-1] + sorted(gd.local_data)
+    generators (Cremona 1997, 3.6): each functional vanishing on an image
+    gives one row, in the local_class coordinates of the generators, and
+    Gaussian elimination gives the kernel.  A full image gives no rows."""
     rows = []
-    for place, img in _local_images(w, gd.local_data).items():
-        cols = [local_class(g, place) for g in gens]
-        for f in range(1, _class_count(place)):
+    for img in images:
+        n = _class_count(img.place)
+        if len(img) == n:
+            continue
+        cols = [local_class(g, img.place) for g in gens]
+        for f in range(1, n):
             if not any((f & x).bit_count() & 1 for x in img.classes):
                 rows.append(sum(1 << j for j, c in enumerate(cols) if (f & c).bit_count() & 1))
     pivots = {}  # pivot bit -> row, reduced so that no other row has that bit
@@ -306,11 +306,25 @@ def _phi_selmer(w: WeierstrassModel, gd: GlobalData) -> SelmerGroup2:
             e = 1 << j | sum(1 << bit for bit, pr in pivots.items() if pr >> j & 1)
             span += [e ^ x for x in span]
     # -1 and distinct primes, so every product is already squarefree
-    reps = {e: prod(g for j, g in enumerate(gens) if e >> j & 1) for e in span}
+    return {e: prod(g for j, g in enumerate(gens) if e >> j & 1) for e in span}
+
+
+def phi_selmer(w: WeierstrassModel) -> SelmerGroup2:
+    """Sel^phi(E/Q): the classes supported on -1 and the finite descent places
+    whose restriction lies in the local image at every place, found as the
+    kernel of _selmer_span.  The basis is each class, by |rep| with the
+    negative last, independent of those before."""
+    return _phi_selmer(w, global_data(w))
+
+
+def _phi_selmer(w: WeierstrassModel, gd: GlobalData) -> SelmerGroup2:
+    # gd is global_data(w): its primes are the finite places (see the module docstring)
+    span = _selmer_span([-1] + sorted(gd.local_data), _local_images(w, gd.local_data).values())
+    classes = {e: SquareClass(r) for e, r in span.items()}
     pivots = {}
-    order = sorted(span, key=lambda e: (abs(reps[e]), reps[e] < 0))
-    basis = tuple(SquareClass(reps[e]) for e in order if _f2_insert(pivots, e))
-    elements = frozenset(SquareClass(r) for r in reps.values())
+    order = sorted(span, key=lambda e: (abs(span[e]), span[e] < 0))
+    basis = tuple(classes[e] for e in order if _f2_insert(pivots, e))
+    elements = frozenset(classes.values())
     if len(elements) != 2 ** len(basis):
         raise ArithmeticError(f"{w}: the {len(elements)} Selmer classes are not a group")
     return SelmerGroup2(elements, basis)
@@ -335,19 +349,20 @@ def everywhere_local_norm_dim(w: WeierstrassModel, d: int, gd: GlobalData) -> in
 
 
 def phi_intersection(w: WeierstrassModel, d: int, gd: GlobalData) -> frozenset:
-    """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d, from
-    Sel^phi(E) and the images of E_d where they can differ from E's (see the
-    module docstring).  gd is global_data(w): InvariantViolation when it is of
-    another curve or misses a place of w.  Refuses what phi_selmer(w) and
-    quadratic_twist(w, d) refuse; ArithmeticError when an image's size is not Tate's."""
+    """Sel^phi(E) intersect Sel^phi(E_d) for the twist E_d by squarefree d: one
+    kernel of _selmer_span over the images of E and those of E_d where they can
+    differ from E's (see the module docstring).  gd is global_data(w):
+    InvariantViolation when it is of another curve or misses a place of w.
+    Refuses what phi_selmer(w) and quadratic_twist(w, d) refuse; ArithmeticError
+    when an image's size is not Tate's or a closed-form image is no subgroup."""
     gd.scale(w)
     disc = abs(_integral_tuple(w)[1][6])  # a prime p | disc has v_p(disc) < its bit length
     check_invariant(pow(prod(gd.local_data), disc.bit_length(), disc) == 0, "{}: gd misses a place of this model", w)
-    sel = _phi_selmer(w, gd)
+    images = list(_local_images(w, gd.local_data).values())
     wd = quadratic_twist(w, d)
     (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)
     ed, epd = _integral_tuple(wd), _dual_data(Ad, Bd)
-    images = [LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(Ad, Bd), Bd))]
+    images.append(LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(Ad, Bd), Bd)))
     odd = {p for p in prime_divisors(d) + list(gd.local_data) if p != 2 and kronecker_symbol(d % p, p) != 1}
     for ell in ([] if d % 8 == 1 else [2]) + sorted(odd):
         lr = tate_algorithm(*ed, ell)
@@ -357,8 +372,10 @@ def phi_intersection(w: WeierstrassModel, d: int, gd: GlobalData) -> frozenset:
         img, size = _ramified_twist_image(A, B, d, ell), _image_size(wd, lr, epd, ell)
         if len(img) != size:
             raise ArithmeticError(f"{wd} at {ell}: closed form {sorted(img.elements)}, Tate predicts {size}")
+        if not img.is_subgroup():
+            raise ArithmeticError(f"{wd} at {ell}: closed form {sorted(img.elements)} is not a subgroup")
         images.append(img)
-    return frozenset(x for x in sel.elements if all(x.rep in img for img in images))
+    return frozenset(SquareClass(r) for r in _selmer_span([-1] + sorted(gd.local_data), images).values())
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +402,21 @@ def field_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def splits_in(d: int, p: int) -> bool:
-    """Does the prime p split in Q(sqrt(d))?"""
-    disc = field_discriminant(d)
+def _splits(disc: int, p: int) -> bool:
+    """Does the prime p split in the quadratic field of discriminant disc?"""
     if p == 2:
         return disc % 8 == 1
-    return kronecker_symbol(disc % p, p) == 1
+    return pow(disc, (p - 1) // 2, p) == 1  # Euler's criterion; 0 when p | disc
+
+
+def splits_in(d: int, p: int) -> bool:
+    """Does the prime p split in Q(sqrt(d))?"""
+    return _splits(field_discriminant(d), p)
 
 
 def check_heegner_field(gd: GlobalData, d: int):
-    if not all(splits_in(d, p) for p in gd.bad_primes):
+    disc = field_discriminant(d)
+    if not all(_splits(disc, p) for p in gd.bad_primes):
         raise InadmissibleField(f"d = {d} fails the Heegner condition for N = {gd.conductor}")
 
 
@@ -426,15 +448,16 @@ def local_norm_index(w: WeierstrassModel, place, d: int, gd: GlobalData) -> int:
     _check_z2_two_torsion(w)
     if place == OO:
         return 1 if gd.delta_min > 0 else 0
-    p = int(place)
-    disc = field_discriminant(d)
-    ramified = disc % p == 0
-    good = gd.conductor % p != 0
-    if not (ramified and good):
+    return _finite_norm_index(w, int(place), d, field_discriminant(d), gd)
+
+
+def _finite_norm_index(w: WeierstrassModel, p: int, d: int, disc: int, gd: GlobalData) -> int:
+    # disc is the discriminant of Q(sqrt(d)); i_p = 0 unless p ramifies there and E is good at p
+    if disc % p or gd.conductor % p == 0:
         return 0
-    A, B = two_torsion_form(w)
     if p == 2:
         return 2 if hilbert_symbol(gd.delta_min, d, 2) == 1 else 1
+    A, B = two_torsion_form(w)
     return 1 + (1 if is_local_square(A * A - 4 * B, p) else 0)
 
 
@@ -442,7 +465,7 @@ def sum_local_norm_indices(w: WeierstrassModel, d: int, gd: GlobalData) -> tuple
     i_map = {OO: local_norm_index(w, OO, d, gd)}
     disc = field_discriminant(d)
     for p in prime_divisors(disc):
-        i_map[p] = local_norm_index(w, p, d, gd)
+        i_map[p] = _finite_norm_index(w, p, d, disc, gd)
     return sum(i_map.values()), i_map
 
 

@@ -16,8 +16,7 @@ passes, as at a repeated rational root (a multiple root mod every q) or
 a discriminant that all 25 divide, is the polynomial stripped of its
 repeated factors by a gcd with its derivative over Q, and the stripped
 one searched through the rest of the primes below 10^4, at O(q) per
-rejected q.  Tate's algorithm only counts roots mod p, by the degree of
-gcd(x^p - x, f) at p >= 60, and never splits that gcd.
+rejected q.
 """
 
 from __future__ import annotations
@@ -132,80 +131,15 @@ def squarefree_part_poly(f: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p
-
-
-def fp_trim(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def fp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    f = fp_trim(f[:], p)
-    g = fp_trim(g[:], p)
-    if not g:
-        raise ZeroDivisionError
-    inv_lead = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while f and len(f) >= len(g):
-        c = f[-1] * inv_lead % p
-        d = len(f) - len(g)
-        q[d] = c
-        for i, gc in enumerate(g):
-            f[i + d] = (f[i + d] - c * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
-
-
-def fp_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = fp_trim(f[:], p), fp_trim(g[:], p)
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def fp_mulmod(f: list[int], g: list[int], h: list[int], p: int) -> list[int]:
-    prod = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % p
-    return fp_divmod(prod, h, p)[1]
+# roots over F_p
 
 
 def fp_roots(f: list[int], p: int) -> list[int]:
     """All roots of f in F_p, in increasing order, by evaluation at every residue."""
-    f = fp_trim(f[:], p)
-    if not f:
+    f = [c % p for c in f]
+    if not any(f):
         raise ValueError("zero polynomial")
     return [x for x in range(p) if poly_eval(f, x) % p == 0]
-
-
-def fp_root_count(f: list[int], p: int) -> int:
-    """The number of distinct roots of a nonzero f in F_p, none of them found:
-    evaluation below 60, else deg gcd(x^p - x, f) (Cohen, A Course in
-    Computational Algebraic Number Theory, 3.4)."""
-    if p < 60:
-        return len(fp_roots(f, p))
-    xp = fp_powmod_poly([0, 1], p, f, p)
-    return len(fp_gcd(poly_add(xp, [0, -1]), f, p)) - 1
-
-
-def fp_powmod_poly(base: list[int], e: int, h: list[int], p: int) -> list[int]:
-    result = [1]
-    base = fp_divmod(base, h, p)[1]
-    while e:
-        if e & 1:
-            result = fp_mulmod(result, base, h, p)
-        base = fp_mulmod(base, base, h, p)
-        e >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ has a root mod 2. Otherwise the reduction is additive, and the
 singular point of step 2 comes from a2, a4, a6 at p = 2, from b6 at
 p = 3 and from b2 above; steps 5, 7 and 8 from quadratic discriminants
 (parity at p = 2); and step 6 from the discriminant of its cubic, whose
-repeated root, when there is one, is written down. Every move of the
+repeated root, when there is one, is written down, and whose roots, when
+there is none, are counted in closed form. Every move of the
 model is `weierstrass.rst_change`, the [1,r,s,t] map that
 `change_variables` runs too; step 6's shear and translation are one such
 move. The Kodaira types handed out are shared values, one per
@@ -30,7 +31,6 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import is_prime, kronecker_symbol, padic_valuation, prime_divisors
-from .polyutil import fp_root_count
 from .weierstrass import (
     InvariantViolation,
     SingularModelError,
@@ -119,13 +119,19 @@ def _singular_point(a, p, invariants):
     return x0 % p, y0 % p
 
 
-def _cubic_repeated_root(P, p):
-    """(root, multiplicity) of the repeated root of T^3 + b T^2 + c T + d,
-    given as P = [d, c, b, 1], mod p, or None when the cubic is separable.
-    A repeated root is rational: double when p does not divide 3c - b^2,
-    else triple (Cremona 1997, section 3.2)."""
+def _cubic_disc(P) -> int:
+    """The discriminant of T^3 + b T^2 + c T + d, given as P = [d, c, b, 1]."""
     d, c, b, _ = P
-    if (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p:
+    return b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+
+
+def _cubic_repeated_root(P, p, disc):
+    """(root, multiplicity) of the repeated root of T^3 + b T^2 + c T + d,
+    given as P = [d, c, b, 1] with discriminant disc, mod p, or None when the
+    cubic is separable.  A repeated root is rational: double when p does not
+    divide 3c - b^2, else triple (Cremona 1997, section 3.2)."""
+    d, c, b, _ = P
+    if disc % p:
         return None
     x = 3 * c - b * b
     if x % p:
@@ -135,6 +141,29 @@ def _cubic_repeated_root(P, p):
             return b * c % 3, 2
         return (b * c - 9 * d) * pow(2 * x, -1, p) % p, 2
     return (-d if p == 3 else -b * pow(3, -1, p)) % p, 3
+
+
+def _cubic_root_count(P, p, disc):
+    """The number of roots in F_p of the separable T^3 + b T^2 + c T + d,
+    given as P = [d, c, b, 1] with discriminant disc.  At p = 2 by evaluation
+    at 0 and 1.  At odd p it has one root iff disc is a nonresidue
+    (Stickelberger; Swan, Pacific J. Math. 12, 1962), else three or none as
+    x^p = x mod P or not, with x^p taken on residues r0 + r1 x + r2 x^2."""
+    d, c, b, _ = P
+    if p == 2:
+        return (d % 2 == 0) + ((1 + b + c + d) % 2 == 0)
+    if pow(disc, (p - 1) // 2, p) == p - 1:
+        return 1
+    r0, r1, r2 = 0, 1, 0
+    for bit in bin(p)[3:]:
+        # square, folding x^4 = -b x^3 - c x^2 - d x and then x^3 = -b x^2 - c x - d
+        e4, e3 = r2 * r2, 2 * r1 * r2
+        e2, e1 = r1 * r1 + 2 * r0 * r2 - c * e4, 2 * r0 * r1 - d * e4
+        e3 -= b * e4
+        r0, r1, r2 = (r0 * r0 - d * e3) % p, (e1 - c * e3) % p, (e2 - b * e3) % p
+        if bit == "1":
+            r0, r1, r2 = -d * r2 % p, (r0 - c * r2) % p, (r1 - b * r2) % p
+    return 3 if (r0, r1, r2) == (0, 1, 0) else 0
 
 
 def _quad_distinct_mod_p(A, B, C, p):
@@ -221,10 +250,11 @@ def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
             raise InvariantViolation(f"{a} at {p}: p^2 does not divide a3, a4 or p^3 a6 in step 6")
 
         P = [(a6 // p**3) % p, (a4 // p**2) % p, (a2 // p) % p, 1]
-        rep = _cubic_repeated_root(P, p)
+        dP = _cubic_disc(P)
+        rep = _cubic_repeated_root(P, p, dP)
         if rep is None:
             # separable cubic: one component per rational root, plus one
-            c = 1 + fp_root_count(P, p)
+            c = 1 + _cubic_root_count(P, p, dP)
             return LocalReduction(p, _kodaira_type("I*", 0), c, n - 4, n, ADDITIVE, u_exp)
         r1, mult = rep
         a = rst_change(a, p * r1, 0, 0)
@@ -313,7 +343,9 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
     `bad_prime_hint` may list the primes dividing the discriminant of the
     integral model (family sweeps know them without factoring); it is
     verified cheaply, so a hint with an entry that is not prime, or one
-    that does not cover the discriminant, fails loudly.
+    that does not cover the discriminant, fails loudly.  Only the hint's
+    primes that divide the discriminant are kept, so a hinted result equals
+    the unhinted one.
     """
     a, invariants = _integral_tuple(w)
     _, _, _, _, c4, c6, disc = invariants
@@ -327,6 +359,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
                 rem //= p
         if rem != 1:
             raise ValueError("bad_prime_hint does not cover the discriminant")
+        primes = [p for p in primes if disc % p == 0]
     else:
         primes = prime_divisors(disc)
     local = {p: tate_algorithm(a, invariants, p) for p in primes}

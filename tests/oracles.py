@@ -24,6 +24,9 @@ method that shares none of the fast path's code:
 - `multiplicative_reduction_reference` moves the node of a multiplicative
   reduction to (0,0) and reads the tangent quadratic there, for the
   closed form in `tate.tate_algorithm`, which reads (-c6 | p);
+- `fp_divmod` is division with remainder over F_p, by which the step-6
+  deflation test reads root multiplicities for the repeated root that
+  `tate.tate_algorithm` writes down;
 - `z3_point_reference` and `z3_normalize_reference` look for the primes
   q with q | a and q^3 | b among the factors of a and of b, for
   `families.z3_point` and `z3_normalize`, which factor gcd(a, b) only;
@@ -409,6 +412,30 @@ def multiplicative_reduction_reference(w: WeierstrassModel, p: int) -> tuple:
     if split:
         return "split-multiplicative", f"I{n}", n, 1, n
     return "nonsplit-multiplicative", f"I{n}", 2 if n % 2 == 0 else 1, 1, n
+
+
+def fp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of f by a nonzero g over F_p, trimmed of zero leading terms."""
+
+    def trim(h):
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = trim(f), trim(g)
+    if not g:
+        raise ZeroDivisionError
+    inv_lead = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    while f and len(f) >= len(g):
+        c = f[-1] * inv_lead % p
+        k = len(f) - len(g)
+        q[k] = c
+        for i, gc in enumerate(g):
+            f[i + k] = (f[i + k] - c * gc) % p
+        f = trim(f)
+    return q, f
 
 
 # ---------------------------------------------------------------------------

@@ -707,6 +707,53 @@ def test_phi_intersection_checks_closed_form_against_tate(monkeypatch):
     assert phi_intersection(w, d, gd) == expect
 
 
+def test_phi_intersection_refuses_a_closed_form_image_that_is_no_group(monkeypatch):
+    # the kernel reads membership through the functionals vanishing on an
+    # image, which describe subgroups only; the bitmasks {1, 2} have Tate's
+    # size 2 at 7 but no identity
+    w, d = W(0, 1, 0, 3, 0), -7
+    gd = global_data(w)
+    monkeypatch.setattr(descent2, "_ramified_twist_image", lambda A, B, d, ell: LocalSquareClassGroup(ell, frozenset({1, 2})))
+    with pytest.raises(ArithmeticError, match="not a subgroup"):
+        phi_intersection(w, d, gd)
+
+
+#: kramer_sha2_bound on y^2 = x^3 + Ax^2 + Bx at its first Heegner d != -3
+#: with |d| <= 300, for 40 curves drawn from the Z/2 box |A|, |B| <= 30 by
+#: random.Random(2029), as (A, B, d, sum_i, dim_phi_lower, sha2_dim_lower):
+#: the values of the route that built Sel^phi(E) in full and kept the classes
+#: lying in the images of E_d
+KRAMER_PINNED = [
+    (22, 9, -47, 3, 0, 0), (6, -28, -47, 3, 1, 1), (5, -12, -23, 3, 0, 0), (-18, -4, -111, 5, 1, 3),
+    (24, -9, -47, 3, 1, 1), (-18, -22, -39, 5, 0, 2), (20, 25, -71, 3, 2, 2), (-1, 15, -191, 1, 0, -2),
+    (8, -28, -87, 3, 0, 0), (25, 1, -143, 5, 1, 3), (-21, 10, -39, 3, 0, 0), (-10, 7, -47, 3, 0, 0),
+    (-8, 28, -47, 1, 0, -2), (8, 22, -95, 3, 0, 0), (-1, -28, -31, 3, 0, 0), (28, 24, -71, 3, 0, 0),
+    (4, -25, -71, 3, 0, 0), (-2, 25, -71, 1, 1, -1), (29, 15, -239, 3, 0, 0), (6, -8, -15, 3, 0, 0),
+    (8, 26, -79, 1, 0, -2), (-15, 27, -23, 3, 0, 0), (-12, -23, -103, 3, 1, 1), (17, 7, -167, 3, 0, 0),
+    (-28, -20, -71, 3, 0, 0), (7, -4, -79, 3, 1, 1), (-23, -29, -71, 3, 1, 1), (6, -10, -31, 3, 0, 0),
+    (-17, -30, -71, 3, 0, 0), (-17, 15, -71, 3, 0, 0), (-28, -12, -23, 3, 0, 0), (12, -25, -39, 5, 0, 2),
+    (-14, 23, -79, 3, 1, 1), (-29, -8, -47, 3, 0, 0), (29, 14, -31, 3, 0, 0), (12, -16, -23, 3, 0, 0),
+    (-23, -18, -23, 3, 0, 0), (20, 3, -47, 3, 0, 0),
+]
+
+
+def test_kramer_bound_builds_no_selmer_group_of_e(monkeypatch):
+    # the intersection is one kernel over the images of E and E_d, so the
+    # bound never calls _phi_selmer, and its certificates stay as pinned
+    def refuse(w, gd):
+        raise AssertionError(f"kramer_sha2_bound built Sel^phi of {w}")
+
+    monkeypatch.setattr(descent2, "_phi_selmer", refuse)
+    got = []
+    for A, B in random.Random(2029).sample(_z2_box(30), 40):
+        w = W(0, A, 0, B, 0)
+        for d in [d for d in heegner_field_scan(w, 300) if d != -3][:1]:
+            cert = kramer_sha2_bound(w, d)
+            assert cert.two_divides_sha_sqrt == (cert.sha2_dim_lower >= 1)
+            got.append((A, B, d, cert.sum_i, cert.dim_phi_lower, cert.sha2_dim_lower))
+    assert got == KRAMER_PINNED
+
+
 def test_phi_intersection_refuses_as_the_reference_does():
     cases = [
         (W(0, 1, 0, 3, 0), 0),  # d = 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ecdescent import polyutil
 from ecdescent.polyutil import (
     AUX_PRIMES,
-    fp_root_count,
     fp_roots,
     poly_eval,
     poly_gcd_q,
@@ -176,33 +175,6 @@ def test_fp_roots_small_and_large():
     p = 10007
     f = poly_from_roots([5, 17, p - 3])
     assert fp_roots(f, p) == sorted([5, 17, p - 3])
-
-
-def _cubic_disc(c, b, a):
-    # discriminant of T^3 + a T^2 + b T + c
-    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-
-
-def test_fp_root_count_matches_evaluation():
-    # Tate's step 6 cubics are monic and separable mod p; below 60 the count
-    # is evaluation, from 60 up deg gcd(x^p - x, f), judged here by evaluation
-    rng = random.Random(20261020)
-    primes = (2, 3, 5, 7, 13, 31, 53, 59, 61, 67, 97, 1009, 10007, 10009, 30011)
-    seen = set()
-    cubics = 0
-    for p in primes:
-        done = 0
-        while done < (60 if p > 10**4 else 160):
-            c, b, a = (rng.randrange(p) for _ in range(3))
-            if _cubic_disc(c, b, a) % p == 0:
-                continue
-            expected = sum(1 for x in range(p) if ((x + a) * x + b) * x % p == -c % p)
-            assert fp_root_count([c, b, a, 1], p) == expected, (p, a, b, c)
-            seen.add((p >= 60, expected))
-            done += 1
-        cubics += done
-    assert cubics >= 2000
-    assert seen == {(big, n) for big in (False, True) for n in (0, 1, 3)}
 
 
 def test_squarefree_part_poly():

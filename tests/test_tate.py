@@ -7,13 +7,14 @@ import pytest
 
 from ecdescent.families import build_curve, torsion_subgroup, z2_point, z3_point
 from ecdescent.fixtures import FIXTURES
-from ecdescent.polyutil import fp_divmod
 from ecdescent.tate import (
     GOOD,
     NONSPLIT,
     SPLIT,
     KodairaType,
+    _cubic_disc,
     _cubic_repeated_root,
+    _cubic_root_count,
     _singular_point,
     global_data,
     local_reduction,
@@ -30,7 +31,7 @@ from ecdescent.weierstrass import (
     curve_invariants,
     quadratic_twist,
 )
-from oracles import change_variables_reference, multiplicative_reduction_reference
+from oracles import change_variables_reference, fp_divmod, multiplicative_reduction_reference
 
 
 def W(*ainvs):
@@ -340,6 +341,8 @@ def test_bad_prime_hint_validation():
     with pytest.raises(ValueError):
         global_data(w, bad_prime_hint=[3])
     assert global_data(w, bad_prime_hint=[11, 3]).conductor == 11
+    # 3 does not divide the discriminant, so the hint's 3 is dropped
+    assert global_data(w, bad_prime_hint=[11, 3]) == global_data(w)
 
 
 def test_bad_prime_hint_refuses_an_entry_that_is_not_prime():
@@ -418,9 +421,35 @@ def test_step6_cubic_matches_deflation_oracle():
             for d in range(p):
                 mults = _root_multiplicities([d, c, b, 1], roots.get(d, []), p)
                 repeated = [(r, m) for r, m in mults.items() if m > 1]
-                assert _cubic_repeated_root([d, c, b, 1], p) == (repeated[0] if repeated else None), (p, b, c, d)
+                P = [d, c, b, 1]
+                assert _cubic_repeated_root(P, p, _cubic_disc(P)) == (repeated[0] if repeated else None), (p, b, c, d)
                 cubics += 1
     assert cubics == 536_688
+
+
+def test_step6_root_count_matches_evaluation():
+    # Tate's step 6 cubics are monic and separable mod p; the count reads
+    # P(0) and P(1) at p = 2, and the discriminant's character and x^p mod P
+    # at odd p, judged here by evaluation
+    rng = random.Random(20261020)
+    primes = (2, 3, 5, 7, 13, 31, 53, 59, 61, 67, 97, 1009, 10007, 10009, 30011)
+    seen = collections.defaultdict(set)
+    cubics = 0
+    for p in primes:
+        done = 0
+        while done < (60 if p > 10**4 else 160):
+            P = [rng.randrange(p) for _ in range(3)] + [1]
+            disc = _cubic_disc(P)
+            if disc % p == 0:
+                continue
+            c, b, a, _ = P
+            expected = sum(1 for x in range(p) if ((x + a) * x + b) * x % p == -c % p)
+            assert _cubic_root_count(P, p, disc) == expected, (p, P)
+            seen[p].add(expected)
+            done += 1
+        cubics += done
+    assert cubics == 2100
+    assert seen == {p: {0, 1} if p == 2 else {0, 1, 3} for p in primes}
 
 
 @pytest.mark.parametrize(
