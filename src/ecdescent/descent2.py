@@ -72,7 +72,7 @@ from .arith import (
     square_class,
     squarefree_part,
 )
-from .tate import GlobalData, _integral_tuple, global_data, local_reduction, tate_algorithm
+from .tate import GlobalData, global_data, integral_tuple, local_reduction, tate_algorithm
 from .weierstrass import (
     SingularModelError,
     WeierstrassModel,
@@ -356,12 +356,12 @@ def phi_intersection(w: WeierstrassModel, d: int, gd: GlobalData) -> frozenset:
     Refuses what phi_selmer(w) and quadratic_twist(w, d) refuse; ArithmeticError
     when an image's size is not Tate's or a closed-form image is no subgroup."""
     gd.scale(w)
-    disc = abs(_integral_tuple(w)[1][6])  # a prime p | disc has v_p(disc) < its bit length
+    disc = abs(integral_tuple(w)[1][6])  # a prime p | disc has v_p(disc) < its bit length
     check_invariant(pow(prod(gd.local_data), disc.bit_length(), disc) == 0, "{}: gd misses a place of this model", w)
     images = list(_local_images(w, gd.local_data).values())
     wd = quadratic_twist(w, d)
     (A, B), (Ad, Bd) = two_torsion_form(w), two_torsion_form(wd)
-    ed, epd = _integral_tuple(wd), _dual_data(Ad, Bd)
+    ed, epd = integral_tuple(wd), _dual_data(Ad, Bd)
     images.append(LocalSquareClassGroup(OO, _image_at_infinity(*dual_params(Ad, Bd), Bd)))
     odd = {p for p in prime_divisors(d) + list(gd.local_data) if p != 2 and kronecker_symbol(d % p, p) != 1}
     for ell in ([] if d % 8 == 1 else [2]) + sorted(odd):
@@ -407,11 +407,6 @@ def _splits(disc: int, p: int) -> bool:
     if p == 2:
         return disc % 8 == 1
     return pow(disc, (p - 1) // 2, p) == 1  # Euler's criterion; 0 when p | disc
-
-
-def splits_in(d: int, p: int) -> bool:
-    """Does the prime p split in Q(sqrt(d))?"""
-    return _splits(field_discriminant(d), p)
 
 
 def check_heegner_field(gd: GlobalData, d: int):

@@ -3,11 +3,12 @@
 The six one- and two-parameter families used throughout the toolkit (for
 Z/2, Z/3, Z/4, Z/2+Z/2, Z/2+Z/4, Z/2+Z/6 torsion) are built here, and
 torsion subgroups of arbitrary curves over Q are computed exactly:
-reduction mod good primes bounds the order, division polynomials and
-point halving locate the points, and every generator is verified by
-scalar multiplication.  The points hold int coordinates where they are
-integers (`weierstrass.Point`).  The tests judge it by a Lutz-Nagell
-enumeration.
+reduction mod the good odd primes of `arith.SMALL_PRIMES` bounds the
+order, the division polynomials f_3, f_4, f_5, f_7 (closed forms in the
+b-invariants) and point halving locate the points, and every generator
+is verified by scalar multiplication.  The points hold int coordinates
+where they are integers (`weierstrass.Point`).  The tests judge it by a
+Lutz-Nagell enumeration.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import (
+    SMALL_PRIMES,
     factorize,
-    is_prime,
     is_square,
     rational_sqrt,
     square_class,
@@ -178,67 +179,36 @@ def build_curve(fp: FamilyPoint) -> WeierstrassModel:
 
 
 def division_poly(w: WeierstrassModel, n: int) -> list:
-    """f_n(x): psi_n for odd n, psi_n / psi_2 for even n.
+    """f_n(x) for n in (3, 4, 5, 7), the only n the torsion search asks for:
+    psi_n for odd n and psi_4 / psi_2 for n = 4.
 
-    Built from the b-invariants of w's exact terms, so an integral model
-    gives int coefficients.
+    f_3 and f_4 are read from the b-invariants.  With F = psi_2^2 the
+    recursion psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
+    (Silverman, AEC, Ex. 3.7) gives f_5 = F^2 f_4 - f_3^3 and
+    f_7 = f_5 f_3^3 - F^2 f_4^3.  An integral model gives int coefficients.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if n not in (3, 4, 5, 7):
+        raise ValueError(f"division_poly has closed forms for n = 3, 4, 5, 7 only, not {n}")
     b2, b4, b6, b8 = w.b2, w.b4, w.b6, w.b8
-    F = [b6, 2 * b4, b2, 4]  # psi_2^2
+    f3 = [b8, 3 * b6, 3 * b4, b2, 3]
+    if n == 3:
+        return f3
+    f4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+    if n == 4:
+        return f4
+    F = w.two_division_poly()
     FF = poly_mul(F, F)
-    cache: dict[int, list] = {
-        0: [],
-        1: [1],
-        2: [1],
-        3: [b8, 3 * b6, 3 * b4, b2, 3],
-        4: [
-            b4 * b8 - b6 * b6,
-            b2 * b8 - b4 * b6,
-            10 * b8,
-            10 * b6,
-            5 * b4,
-            b2,
-            2,
-        ],
-    }
-
-    def f(m: int) -> list:
-        if m in cache:
-            return cache[m]
-        if m == -1:
-            return poly_scale(f(1), -1)
-        if m % 2:
-            k = (m - 1) // 2
-            t1 = poly_mul(f(k + 2), poly_mul(f(k), poly_mul(f(k), f(k))))
-            t2 = poly_mul(f(k - 1), poly_mul(f(k + 1), poly_mul(f(k + 1), f(k + 1))))
-            if k % 2 == 0:
-                val = poly_add(poly_mul(FF, t1), poly_scale(t2, -1))
-            else:
-                val = poly_add(t1, poly_scale(poly_mul(FF, t2), -1))
-        else:
-            k = m // 2
-            inner = poly_add(
-                poly_mul(f(k + 2), poly_mul(f(k - 1), f(k - 1))),
-                poly_scale(poly_mul(f(k - 2), poly_mul(f(k + 1), f(k + 1))), -1),
-            )
-            val = poly_mul(f(k), inner)
-        cache[m] = val
-        return val
-
-    return f(n)
-
-
-def duplication_numerator(w: WeierstrassModel) -> list:
-    """phi_2(x) = x^4 - b4 x^2 - 2 b6 x - b8; x(2P) = phi_2 / psi_2^2."""
-    b4, b6, b8 = w.b4, w.b6, w.b8
-    return [-b8, -2 * b6, -b4, 0, 1]
+    f3_cubed = poly_mul(f3, poly_mul(f3, f3))
+    f5 = poly_add(poly_mul(FF, f4), poly_scale(f3_cubed, -1))
+    if n == 5:
+        return f5
+    return poly_add(poly_mul(f5, f3_cubed), poly_scale(poly_mul(FF, poly_mul(f4, poly_mul(f4, f4))), -1))
 
 
 def _halving_quartic(w: WeierstrassModel, x0) -> list:
-    """phi_2(x) - x0 psi_2(x)^2, whose roots are the x(Q) with x(2Q) = x0."""
-    return poly_add(duplication_numerator(w), poly_scale(w.two_division_poly(), -_exact(x0)))
+    """phi_2(x) - x0 psi_2(x)^2, whose roots are the x(Q) with x(2Q) = x0;
+    phi_2 = x^4 - b4 x^2 - 2 b6 x - b8 and x(2P) = phi_2 / psi_2^2."""
+    return poly_add([-w.b8, -2 * w.b6, -w.b4, 0, 1], poly_scale(w.two_division_poly(), -_exact(x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +254,18 @@ def count_points_mod_p(w: WeierstrassModel, p: int) -> int:
 
 
 def torsion_order_bound(w: WeierstrassModel) -> int:
-    """gcd of #E(F_p) over up to eight good odd primes; a multiple of #tors."""
+    """gcd of #E(F_p) over up to eight good odd primes below 3000, read in
+    order from `SMALL_PRIMES`; a multiple of #tors."""
     disc = w.discriminant
-    bound = 0
-    count = 0
-    p = 3
-    while count < 8 and p < 3000:
-        if disc % p:
+    bound = count = 0
+    for p in SMALL_PRIMES:
+        if p > 3000:
+            break
+        if p > 2 and disc % p:
             bound = math.gcd(bound, count_points_mod_p(w, p))
             count += 1
-            if bound in (1, 2):
+            if count == 8 or bound in (1, 2):
                 break
-        p += 2
-        while not is_prime(p):
-            p += 2
     return bound
 
 

@@ -187,7 +187,7 @@ def _quad_double_root(A, B, C, p):
     return (-B * pow(2 * A, -1, p)) % p
 
 
-def _integral_tuple(w: WeierstrassModel) -> tuple:
+def integral_tuple(w: WeierstrassModel) -> tuple:
     """Integer 5-tuple of an integral model of w (w's own coefficients when
     w is integral) and the curve invariants of that tuple."""
     a = integral_model(w)[0].ainvs
@@ -199,7 +199,7 @@ def _integral_tuple(w: WeierstrassModel) -> tuple:
 
 def local_reduction(w: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, conductor exponent and v(disc_min) at p."""
-    return tate_algorithm(*_integral_tuple(w), p)
+    return tate_algorithm(*integral_tuple(w), p)
 
 
 def tate_algorithm(a: tuple, invariants: tuple, p: int) -> LocalReduction:
@@ -347,7 +347,7 @@ def global_data(w: WeierstrassModel, bad_prime_hint=None) -> GlobalData:
     primes that divide the discriminant are kept, so a hinted result equals
     the unhinted one.
     """
-    a, invariants = _integral_tuple(w)
+    a, invariants = integral_tuple(w)
     _, _, _, _, c4, c6, disc = invariants
     if bad_prime_hint is not None:
         primes = sorted(set(int(p) for p in bad_prime_hint))

@@ -74,10 +74,6 @@ class Report:
     def passed(self) -> int:
         return self.attempted - self.failed
 
-    @property
-    def mismatches(self) -> list:
-        return [c for c in self.cases if c["status"] == "fail"]
-
     def summary(self) -> dict:
         return {
             "section": self.section,

@@ -11,7 +11,7 @@ method that shares none of the fast path's code:
   int paths of `weierstrass.point_add`, `point_mul` and `point_order`;
 - `count_points_kronecker` sums a Kronecker symbol per residue for
   `families.count_points_mod_p`;
-- `splits_in_oracle` solves x^2 = disc (mod 4p) for `descent2.splits_in`;
+- `splits_in_oracle` solves x^2 = disc (mod 4p) for `descent2._splits`;
 - `change_variables_reference` is the [u,r,s,t] formula in Fractions
   throughout, for `weierstrass.change_variables` and the [1,r,s,t] map
   `rst_change` that it shares with Tate's algorithm; `compose` and

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ecdescent import verify
 from ecdescent.arith import OO, factorize, hilbert_symbol, is_prime, prime_divisors
-from ecdescent.descent2 import kramer_sha2_bound, local_image, splits_in
+from ecdescent.descent2 import _splits, field_discriminant, kramer_sha2_bound, local_image
 from ecdescent.families import SingularParameterError
 from ecdescent.fixtures import FIXTURES
 from ecdescent.isogeny import hadano_quotient, velu_2_isogeny, velu_3_isogeny
@@ -122,7 +122,7 @@ def _criterion6_pool():
                 continue
             if any(e % 2 == 0 for _, e in fac):
                 continue
-            if not all(splits_in(-2, r) for r in prime_divisors(p * q)):
+            if not all(_splits(field_discriminant(-2), r) for r in prime_divisors(p * q)):
                 continue
             pool.append((p, z))
     return pool

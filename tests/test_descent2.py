@@ -20,6 +20,7 @@ from ecdescent.arith import (
 )
 from ecdescent.descent2 import (
     DescentCertificate,
+    _splits,
     FullTwoTorsionError,
     InadmissibleField,
     check_heegner_field,
@@ -33,7 +34,6 @@ from ecdescent.descent2 import (
     phi_intersection,
     phi_selmer,
     selmer_kernel_class,
-    splits_in,
     sum_local_norm_indices,
 )
 from ecdescent.tate import global_data
@@ -489,7 +489,7 @@ def test_field_discriminant_and_splitting():
         field_discriminant(-4)
     for d in [-1, -2, -7, -15, -21]:
         for p in [2, 3, 5, 7, 11, 13]:
-            assert splits_in(d, p) == splits_in_oracle(d, p), (d, p)
+            assert _splits(field_discriminant(d), p) == splits_in_oracle(d, p), (d, p)
 
 
 def test_heegner_scan():
@@ -497,7 +497,7 @@ def test_heegner_scan():
     w = W(-1, 1, -1, 0, 0)  # conductor 15
     ds = heegner_field_scan(w, 60)
     for d in ds:
-        assert splits_in(d, 3) and splits_in(d, 5)
+        assert _splits(field_discriminant(d), 3) and _splits(field_discriminant(d), 5)
     assert -26 in ds  # disc -104: (-104|3): -104=1 mod 3 -> QR; mod 5: 1 -> QR
     # every 2 | N case forces d = 1 mod 8
     w2 = W(0, 5, 0, -1, 0)  # conductor 4p
@@ -525,7 +525,7 @@ def test_heegner_scan_matches_splits_in_oracle():
         for d in range(-1, -151, -1):
             if squarefree_part(d) != d:
                 continue
-            assert all(splits_in(d, p) for p in ps) == (d in expect), (w, d)
+            assert all(_splits(field_discriminant(d), p) for p in ps) == (d in expect), (w, d)
             if d in expect:
                 check_heegner_field(gd, d)
             else:
@@ -560,7 +560,7 @@ def test_kramer_certificate_beta_family():
     done = 0
     for p in [17, 41, 73, 89, 97]:
         w = beta_even_curve(p, 1)
-        if not all(splits_in(-2, q) for q in global_data(w).bad_primes):
+        if not all(_splits(field_discriminant(-2), q) for q in global_data(w).bad_primes):
             continue
         cert = kramer_sha2_bound(w, -2)
         assert cert.sum_i == 3

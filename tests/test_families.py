@@ -30,7 +30,7 @@ from ecdescent.families import (
     z4_point,
 )
 from ecdescent.tate import global_data
-from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables
+from ecdescent.weierstrass import CoordinateChange, WeierstrassModel, change_variables, point_mul, point_order
 import oracles
 from oracles import (
     ADVERTISED,
@@ -137,6 +137,31 @@ def test_division_poly_values():
     assert len(division_poly(w, 5)) - 1 == 12
     assert len(division_poly(w, 7)) - 1 == 24
     assert len(division_poly(w, 4)) - 1 == 6
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 6, 8])
+def test_division_poly_refuses_other_n(n):
+    with pytest.raises(ValueError):
+        division_poly(W(0, 0, 1, -1, 0), n)
+
+
+def test_division_polys_give_x_of_4p_and_6p():
+    # x(nP) = x - psi_{n-1} psi_{n+1} / psi_n^2 with psi_4^2 = F f_4^2 and
+    # psi_6^2 = f_3^2 F (f_5 - f_4^2)^2, F = psi_2^2; judged by point_mul
+    rng = random.Random(30)
+    checked = 0
+    while checked < 60:
+        a1, a2, a3, a4 = (rng.randint(-6, 6) for _ in range(4))
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        a6 = y * y + a1 * x * y + a3 * y - ((x + a2) * x + a4) * x
+        w = W(a1, a2, a3, a4, a6)
+        if w.is_singular or point_order(w, (x, y), 12):
+            continue  # by Mazur a rational torsion point has order at most 12
+        f3, f4, f5, f7 = (polyutil.poly_eval(division_poly(w, n), x) for n in (3, 4, 5, 7))
+        F = polyutil.poly_eval(w.two_division_poly(), x)
+        assert point_mul(w, 4, (x, y))[0] == x - Fraction(f3 * f5, F * f4 * f4), (w, x, y)
+        assert point_mul(w, 6, (x, y))[0] == x - Fraction(f5 * f7, f3 * f3 * F * (f5 - f4 * f4) ** 2), (w, x, y)
+        checked += 1
 
 
 def test_torsion_z3_family():

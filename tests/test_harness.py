@@ -93,7 +93,7 @@ def test_ingest_rejects_wrong_torsion(tmp_path):
 def test_verify_section_reports_have_consistent_counts():
     rep = verify_section(3, bound=40)
     assert rep.attempted == rep.passed + rep.failed
-    assert (rep.failed == 0) == (not rep.mismatches)
+    assert rep.failed == sum(c["status"] == "fail" for c in rep.cases)
     buf = io.StringIO()
     rep.dump_jsonl(buf)
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]

@@ -26,7 +26,7 @@ JUDGED = {
     "halve_point",
     "points_of_order_n",
     "two_torsion_points",
-    "splits_in",
+    "_splits",
     "heegner_field_scan",
     "isomorphism_scale",
     "_velu_quotient",
